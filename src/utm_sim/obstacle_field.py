@@ -8,7 +8,7 @@ perimeter, so the avoidance layer only ever reasons about discs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geom2d import Vec2, distance
 
@@ -18,32 +18,29 @@ DEFAULT_CIRCLE_SPACING = 15.0
 
 @dataclass(frozen=True, slots=True)
 class RectObstacle:
-    """Axis-aligned solid rectangle, defined by center and side lengths."""
+    """Axis-aligned solid rectangle, defined by center and side lengths.
+
+    The extents min_x/max_x/min_y/max_y are derived once at construction; they
+    take no part in the constructor, equality, hashing or repr.
+    """
 
     center: Vec2
     width: float
     height: float
     id: str
+    min_x: float = field(init=False, repr=False, compare=False)
+    max_x: float = field(init=False, repr=False, compare=False)
+    min_y: float = field(init=False, repr=False, compare=False)
+    max_y: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(f"rectangle '{self.id}' must have positive width and height")
-
-    @property
-    def min_x(self) -> float:
-        return self.center.x - self.width / 2.0
-
-    @property
-    def max_x(self) -> float:
-        return self.center.x + self.width / 2.0
-
-    @property
-    def min_y(self) -> float:
-        return self.center.y - self.height / 2.0
-
-    @property
-    def max_y(self) -> float:
-        return self.center.y + self.height / 2.0
+        set_extent = object.__setattr__  # the dataclass is frozen
+        set_extent(self, "min_x", self.center.x - self.width / 2.0)
+        set_extent(self, "max_x", self.center.x + self.width / 2.0)
+        set_extent(self, "min_y", self.center.y - self.height / 2.0)
+        set_extent(self, "max_y", self.center.y + self.height / 2.0)
 
     def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
         """Corners in counter-clockwise perimeter order, starting at (min_x, min_y)."""

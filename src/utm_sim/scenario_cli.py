@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .apf_core import ApfParams
-from .geom2d import Bounds, Vec2, point_rect_distance
+from .geom2d import Bounds, Vec2, distance, point_rect_distance
 from .metrics import COLLISION_MARKER, RunReport, build_report, pairwise_distances
 from .obstacle_field import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING,
                              RectObstacle)
@@ -153,6 +153,10 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{ctx}: {exc}") from exc
     rect_ids = [r.id for r in rects]
     _require(len(set(rect_ids)) == len(rect_ids), "rectangle ids must be unique")
+    for r in rects:
+        _require(bounds.min_x <= r.min_x and r.max_x <= bounds.max_x
+                 and bounds.min_y <= r.min_y and r.max_y <= bounds.max_y,
+                 f"rectangle '{r.id}' is not fully inside the workspace bounds")
 
     udocs = doc.get("uavs")
     _require(isinstance(udocs, list) and len(udocs) > 0,
@@ -184,6 +188,7 @@ def load_scenario(path: str | Path) -> Scenario:
     circle_spacing = float(p.get("circle_spacing", DEFAULT_CIRCLE_SPACING))
     _require(uav_radius > 0.0, "params.uav_radius must be > 0")
     _require(circle_radius > 0.0, "params.obstacle_circle_radius must be > 0")
+    _require(circle_spacing > 0.0, "params.circle_spacing must be > 0")
     _require(circle_spacing < 2.0 * circle_radius,
              "params.circle_spacing must be < 2 * obstacle_circle_radius")
 
@@ -228,6 +233,13 @@ def load_scenario(path: str | Path) -> Scenario:
                 _require(point_rect_distance(pt, r) > planner.inflation,
                          f"uav '{u.id}' {label} {pt} lies within the inflated "
                          f"obstacle '{r.id}'")
+    # strict <, as in the engine's collision scan: touching bodies do not overlap
+    for i, a in enumerate(uavs):
+        for b in uavs[i + 1:]:
+            for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
+                _require(distance(pa, pb) >= 2.0 * uav_radius,
+                         f"uavs '{a.id}' and '{b.id}' {label} are closer than "
+                         f"2 * uav_radius ({2.0 * uav_radius}); the bodies overlap")
 
     return Scenario(
         name=name,
@@ -466,7 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
+    except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     except PlanningError as exc:
@@ -475,6 +487,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:
+        print(f"simulation error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

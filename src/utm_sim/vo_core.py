@@ -8,6 +8,10 @@ mag_step up to the current relative speed), keeps the ones outside the first
 conflicting threat's cone, prunes that set against every further conflicting
 threat, and finally picks the candidate closest to the vehicle's nominal
 velocity. An empty set falls back to hovering in place.
+
+Candidates are plain (vx, vy) float pairs in world frame, not Vec2: a decision
+enumerates hundreds of them, and only the one velocity that leaves `avoid` is
+built (and finiteness-checked) as a Vec2.
 """
 
 from __future__ import annotations
@@ -67,19 +71,15 @@ class CollisionCone:
     already_violating: bool
 
 
-class Candidate(NamedTuple):
-    """One feasible absolute velocity plus the (theta, magnitude) grid cell it came from."""
-
-    velocity: Vec2
-    theta: float
-    magnitude: float
-
-
 @dataclass
 class FeasibleSet:
-    """Feasible velocity candidates in search order (ascending theta, then magnitude)."""
+    """Feasible absolute velocities as (vx, vy) float pairs, in search order.
 
-    candidates: list[Candidate] = field(default_factory=list)
+    Search order is ascending heading, then ascending speed. A heading blocked
+    by the seeding cone contributes only its zero-speed entry.
+    """
+
+    candidates: list[tuple[float, float]] = field(default_factory=list)
 
 
 class AvoidResult(NamedTuple):
@@ -118,16 +118,20 @@ def collision_cone(p_a: Vec2, p_b: Vec2, r_a: float, r_b: float) -> CollisionCon
     )
 
 
+def _in_cone_xy(x: float, y: float, cone: CollisionCone) -> bool:
+    # the in_cone rule on a bare (x, y) relative velocity
+    if x == 0.0 and y == 0.0:
+        return False
+    return abs(normalize_angle(math.atan2(y, x) - cone.center_angle)) < cone.half_angle
+
+
 def in_cone(v_rel: Vec2, cone: CollisionCone) -> bool:
     """True when the relative velocity heading lies strictly inside the cone.
 
     The zero vector has no heading and is never inside: staying put cannot
     close the gap. Boundary headings (offset exactly half_angle) are outside.
     """
-    if v_rel.is_zero():
-        return False
-    offset = normalize_angle(math.atan2(v_rel.y, v_rel.x) - cone.center_angle)
-    return abs(offset) < cone.half_angle
+    return _in_cone_xy(v_rel.x, v_rel.y, cone)
 
 
 def _heading_in_cone(theta: float, cone: CollisionCone) -> bool:
@@ -154,46 +158,47 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     Headings run over {k*theta_step < 2*pi}; per heading, speeds over the
     magnitude grid capped at |v_ab|. A relative candidate (m, theta) survives
     when it is outside the cone; it is stored as the absolute velocity
-    (m*cos, m*sin) + v_b so later pruning and selection work in world frame.
+    (m*cos + v_b.x, m*sin + v_b.y) so later pruning and selection work in
+    world frame. The arithmetic is exactly that of Vec2(m*cos, m*sin) + v_b.
     """
     speeds = _magnitude_grid(v_ab.norm(), params.mag_step)
-    out = FeasibleSet()
+    bx, by = v_b.x, v_b.y
+    cands: list[tuple[float, float]] = []
     k = 0
     while (theta := k * params.theta_step) < TAU:
-        heading_clear = not _heading_in_cone(theta, cone)
-        if heading_clear:
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            for m in speeds:
-                rel = Vec2(m * cos_t, m * sin_t)
-                out.candidates.append(Candidate(rel + v_b, theta, m))
+        if _heading_in_cone(theta, cone):
+            # zero speed has no heading, so it survives any cone; `0.0 +`
+            # folds a -0.0 component to 0.0 as the vector sum does
+            cands.append((0.0 + bx, 0.0 + by))
         else:
-            # zero speed has no heading, so it survives any cone
-            out.candidates.append(Candidate(Vec2(0.0, 0.0) + v_b, theta, 0.0))
+            cos_t, sin_t = math.cos(theta), math.sin(theta)
+            cands.extend([(m * cos_t + bx, m * sin_t + by) for m in speeds])
         k += 1
-    return out
+    return FeasibleSet(cands)
 
 
 def prune_feasible(fset: FeasibleSet, v_b_other: Vec2,
                    cone_other: CollisionCone) -> FeasibleSet:
     """Drop candidates whose velocity relative to another threat falls in its cone."""
-    survivors = [
+    ox, oy = v_b_other.x, v_b_other.y
+    return FeasibleSet([
         c for c in fset.candidates
-        if not in_cone(c.velocity - v_b_other, cone_other)
-    ]
-    return FeasibleSet(survivors)
+        if not _in_cone_xy(c[0] - ox, c[1] - oy, cone_other)
+    ])
 
 
 def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
     """Candidate closest to the nominal velocity; earliest wins ties; hover if empty."""
-    best: Vec2 | None = None
+    best: tuple[float, float] | None = None
     best_d2 = math.inf
+    nx, ny = v_desired.x, v_desired.y
     for cand in fset.candidates:
-        dx = cand.velocity.x - v_desired.x
-        dy = cand.velocity.y - v_desired.y
+        dx = cand[0] - nx
+        dy = cand[1] - ny
         d2 = dx * dx + dy * dy
         if d2 < best_d2:
-            best, best_d2 = cand.velocity, d2
-    return best if best is not None else Vec2(0.0, 0.0)
+            best, best_d2 = cand, d2
+    return Vec2(*best) if best is not None else Vec2(0.0, 0.0)
 
 
 def avoid(state: "UavState", threats: Sequence[Threat], params: VoParams) -> AvoidResult:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -88,6 +89,14 @@ class TestLoadScenario:
         (lambda d: d.update(params={"kp": "fast"}), "number"),
         (lambda d: d.update(params={"goal_bias": 1.5}), "goal_bias"),
         (lambda d: d.update(uavs=[]), "uavs"),
+        (lambda d: d["uavs"][1].update(start=[20.0, 20.0]), "starts are closer"),
+        (lambda d: d["uavs"][1].update(start=[39.99, 20.0]), "overlap"),
+        (lambda d: d["uavs"][1].update(goal=[280.0, 280.0]), "goals are closer"),
+        (lambda d: d["params"].update(circle_spacing=0.0), "circle_spacing must be > 0"),
+        (lambda d: d["params"].update(circle_spacing=-15.0), "circle_spacing must be > 0"),
+        (lambda d: d["rectangles"][0].update(center=[900.0, 900.0]), "inside the workspace"),
+        (lambda d: d["rectangles"][0].update(center=[290.0, 150.0]), "inside the workspace"),
+        (lambda d: d["rectangles"][0].update(center=[150.0, 5.0]), "inside the workspace"),
     ])
     def test_invalid_documents_rejected(self, tmp_path, mutate, fragment):
         doc = full_doc()
@@ -116,6 +125,17 @@ class TestLoadScenario:
         doc["uavs"][0]["goal"] = [500.0, 20.0]  # outside bounds
         with pytest.raises(ScenarioError, match="bounds"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    def test_contact_is_not_overlap(self, tmp_path):
+        # bodies exactly 2 * uav_radius apart touch without overlapping (strict
+        # <, as in the collision scan), and a rectangle may touch the bounds
+        doc = full_doc()  # uav_radius 10, bounds 0..300, r1 is 40 x 30
+        doc["uavs"][1]["start"] = [40.0, 20.0]
+        doc["uavs"][1]["goal"] = [280.0, 260.0]
+        doc["rectangles"][0]["center"] = [280.0, 150.0]
+        s = load_scenario(write_scenario(tmp_path, doc))
+        assert s.uavs[1].start == Vec2(40.0, 20.0)
+        assert s.rectangles[0].max_x == 300.0
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -180,9 +200,13 @@ class TestExportResult:
         scenario = load_scenario(write_scenario(tmp_path, {
             "uavs": [
                 {"id": "u1", "start": [20.0, 200.0], "goal": [120.0, 200.0]},
-                {"id": "u2", "start": [30.0, 200.0], "goal": [130.0, 200.0]},
+                {"id": "u2", "start": [30.0, 250.0], "goal": [130.0, 250.0]},
             ],
         }))
+        # the loader rejects overlapping starts, so overlap the bodies after loading
+        u1, u2 = scenario.uavs
+        scenario = replace(scenario, uavs=(
+            u1, replace(u2, start=Vec2(30.0, 200.0), goal=Vec2(130.0, 200.0))))
         result = run(scenario, SimParams(max_steps=3), seed=2)  # overlapping start
         report = build_report(result)
         out = tmp_path / "out"
@@ -271,6 +295,33 @@ class TestCliMain:
                      "--seed", "1", "--out", str(blocker / "sub")])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo", ["vo", "apf"])
+    def test_shared_start_exit_2(self, tmp_path, capsys, algo):
+        scn = write_scenario(tmp_path, {"uavs": [
+            {"id": "u1", "start": [20.0, 200.0], "goal": [120.0, 200.0]},
+            {"id": "u2", "start": [20.0, 200.0], "goal": [120.0, 260.0]},
+        ]})
+        code = main(["run", "--scenario", str(scn), "--algo", algo,
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_engine_value_error_exit_5(self, tmp_path, capsys, monkeypatch):
+        import utm_sim.scenario_cli as cli
+
+        def broken_run(*args, **kwargs):
+            raise ValueError("non-finite vector components (nan, 0.0)")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        scn = write_scenario(tmp_path, MINIMAL)
+        code = main(["run", "--scenario", str(scn), "--algo", "vo",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "simulation error" in err and "non-finite" in err
+        assert "scenario error" not in err
 
     def test_missing_scenario_file_exit_4(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"),

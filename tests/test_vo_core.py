@@ -7,7 +7,6 @@ from utm_sim.geom2d import TAU, Vec2, distance, normalize_angle
 from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import (
-    Candidate,
     CollisionCone,
     FeasibleSet,
     Threat,
@@ -130,6 +129,24 @@ class TestInCone:
         assert checked > 4000
 
 
+def grid_candidates(speeds, v_b, blocked=frozenset()):
+    """Expected search output: every heading k*0.2 < 2*pi in order, each with its
+    speeds in order, or only the zero-speed entry when heading index k is blocked.
+    Built with Vec2 arithmetic so the float pairs must equal the vector sums."""
+    out = []
+    k = 0
+    while (theta := k * 0.2) < TAU:
+        if k in blocked:
+            s = Vec2(0.0, 0.0) + v_b
+            out.append((s.x, s.y))
+        else:
+            for m in speeds:
+                s = Vec2(m * math.cos(theta), m * math.sin(theta)) + v_b
+                out.append((s.x, s.y))
+        k += 1
+    return out
+
+
 class TestSearchFeasible:
     def test_grid_size_and_order_with_no_exclusions(self):
         # distant, thin threat whose cone misses every grid heading
@@ -142,40 +159,46 @@ class TestSearchFeasible:
         fset = search_feasible(v_ab, v_b, cone, params)
         # 32 headings x magnitudes {0, 0.2, 0.4, 0.5}
         assert len(fset.candidates) == 32 * 4
-        expected_mags = [0.0, 0.2, 0.4, 0.5]
-        i = 0
-        k = 0
-        while (theta := k * 0.2) < TAU:
-            for m in expected_mags:
-                cand = fset.candidates[i]
-                assert cand.theta == theta
-                assert cand.magnitude == m
-                # absolute velocity must be the exact vector sum
-                assert cand.velocity == Vec2(m * math.cos(theta) + v_b.x,
-                                             m * math.sin(theta) + v_b.y)
-                i += 1
-            k += 1
-        assert i == len(fset.candidates)
+        # the exact ordered list: heading-major, then speed, each entry the
+        # exact absolute velocity (m*cos + v_b.x, m*sin + v_b.y)
+        assert fset.candidates == grid_candidates([0.0, 0.2, 0.4, 0.5], v_b)
+        for cand in fset.candidates:
+            assert type(cand) is tuple and len(cand) == 2
+            assert all(type(c) is float for c in cand)
 
     def test_speed_grid_keeps_off_grid_maximum(self):
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(1000.0, 0.0), 0.05, 0.05)
         fset = search_feasible(Vec2(0.0, 0.7), Vec2(0.0, 0.0), cone, VoParams())
-        mags = {c.magnitude for c in fset.candidates}
-        assert 0.7 in mags
-        assert max(mags) == 0.7
+        # speeds 0, 0.2, 0.4, 0.6 on the grid, then 0.7 itself; heading 0 lies
+        # inside the thin cone and keeps only its zero entry
+        speeds = [k * 0.2 for k in range(4)] + [0.7]
+        assert fset.candidates == grid_candidates(speeds, Vec2(0.0, 0.0), blocked={0})
+        # every clear heading ends on the off-grid maximum, and nothing exceeds it
+        assert fset.candidates[-1] == (0.7 * math.cos(6.2), 0.7 * math.sin(6.2))
+        assert max(math.hypot(*c) for c in fset.candidates) == pytest.approx(0.7, abs=1e-15)
 
     def test_cone_blocks_headings_but_zero_speed_survives(self):
         # frozen case: |v_ab| = 1, cone center 0, half-angle asin(0.5)
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
         fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone, VoParams())
-        blocked = {0.0, 0.2, 0.4, 5.8, 6.0, 6.2}  # headings inside the cone
+        blocked = {0, 1, 2, 29, 30, 31}  # headings 0.0-0.4 and 5.8-6.2 are inside the cone
         # full grid is 32 x 6 = 192; blocked headings keep only their M=0 entry
         assert len(fset.candidates) == 192 - len(blocked) * 5
+        speeds = [k * 0.2 for k in range(6)]
+        assert fset.candidates == grid_candidates(speeds, Vec2(0.0, 0.0), blocked=blocked)
+        # the blocked headings are the six one-entry runs of (0.0, 0.0)
+        assert fset.candidates[:3] == [(0.0, 0.0)] * 3
+        assert fset.candidates[-3:] == [(0.0, 0.0)] * 3
         for cand in fset.candidates:
-            if cand.theta in blocked:
-                assert cand.magnitude == 0.0
-            rel = cand.velocity  # v_b is zero here
-            assert not in_cone(rel, cone)
+            assert not in_cone(Vec2(*cand), cone)  # v_b is zero here
+
+    def test_blocked_heading_zero_entry_folds_negative_zero(self):
+        # Vec2(0, 0) + Vec2(-0.0, -0.0) is (0.0, 0.0): a -0.0 here would
+        # print as -0.000000 if hover won, changing the exported bytes
+        cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
+        fset = search_feasible(Vec2(1.0, 0.0), Vec2(-0.0, -0.0), cone, VoParams())
+        for x, y in fset.candidates[:3]:
+            assert (math.copysign(1.0, x), math.copysign(1.0, y)) == (1.0, 1.0)
 
     def test_every_candidate_is_cone_free(self):
         rng = random.Random(33)
@@ -189,7 +212,7 @@ class TestSearchFeasible:
             fset = search_feasible(v_ab, v_b, cone, VoParams())
             assert fset.candidates
             for cand in fset.candidates:
-                assert not in_cone(cand.velocity - v_b, cone)
+                assert not in_cone(Vec2(*cand) - v_b, cone)
 
 
 class TestPruneAndSelect:
@@ -198,29 +221,31 @@ class TestPruneAndSelect:
         fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone1, VoParams())
         # prune against a violating threat dead ahead: forward headings die
         cone2 = collision_cone(Vec2(0.0, 0.0), Vec2(5.0, 0.0), 12.0, 12.0)
-        pruned = prune_feasible(fset, Vec2(0.0, 0.0), cone2)
+        v_other = Vec2(0.0, 0.0)
+        pruned = prune_feasible(fset, v_other, cone2)
         assert 0 < len(pruned.candidates) < len(fset.candidates)
         kept = iter(fset.candidates)
         for cand in pruned.candidates:  # order preserved: subsequence check
             while next(kept) != cand:
                 pass
         for cand in pruned.candidates:
-            assert not in_cone(cand.velocity, cone2)
+            assert not in_cone(Vec2(*cand), cone2)
+        # exactly the candidates the Vec2 in_cone rule keeps, in search order
+        assert pruned.candidates == [
+            c for c in fset.candidates if not in_cone(Vec2(*c) - v_other, cone2)
+        ]
 
     def test_select_minimizes_distance(self):
-        fset = FeasibleSet([
-            Candidate(Vec2(0.0, 1.0), 0.0, 1.0),
-            Candidate(Vec2(2.9, 0.1), 0.0, 1.0),
-            Candidate(Vec2(-1.0, 0.0), 0.0, 1.0),
-        ])
-        assert select_velocity(fset, Vec2(3.0, 0.0)) == Vec2(2.9, 0.1)
+        fset = FeasibleSet([(0.0, 1.0), (2.9, 0.1), (-1.0, 0.0)])
+        best = select_velocity(fset, Vec2(3.0, 0.0))
+        assert best == Vec2(2.9, 0.1)
+        assert type(best) is Vec2
 
     def test_select_tie_goes_to_earlier_candidate(self):
-        fset = FeasibleSet([
-            Candidate(Vec2(1.0, 0.0), 0.0, 1.0),
-            Candidate(Vec2(-1.0, 0.0), math.pi, 1.0),
-        ])
+        fset = FeasibleSet([(1.0, 0.0), (-1.0, 0.0)])
         assert select_velocity(fset, Vec2(0.0, 0.0)) == Vec2(1.0, 0.0)
+        fset = FeasibleSet([(-1.0, 0.0), (1.0, 0.0)])
+        assert select_velocity(fset, Vec2(0.0, 0.0)) == Vec2(-1.0, 0.0)
 
     def test_select_empty_returns_hover(self):
         assert select_velocity(FeasibleSet([]), Vec2(5.0, 5.0)) == Vec2(0.0, 0.0)
