@@ -6,6 +6,7 @@ from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
 from .obstacle_field import (CircleObstacle, ObstacleField, RectObstacle,
                              discretize_rectangle)
+from .params import Params
 from .rrt_planner import (PlannerParams, PlanningError, WaypointPath, plan_path,
                           steer)
 from .scenario_cli import (Scenario, ScenarioError, UavSpec, export_result,
@@ -21,6 +22,7 @@ __all__ = [
     "Bounds", "Vec2", "angle_of", "distance", "normalize_angle",
     "RunReport", "build_report", "pairwise_distances", "path_length",
     "CircleObstacle", "ObstacleField", "RectObstacle", "discretize_rectangle",
+    "Params",
     "PlannerParams", "PlanningError", "WaypointPath", "plan_path", "steer",
     "Scenario", "ScenarioError", "UavSpec", "export_result", "load_scenario",
     "main", "save_scenario",

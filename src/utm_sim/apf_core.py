@@ -9,29 +9,17 @@ measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .geom2d import Vec2
+from .params import Params
 
 if TYPE_CHECKING:
     from .sim_engine import UavState
     from .vo_core import Threat
 
 
-@dataclass(frozen=True, slots=True)
-class ApfParams:
-    k_att: float = 8.0
-    k_rep: float = 15.0
-    dt: float = 0.1
-    dist_wp: float = 10.0
-    dist_uav: float = 50.0
-    dist_obs: float = 20.0
-
-    def __post_init__(self) -> None:
-        for name in ("k_att", "k_rep", "dt", "dist_wp", "dist_uav", "dist_obs"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+ApfParams = Params  # former name of the one parameter table
 
 
 def attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
@@ -51,7 +39,7 @@ def repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
 
 
 def total_force(pos: Vec2, waypoint: Vec2, threat_positions: Sequence[Vec2],
-                params: ApfParams) -> Vec2:
+                params: Params) -> Vec2:
     """Attractive force plus the sum of per-threat repulsions."""
     f = attractive_force(pos, waypoint, params.k_att)
     for tp in threat_positions:
@@ -59,7 +47,7 @@ def total_force(pos: Vec2, waypoint: Vec2, threat_positions: Sequence[Vec2],
     return f
 
 
-def apf_step(state: "UavState", threats: Sequence["Threat"], params: ApfParams) -> Vec2:
+def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> Vec2:
     """New position after one Euler step of the total force.
 
     `threats` must already be filtered to activation range; only their

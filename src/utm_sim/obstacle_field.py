@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geom2d import Vec2, distance
-
-DEFAULT_CIRCLE_RADIUS = 12.0
-DEFAULT_CIRCLE_SPACING = 15.0
+from .params import DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING  # re-exported
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,8 +106,6 @@ class ObstacleField:
                 raise ValueError(f"duplicate rectangle id '{r.id}'")
             seen.add(r.id)
         self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
-        self.circle_radius = circle_radius
-        self.spacing = spacing
         self.circles_by_rect: tuple[tuple[RectObstacle, tuple[CircleObstacle, ...]], ...] = tuple(
             (r, tuple(discretize_rectangle(r, circle_radius, spacing))) for r in self.rectangles
         )

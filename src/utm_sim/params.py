@@ -1,0 +1,76 @@
+"""The run parameter table: every run parameter, its default and its check.
+
+One frozen `Params` drives a whole run. The planner, both controllers, the
+step loop and the obstacle geometry read the same instance, so a key that
+several of them use (kp, dt, dist_wp, dist_uav, dist_obs) cannot hold two
+values at once. The scenario file's `params` object holds every field except
+`algorithm` and `bounds`, in field order; the loader and the saver derive
+their key sets and integer keys from `dataclasses.fields(Params)`.
+"""
+
+from dataclasses import dataclass, fields
+
+from .geom2d import Bounds
+
+DEFAULT_UAV_RADIUS = 12.0
+DEFAULT_CIRCLE_RADIUS = 12.0
+DEFAULT_CIRCLE_SPACING = 15.0
+DEFAULT_BOUNDS = Bounds(0.0, 0.0, 400.0, 400.0)
+
+ALGORITHMS = ("vo", "apf")
+
+
+@dataclass(frozen=True, slots=True)
+class Params:
+    """All run parameters of one run.
+
+    Every numeric field must be > 0, except `goal_bias` in [0, 1] and
+    `inflation` >= 0; `circle_spacing` must stay below
+    `2 * obstacle_circle_radius` so adjacent circles overlap. `inflation=None`
+    takes the value of `uav_radius`.
+    """
+
+    # control loop
+    kp: float = 0.2
+    dt: float = 0.1
+    dist_wp: float = 10.0
+    max_steps: int = 20_000
+    # activation ranges of both controllers
+    dist_uav: float = 50.0
+    dist_obs: float = 20.0
+    # VO search grid
+    theta_step: float = 0.2
+    mag_step: float = 0.2
+    # APF gains
+    k_att: float = 8.0
+    k_rep: float = 15.0
+    # planner
+    step_size: float = 10.0
+    goal_bias: float = 0.05
+    max_iters: int = 10_000
+    goal_radius: float = 10.0
+    inflation: float | None = None
+    # bodies and the circle approximation of the rectangles
+    uav_radius: float = DEFAULT_UAV_RADIUS
+    obstacle_circle_radius: float = DEFAULT_CIRCLE_RADIUS
+    circle_spacing: float = DEFAULT_CIRCLE_SPACING
+    # not in a file's `params`: set by the command line and the top-level bounds
+    algorithm: str = "vo"
+    bounds: Bounds = DEFAULT_BOUNDS
+
+    def __post_init__(self) -> None:
+        if self.inflation is None:
+            object.__setattr__(self, "inflation", self.uav_radius)  # frozen
+        for f in fields(self):
+            if f.type in (int, float) and f.name != "goal_bias" \
+                    and not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be > 0")
+        if not 0.0 <= self.goal_bias <= 1.0:
+            raise ValueError("goal_bias must be in [0, 1]")
+        if not self.inflation >= 0.0:
+            raise ValueError("inflation must be >= 0")
+        if self.circle_spacing >= 2.0 * self.obstacle_circle_radius:
+            raise ValueError("circle_spacing must be < 2 * obstacle_circle_radius; "
+                             "adjacent circles would leave perimeter gaps")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")

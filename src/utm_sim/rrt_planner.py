@@ -15,34 +15,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom2d import Bounds, Vec2, distance, segment_intersects_rect
+from .geom2d import Vec2, distance, segment_intersects_rect
 from .obstacle_field import RectObstacle
+from .params import Params
 
 
 class PlanningError(Exception):
     """Planner exhausted its iteration budget without reaching the goal region."""
 
 
-@dataclass(frozen=True, slots=True)
-class PlannerParams:
-    step_size: float = 10.0
-    goal_bias: float = 0.05
-    max_iters: int = 10_000
-    goal_radius: float = 10.0
-    inflation: float = 12.0
-    bounds: Bounds = Bounds(0.0, 0.0, 400.0, 400.0)
-
-    def __post_init__(self) -> None:
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be > 0")
-        if not 0.0 <= self.goal_bias <= 1.0:
-            raise ValueError("goal_bias must be in [0, 1]")
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be > 0")
-        if self.goal_radius <= 0.0:
-            raise ValueError("goal_radius must be > 0")
-        if self.inflation < 0.0:
-            raise ValueError("inflation must be >= 0")
+PlannerParams = Params  # former name of the one parameter table
 
 
 @dataclass(frozen=True)
@@ -104,16 +86,12 @@ class RrtTree:
         return out
 
 
-def sample_config(params: PlannerParams, goal: Vec2, rng: random.Random) -> Vec2:
+def sample_config(params: Params, goal: Vec2, rng: random.Random) -> Vec2:
     """Goal with probability goal_bias, otherwise uniform over the workspace bounds."""
     if rng.random() < params.goal_bias:
         return goal
     b = params.bounds
     return Vec2(rng.uniform(b.min_x, b.max_x), rng.uniform(b.min_y, b.max_y))
-
-
-def nearest_vertex(tree: RrtTree, q: Vec2) -> int:
-    return tree.nearest(q)
 
 
 def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
@@ -133,14 +111,14 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
     return Vec2(origin.x + (toward.x - origin.x) * t, origin.y + (toward.y - origin.y) * t)
 
 
-def _point_clear(p: Vec2, obstacles: Sequence[RectObstacle], params: PlannerParams) -> bool:
+def _point_clear(p: Vec2, obstacles: Sequence[RectObstacle], params: Params) -> bool:
     if not params.bounds.contains(p):
         return False
     return not any(segment_intersects_rect(p, p, r, params.inflation) for r in obstacles)
 
 
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
-              params: PlannerParams, seed: int) -> WaypointPath:
+              params: Params, seed: int) -> WaypointPath:
     """Plan a waypoint path from start to the goal region.
 
     Deterministic for a given (start, goal, obstacles, params, seed). Raises

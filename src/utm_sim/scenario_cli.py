@@ -1,10 +1,10 @@
 """Scenario files, result export, and the `utm-sim` command line.
 
 A scenario is a single JSON document: workspace bounds, rectangle obstacles,
-UAV missions, and one flat `params` table. Parameter keys shared by several
-components (kp, dt, dist_wp, dist_uav, dist_obs) fan out to every component
-that has the field, so a file cannot drive two components with divergent
-values. Unknown keys anywhere are rejected.
+UAV missions, and one flat `params` table. The `params` keys, their defaults
+and their checks are the fields of `utm_sim.params.Params`; the loaded
+scenario carries one `Params` that every component reads. Unknown keys
+anywhere are rejected.
 """
 
 from __future__ import annotations
@@ -14,19 +14,16 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .apf_core import ApfParams
 from .geom2d import Bounds, Vec2, distance, point_rect_distance
 from .metrics import COLLISION_MARKER, RunReport, build_report, pairwise_distances
-from .obstacle_field import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING,
-                             RectObstacle)
-from .rrt_planner import PlannerParams, PlanningError
-from .sim_engine import (DEFAULT_UAV_RADIUS, SimParams, SimResult, plan_paths,
-                         run, run_planned)
-from .vo_core import VoParams
+from .obstacle_field import RectObstacle
+from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
+from .rrt_planner import PlanningError
+from .sim_engine import SimResult, plan_paths, run, run_planned
 
 
 class ScenarioError(Exception):
@@ -39,13 +36,10 @@ _TOP_KEYS = {"name", "bounds", "rectangles", "uavs", "params"}
 _BOUNDS_KEYS = {"min_x", "min_y", "max_x", "max_y"}
 _RECT_KEYS = {"id", "center", "width", "height"}
 _UAV_KEYS = {"id", "start", "goal"}
-_PARAM_KEYS = {
-    "kp", "dt", "dist_wp", "dist_uav", "dist_obs", "max_steps",
-    "theta_step", "mag_step", "k_att", "k_rep",
-    "step_size", "goal_bias", "max_iters", "goal_radius", "inflation",
-    "uav_radius", "obstacle_circle_radius", "circle_spacing",
-}
-_INT_PARAMS = {"max_steps", "max_iters"}
+# `params` key -> field type, in field order; the algorithm comes from the
+# command line and the bounds from the top-level `bounds` object
+_PARAM_TYPES = {f.name: f.type for f in fields(Params)
+                if f.name not in ("algorithm", "bounds")}
 
 
 @dataclass(frozen=True)
@@ -57,17 +51,27 @@ class UavSpec:
 
 @dataclass
 class Scenario:
+    """Obstacles, missions and the one parameter table `sim`.
+
+    `bounds`, `planner` and `uav_radius` are read-only views of `sim`.
+    """
+
     name: str
-    bounds: Bounds
     rectangles: tuple[RectObstacle, ...]
     uavs: tuple[UavSpec, ...]
-    sim: SimParams
-    vo: VoParams
-    apf: ApfParams
-    planner: PlannerParams
-    uav_radius: float
-    circle_radius: float
-    circle_spacing: float
+    sim: Params
+
+    @property
+    def bounds(self) -> Bounds:
+        return self.sim.bounds
+
+    @property
+    def planner(self) -> Params:
+        return self.sim
+
+    @property
+    def uav_radius(self) -> float:
+        return self.sim.uav_radius
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -125,7 +129,7 @@ def load_scenario(path: str | Path) -> Scenario:
     name = doc.get("name", path.stem)
     _require(isinstance(name, str) and name != "", "name must be a non-empty string")
 
-    bdoc = doc.get("bounds", {"min_x": 0.0, "min_y": 0.0, "max_x": 400.0, "max_y": 400.0})
+    bdoc = doc.get("bounds", asdict(DEFAULT_BOUNDS))
     _require(isinstance(bdoc, dict), "bounds must be an object")
     _check_keys(bdoc, _BOUNDS_KEYS, "bounds")
     _require(set(bdoc) == _BOUNDS_KEYS, "bounds needs min_x, min_y, max_x, max_y")
@@ -177,51 +181,14 @@ def load_scenario(path: str | Path) -> Scenario:
 
     pdoc = doc.get("params", {})
     _require(isinstance(pdoc, dict), "params must be an object")
-    _check_keys(pdoc, _PARAM_KEYS, "params")
-    p: dict[str, float | int] = {}
-    for key, raw in pdoc.items():
-        p[key] = (_int_value(raw, f"params.{key}") if key in _INT_PARAMS
-                  else _num(raw, f"params.{key}"))
-
-    uav_radius = float(p.get("uav_radius", DEFAULT_UAV_RADIUS))
-    circle_radius = float(p.get("obstacle_circle_radius", DEFAULT_CIRCLE_RADIUS))
-    circle_spacing = float(p.get("circle_spacing", DEFAULT_CIRCLE_SPACING))
-    _require(uav_radius > 0.0, "params.uav_radius must be > 0")
-    _require(circle_radius > 0.0, "params.obstacle_circle_radius must be > 0")
-    _require(circle_spacing > 0.0, "params.circle_spacing must be > 0")
-    _require(circle_spacing < 2.0 * circle_radius,
-             "params.circle_spacing must be < 2 * obstacle_circle_radius")
-
+    _check_keys(pdoc, set(_PARAM_TYPES), "params")
+    validated = {
+        key: (_int_value(raw, f"params.{key}") if _PARAM_TYPES[key] is int
+              else _num(raw, f"params.{key}"))
+        for key, raw in pdoc.items()
+    }
     try:
-        sim = SimParams(
-            dt=float(p.get("dt", 0.1)),
-            kp=float(p.get("kp", 0.2)),
-            dist_wp=float(p.get("dist_wp", 10.0)),
-            max_steps=int(p.get("max_steps", 20_000)),
-        )
-        vo = VoParams(
-            theta_step=float(p.get("theta_step", 0.2)),
-            mag_step=float(p.get("mag_step", 0.2)),
-            dist_uav=float(p.get("dist_uav", 50.0)),
-            dist_obs=float(p.get("dist_obs", 20.0)),
-            kp=float(p.get("kp", 0.2)),
-        )
-        apf = ApfParams(
-            k_att=float(p.get("k_att", 8.0)),
-            k_rep=float(p.get("k_rep", 15.0)),
-            dt=float(p.get("dt", 0.1)),
-            dist_wp=float(p.get("dist_wp", 10.0)),
-            dist_uav=float(p.get("dist_uav", 50.0)),
-            dist_obs=float(p.get("dist_obs", 20.0)),
-        )
-        planner = PlannerParams(
-            step_size=float(p.get("step_size", 10.0)),
-            goal_bias=float(p.get("goal_bias", 0.05)),
-            max_iters=int(p.get("max_iters", 10_000)),
-            goal_radius=float(p.get("goal_radius", 10.0)),
-            inflation=float(p.get("inflation", uav_radius)),
-            bounds=bounds,
-        )
+        params = Params(bounds=bounds, **validated)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
 
@@ -230,10 +197,11 @@ def load_scenario(path: str | Path) -> Scenario:
             _require(bounds.contains(pt),
                      f"uav '{u.id}' {label} {pt} lies outside the workspace bounds")
             for r in rects:
-                _require(point_rect_distance(pt, r) > planner.inflation,
+                _require(point_rect_distance(pt, r) > params.inflation,
                          f"uav '{u.id}' {label} {pt} lies within the inflated "
                          f"obstacle '{r.id}'")
     # strict <, as in the engine's collision scan: touching bodies do not overlap
+    uav_radius = params.uav_radius
     for i, a in enumerate(uavs):
         for b in uavs[i + 1:]:
             for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
@@ -241,19 +209,7 @@ def load_scenario(path: str | Path) -> Scenario:
                          f"uavs '{a.id}' and '{b.id}' {label} are closer than "
                          f"2 * uav_radius ({2.0 * uav_radius}); the bodies overlap")
 
-    return Scenario(
-        name=name,
-        bounds=bounds,
-        rectangles=tuple(rects),
-        uavs=tuple(uavs),
-        sim=sim,
-        vo=vo,
-        apf=apf,
-        planner=planner,
-        uav_radius=uav_radius,
-        circle_radius=circle_radius,
-        circle_spacing=circle_spacing,
-    )
+    return Scenario(name=name, rectangles=tuple(rects), uavs=tuple(uavs), sim=params)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -278,26 +234,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
             {"id": u.id, "start": [u.start.x, u.start.y], "goal": [u.goal.x, u.goal.y]}
             for u in scenario.uavs
         ],
-        "params": {
-            "kp": scenario.sim.kp,
-            "dt": scenario.sim.dt,
-            "dist_wp": scenario.sim.dist_wp,
-            "max_steps": scenario.sim.max_steps,
-            "dist_uav": scenario.vo.dist_uav,
-            "dist_obs": scenario.vo.dist_obs,
-            "theta_step": scenario.vo.theta_step,
-            "mag_step": scenario.vo.mag_step,
-            "k_att": scenario.apf.k_att,
-            "k_rep": scenario.apf.k_rep,
-            "step_size": scenario.planner.step_size,
-            "goal_bias": scenario.planner.goal_bias,
-            "max_iters": scenario.planner.max_iters,
-            "goal_radius": scenario.planner.goal_radius,
-            "inflation": scenario.planner.inflation,
-            "uav_radius": scenario.uav_radius,
-            "obstacle_circle_radius": scenario.circle_radius,
-            "circle_spacing": scenario.circle_spacing,
-        },
+        "params": {key: getattr(scenario.sim, key) for key in _PARAM_TYPES},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -379,9 +316,8 @@ def _path_cell(length: float | None) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    sim = replace(scenario.sim, algorithm=args.algo)
-    if args.max_steps is not None:
-        sim = replace(sim, max_steps=args.max_steps)
+    sim = replace(scenario.sim, algorithm=args.algo,
+                  max_steps=args.max_steps or scenario.sim.max_steps)
     result = run(scenario, sim, args.seed)
     report = build_report(result)
     out = Path(args.out)
@@ -442,6 +378,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="utm-sim",
@@ -451,10 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="plan paths and simulate one algorithm")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_run.add_argument("--algo", required=True, choices=["vo", "apf"])
+    p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
     p_run.add_argument("--seed", required=True, type=int)
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--max-steps", type=int, default=None,
+    p_run.add_argument("--max-steps", type=_positive_int, default=None,
                        help="override the scenario step budget")
     p_run.set_defaults(func=_cmd_run)
 

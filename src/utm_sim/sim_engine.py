@@ -10,43 +10,21 @@ against the true rectangles (not the circle approximation) and vehicle discs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .apf_core import ApfParams, apf_step
+from .apf_core import apf_step
 from .geom2d import Vec2, distance, point_rect_distance
 from .obstacle_field import ObstacleField
-from .rrt_planner import PlannerParams, PlanningError, WaypointPath, plan_path
-from .vo_core import Threat, VoParams, avoid
+from .params import ALGORITHMS, DEFAULT_UAV_RADIUS, Params  # the first two re-exported
+from .rrt_planner import PlanningError, WaypointPath, plan_path
+from .vo_core import Threat, avoid
 
 if TYPE_CHECKING:
     from .scenario_cli import Scenario
 
-DEFAULT_UAV_RADIUS = 12.0
-
-ALGORITHMS = ("vo", "apf")
-
-
-@dataclass(frozen=True, slots=True)
-class SimParams:
-    dt: float = 0.1
-    kp: float = 0.2
-    dist_wp: float = 10.0
-    max_steps: int = 20_000
-    algorithm: str = "vo"
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-        if self.kp <= 0.0:
-            raise ValueError("kp must be > 0")
-        if self.dist_wp <= 0.0:
-            raise ValueError("dist_wp must be > 0")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be > 0")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+SimParams = Params  # former name of the one parameter table
 
 
 @dataclass(frozen=True)
@@ -85,12 +63,10 @@ class TrajectorySample(NamedTuple):
 
 @dataclass
 class World:
-    """Mutable container the engine advances; parameters and geometry are shared."""
+    """Mutable container the engine advances; the geometry is shared across steps."""
 
     uavs: list[UavState]
     field: ObstacleField
-    vo: VoParams = field(default_factory=VoParams)
-    apf: ApfParams = field(default_factory=ApfParams)
 
 
 @dataclass
@@ -179,7 +155,7 @@ def detect_collisions(world: World, t: float) -> list[SimEvent]:
     return events
 
 
-def step(world: World, params: SimParams, t: float = 0.0) -> list[SimEvent]:
+def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     """Advance every UAV one synchronous step; returns this step's events.
 
     Phases: waypoint bookkeeping, per-UAV threat gathering and velocity
@@ -204,19 +180,16 @@ def step(world: World, params: SimParams, t: float = 0.0) -> list[SimEvent]:
         if u.arrived:
             decided.append((u.position, Vec2(0.0, 0.0)))
             continue
+        threats = gather_threats(u, snapshot, world.field, params.dist_uav, params.dist_obs)
         if params.algorithm == "vo":
-            threats = gather_threats(u, snapshot, world.field,
-                                     world.vo.dist_uav, world.vo.dist_obs)
-            res = avoid(u, threats, world.vo)
+            res = avoid(u, threats, params)
             if res.empty_set:
                 events.append(SimEvent(t, "empty_feasible_set", {"uav": u.id}))
             v = res.velocity
             decided.append((Vec2(u.position.x + params.dt * v.x,
                                  u.position.y + params.dt * v.y), v))
         else:
-            threats = gather_threats(u, snapshot, world.field,
-                                     world.apf.dist_uav, world.apf.dist_obs)
-            new_pos = apf_step(u, threats, world.apf)
+            new_pos = apf_step(u, threats, params)
             v = Vec2((new_pos.x - u.position.x) / params.dt,
                      (new_pos.y - u.position.y) / params.dt)
             decided.append((new_pos, v))
@@ -240,32 +213,38 @@ def plan_paths(scenario: "Scenario", seed: int) -> dict[str, WaypointPath]:
     for uav in scenario.uavs:
         try:
             paths[uav.id] = plan_path(uav.start, uav.goal, scenario.rectangles,
-                                      scenario.planner, derive_uav_seed(seed, uav.id))
+                                      scenario.sim, derive_uav_seed(seed, uav.id))
         except PlanningError as exc:
             raise PlanningError(f"uav '{uav.id}': {exc}") from exc
     return paths
 
 
-def build_world(scenario: "Scenario", paths: Mapping[str, WaypointPath]) -> World:
+def build_world(scenario: "Scenario", params: Params,
+                paths: Mapping[str, WaypointPath]) -> World:
+    """Vehicles at their starts; body and circle sizes come from `params`."""
     uavs = [
         UavState(
             id=u.id,
             position=u.start,
             velocity=Vec2(0.0, 0.0),
-            radius=scenario.uav_radius,
+            radius=params.uav_radius,
             path=paths[u.id],
         )
         for u in scenario.uavs
     ]
     obstacles = ObstacleField(list(scenario.rectangles),
-                              scenario.circle_radius, scenario.circle_spacing)
-    return World(uavs=uavs, field=obstacles, vo=scenario.vo, apf=scenario.apf)
+                              params.obstacle_circle_radius, params.circle_spacing)
+    return World(uavs=uavs, field=obstacles)
 
 
-def run_planned(scenario: "Scenario", params: SimParams,
+def run_planned(scenario: "Scenario", params: Params,
                 paths: Mapping[str, WaypointPath]) -> SimResult:
-    """Simulate over pre-planned paths (lets both algorithms share one plan)."""
-    world = build_world(scenario, paths)
+    """Simulate over pre-planned paths (lets both algorithms share one plan).
+
+    `params` is the run's whole table: it replaces `scenario.sim` for the
+    step loop, both controllers and the body and circle sizes.
+    """
+    world = build_world(scenario, params, paths)
     trajectories = {
         u.id: [TrajectorySample(0.0, u.position, u.velocity)] for u in world.uavs
     }
@@ -286,6 +265,6 @@ def run_planned(scenario: "Scenario", params: SimParams,
     )
 
 
-def run(scenario: "Scenario", params: SimParams, seed: int) -> SimResult:
-    """Plan all paths, then simulate them with the configured algorithm."""
-    return run_planned(scenario, params, plan_paths(scenario, seed))
+def run(scenario: "Scenario", params: Params, seed: int) -> SimResult:
+    """Plan all paths, then simulate them; `params` drives planning and flight."""
+    return run_planned(scenario, params, plan_paths(replace(scenario, sim=params), seed))

@@ -21,23 +21,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .geom2d import TAU, Vec2, angle_of, distance, normalize_angle
+from .params import Params
 
 if TYPE_CHECKING:
     from .sim_engine import UavState
 
 
-@dataclass(frozen=True, slots=True)
-class VoParams:
-    theta_step: float = 0.2
-    mag_step: float = 0.2
-    dist_uav: float = 50.0
-    dist_obs: float = 20.0
-    kp: float = 0.2
-
-    def __post_init__(self) -> None:
-        for name in ("theta_step", "mag_step", "dist_uav", "dist_obs", "kp"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+VoParams = Params  # former name of the one parameter table
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +142,7 @@ def _magnitude_grid(v_max: float, step: float) -> list[float]:
 
 
 def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
-                    params: VoParams) -> FeasibleSet:
+                    params: Params) -> FeasibleSet:
     """Enumerate replacement velocities outside `cone`, in absolute form.
 
     Headings run over {k*theta_step < 2*pi}; per heading, speeds over the
@@ -201,7 +191,7 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
     return Vec2(*best) if best is not None else Vec2(0.0, 0.0)
 
 
-def avoid(state: "UavState", threats: Sequence[Threat], params: VoParams) -> AvoidResult:
+def avoid(state: "UavState", threats: Sequence[Threat], params: Params) -> AvoidResult:
     """One avoidance decision for one vehicle.
 
     `threats` must already be filtered to activation range and canonically

@@ -9,7 +9,6 @@ from utm_sim.rrt_planner import (
     PlanningError,
     RrtTree,
     WaypointPath,
-    nearest_vertex,
     plan_path,
     sample_config,
     steer,
@@ -81,14 +80,14 @@ class TestTree:
         tree = RrtTree(Vec2(0.0, 0.0))
         tree.add(Vec2(10.0, 0.0), 0)
         tree.add(Vec2(-10.0, 0.0), 0)  # same distance from the query
-        assert nearest_vertex(tree, Vec2(0.0, 5.0)) == 0
-        assert nearest_vertex(tree, Vec2(0.0, 0.0)) == 0
+        assert tree.nearest(Vec2(0.0, 5.0)) == 0
+        assert tree.nearest(Vec2(0.0, 0.0)) == 0
         # equidistant between vertices 1 and 2 -> index 1 wins
-        assert nearest_vertex(tree, Vec2(0.0, 100.0)) in (0,)
+        assert tree.nearest(Vec2(0.0, 100.0)) in (0,)
         tree2 = RrtTree(Vec2(0.0, 100.0))
         tree2.add(Vec2(10.0, 0.0), 0)
         tree2.add(Vec2(-10.0, 0.0), 0)
-        assert nearest_vertex(tree2, Vec2(0.0, 0.0)) == 1
+        assert tree2.nearest(Vec2(0.0, 0.0)) == 1
 
     def test_branch_and_growth(self):
         tree = RrtTree(Vec2(0.0, 0.0))
@@ -100,7 +99,7 @@ class TestTree:
         assert branch[0] == Vec2(0.0, 0.0)
         assert branch[-1] == Vec2(599.0, 0.0)
         assert len(branch) == 600
-        assert nearest_vertex(tree, Vec2(598.7, 1.0)) == 599
+        assert tree.nearest(Vec2(598.7, 1.0)) == 599
 
     def test_add_validates_parent(self):
         tree = RrtTree(Vec2(0.0, 0.0))

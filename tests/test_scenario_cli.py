@@ -1,10 +1,15 @@
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
+from utm_sim.params import Params
 from utm_sim.scenario_cli import (
     ScenarioError,
     _parse_seed_range,
@@ -14,6 +19,8 @@ from utm_sim.scenario_cli import (
     save_scenario,
 )
 from utm_sim.sim_engine import SimParams, run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -49,22 +56,26 @@ class TestLoadScenario:
         assert s.bounds == Bounds(0.0, 0.0, 400.0, 400.0)
         assert s.rectangles == ()
         assert s.uavs[0].start == Vec2(20.0, 200.0)
-        assert (s.sim.kp, s.sim.dt, s.sim.dist_wp, s.sim.max_steps) == (0.2, 0.1, 10.0, 20000)
-        assert (s.vo.theta_step, s.vo.mag_step) == (0.2, 0.2)
-        assert (s.vo.dist_uav, s.vo.dist_obs, s.vo.kp) == (50.0, 20.0, 0.2)
-        assert (s.apf.k_att, s.apf.k_rep) == (8.0, 15.0)
-        assert (s.planner.step_size, s.planner.goal_bias) == (10.0, 0.05)
-        assert (s.planner.max_iters, s.planner.goal_radius) == (10000, 10.0)
-        assert s.planner.inflation == 12.0
-        assert s.planner.bounds == s.bounds
-        assert (s.uav_radius, s.circle_radius, s.circle_spacing) == (12.0, 12.0, 15.0)
+        p = s.sim
+        assert p == Params()
+        assert (p.kp, p.dt, p.dist_wp, p.max_steps) == (0.2, 0.1, 10.0, 20000)
+        assert (p.theta_step, p.mag_step) == (0.2, 0.2)
+        assert (p.dist_uav, p.dist_obs) == (50.0, 20.0)
+        assert (p.k_att, p.k_rep) == (8.0, 15.0)
+        assert (p.step_size, p.goal_bias) == (10.0, 0.05)
+        assert (p.max_iters, p.goal_radius) == (10000, 10.0)
+        assert p.inflation == 12.0
+        assert p.bounds == s.bounds
+        assert (p.uav_radius, p.obstacle_circle_radius, p.circle_spacing) == (12.0, 12.0, 15.0)
+        assert type(p.max_steps) is int and type(p.max_iters) is int
+        assert s.planner is p and s.uav_radius == 12.0
 
-    def test_param_fanout_keeps_shared_keys_consistent(self, tmp_path):
+    def test_file_keys_set_the_one_table(self, tmp_path):
         s = load_scenario(write_scenario(tmp_path, full_doc()))
-        assert s.sim.kp == 0.3 and s.vo.kp == 0.3
-        assert s.sim.dt == 0.05 and s.apf.dt == 0.05
-        assert s.vo.dist_obs == 25.0 and s.apf.dist_obs == 25.0
-        assert s.apf.k_rep == 20.0
+        # every component reads this one table, so shared keys cannot diverge
+        assert s.sim == Params(kp=0.3, dt=0.05, dist_obs=25.0, k_rep=20.0,
+                               uav_radius=10.0, max_steps=5000,
+                               bounds=Bounds(0.0, 0.0, 300.0, 300.0))
         # uav_radius drives the default inflation
         assert s.uav_radius == 10.0 and s.planner.inflation == 10.0
 
@@ -154,6 +165,64 @@ class TestSaveScenario:
         out2 = tmp_path / "echo2.json"
         save_scenario(again, out2)
         assert out.read_text() == out2.read_text()
+
+    @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_written_params_match_shipped_file(self, tmp_path, scenario):
+        # `run` writes scenario.json with save_scenario: same keys, values, order
+        shipped = json.loads((SCENARIOS / scenario).read_text())["params"]
+        save_scenario(load_scenario(SCENARIOS / scenario), tmp_path / "echo.json")
+        written = json.loads((tmp_path / "echo.json").read_text())["params"]
+        assert list(written.items()) == list(shipped.items())
+        assert [type(v) for v in written.values()] == [type(v) for v in shipped.values()]
+
+
+_FILE_KEYS = [f.name for f in fields(Params) if f.name not in ("algorithm", "bounds")]
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
+_KEY_VALUES = {key: _POSITIVE for key in _FILE_KEYS}
+_KEY_VALUES.update(max_steps=st.integers(1, 10**9), max_iters=st.integers(1, 10**9),
+                   goal_bias=st.floats(0.0, 1.0),
+                   inflation=st.floats(0.0, 1e6, allow_nan=False))
+
+
+def _is_valid(params):
+    try:
+        Params(**params)
+    except ValueError:
+        return False
+    return True
+
+
+class TestParamsProperties:
+    def test_file_keys_are_the_saved_keys_in_order(self):
+        assert _FILE_KEYS == ["kp", "dt", "dist_wp", "max_steps", "dist_uav", "dist_obs",
+                              "theta_step", "mag_step", "k_att", "k_rep", "step_size",
+                              "goal_bias", "max_iters", "goal_radius", "inflation",
+                              "uav_radius", "obstacle_circle_radius", "circle_spacing"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(params=st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
+    def test_random_valid_params_round_trip(self, params):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            src = write_scenario(tmp, {**MINIMAL, "params": params})
+            first = load_scenario(src)
+            assert first.sim == Params(**params)
+            assert all(type(getattr(first.sim, k)) is type(v) for k, v in params.items())
+            save_scenario(first, tmp / "echo.json")
+            saved = json.loads((tmp / "echo.json").read_text())["params"]
+            assert list(saved) == _FILE_KEYS
+            assert all(saved[k] == v for k, v in params.items())
+            again = load_scenario(tmp / "echo.json")
+            assert again.sim == first.sim
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.sampled_from(["algorithm", "bounds"])
+           | st.text(min_size=1).filter(lambda k: k not in _FILE_KEYS))
+    def test_unknown_param_key_rejected(self, key):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = write_scenario(Path(tmp), {**MINIMAL, "params": {key: 1.0}})
+            with pytest.raises(ScenarioError, match="unknown"):
+                load_scenario(src)
 
 
 class TestExportResult:
@@ -262,6 +331,18 @@ class TestCliMain:
         assert code == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["steps"] == 5 and rep["completed"] is False
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_max_steps_exit_2(self, tmp_path, capsys, value):
+        scn = write_scenario(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                  "--out", str(tmp_path / "o"), "--max-steps", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-steps" in err and "must be > 0" in err
+        assert "simulation error" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_scenario_error_exit_2(self, tmp_path, capsys):
         scn = write_scenario(tmp_path, {"uavs": []})

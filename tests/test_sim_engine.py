@@ -1,18 +1,22 @@
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from utm_sim.apf_core import ApfParams
 from utm_sim.geom2d import Bounds, Vec2, distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle
+from utm_sim.params import Params
 from utm_sim.rrt_planner import PlannerParams, PlanningError, WaypointPath
-from utm_sim.scenario_cli import Scenario, UavSpec
+from utm_sim.scenario_cli import Scenario, UavSpec, load_scenario
 from utm_sim.sim_engine import (
     DEFAULT_UAV_RADIUS,
     SimParams,
     UavState,
     World,
     assign_waypoint,
+    build_world,
     derive_uav_seed,
     detect_collisions,
     gather_threats,
@@ -22,6 +26,8 @@ from utm_sim.sim_engine import (
     step,
 )
 from utm_sim.vo_core import VoParams
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), radius=12.0, wp_index=0, arrived=False):
@@ -34,20 +40,9 @@ def make_world(uavs, rects=()):
     return World(uavs=list(uavs), field=ObstacleField(list(rects)))
 
 
-def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **planner_kw):
-    return Scenario(
-        name="test",
-        bounds=bounds,
-        rectangles=tuple(rects),
-        uavs=tuple(uavs),
-        sim=SimParams(),
-        vo=VoParams(),
-        apf=ApfParams(),
-        planner=PlannerParams(bounds=bounds, **planner_kw),
-        uav_radius=12.0,
-        circle_radius=12.0,
-        circle_spacing=15.0,
-    )
+def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **params_kw):
+    return Scenario(name="test", rectangles=tuple(rects), uavs=tuple(uavs),
+                    sim=Params(bounds=bounds, **params_kw))
 
 
 def test_sim_params_defaults_and_validation():
@@ -63,6 +58,69 @@ def test_sim_params_defaults_and_validation():
 
 def test_default_uav_radius():
     assert DEFAULT_UAV_RADIUS == 12.0
+
+
+class TestOneTable:
+    def test_former_names_are_the_one_table(self):
+        assert SimParams is Params and VoParams is Params
+        assert ApfParams is Params and PlannerParams is Params
+
+    def test_no_second_table_in_world_or_scenario(self):
+        assert [f.name for f in fields(World)] == ["uavs", "field"]
+        assert [f.name for f in fields(Scenario)] == ["name", "rectangles", "uavs", "sim"]
+        sc = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))],
+                           uav_radius=9.0)
+        assert sc.planner is sc.sim and sc.uav_radius == 9.0 and sc.bounds is sc.sim.bounds
+
+    def test_inflation_defaults_to_uav_radius(self):
+        assert Params().inflation == 12.0
+        assert Params(uav_radius=9.0).inflation == 9.0
+        assert Params(uav_radius=9.0, inflation=0.0).inflation == 0.0
+        with pytest.raises(ValueError, match="circle_spacing must be < 2"):
+            Params(obstacle_circle_radius=5.0, circle_spacing=10.0)
+
+    def test_build_world_takes_sizes_from_the_run_table(self):
+        sc = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))],
+                           rects=[RectObstacle(Vec2(200.0, 100.0), 30.0, 30.0, "r")])
+        params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
+                         circle_spacing=8.0)
+        world = build_world(sc, params, plan_paths(sc, 1))
+        assert [u.radius for u in world.uavs] == [9.0]
+        assert {c.radius for c in world.field.circles} == {5.0}
+        # 30 m edges at spacing 8: four circles per edge
+        assert len(world.field.circles) == 16
+
+    def test_kp_on_the_run_table_steers_vo(self):
+        sc = load_scenario(SCENARIOS / "head_on_duel.json")
+        slow = run(sc, replace(sc.sim, algorithm="vo"), seed=1)
+        fast = run(sc, replace(sc.sim, algorithm="vo", kp=0.6), seed=1)
+        for res, kp in ((slow, 0.2), (fast, 0.6)):
+            a0, a1 = res.trajectories["a"][:2]
+            wp = plan_paths(sc, 1)["a"].waypoints[1]
+            assert a1.velocity == Vec2(kp * (wp.x - a0.position.x), kp * (wp.y - a0.position.y))
+        assert slow.completed and fast.completed
+        assert fast.steps < slow.steps
+
+    def test_dt_on_the_run_table_sets_the_apf_step(self):
+        sc = load_scenario(SCENARIOS / "head_on_duel.json")
+        res = run(sc, replace(sc.sim, algorithm="apf", dt=0.05, max_steps=1), seed=1)
+        for samples in res.trajectories.values():
+            first, second = samples
+            assert second.t == 0.05
+            assert distance(first.position, second.position) == pytest.approx(0.05 * 8.0)
+            assert second.velocity.norm() == pytest.approx(8.0)  # k_att: moved dt * k_att
+
+    def test_apf_reads_activation_range_from_the_run_table(self):
+        def first_move(params):
+            a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
+            b = make_uav("b", Vec2(0.0, 40.0), [Vec2(0.0, 40.0)], arrived=True)
+            world = make_world([a, b])
+            step(world, params, t=params.dt)
+            return world.uavs[0].position
+
+        assert first_move(Params(algorithm="apf", dist_uav=30.0)) == Vec2(0.8, 0.0)
+        pushed = first_move(Params(algorithm="apf"))  # b at 40 < 50 repels a
+        assert pushed.y < 0.0
 
 
 class TestUavState:
