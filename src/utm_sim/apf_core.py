@@ -51,8 +51,10 @@ def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> 
     """New position after one Euler step of the total force.
 
     `threats` must already be filtered to activation range; only their
-    positions matter here.
+    positions matter here. A threat at the vehicle's own position is skipped,
+    as `vo_core.avoid` skips it: it has no direction to repel along.
     """
+    pos = state.position
     wp = state.current_waypoint()
-    f = total_force(state.position, wp, [t.position for t in threats], params)
-    return Vec2(state.position.x + params.dt * f.x, state.position.y + params.dt * f.y)
+    f = total_force(pos, wp, [t.position for t in threats if t.position != pos], params)
+    return Vec2(pos.x + params.dt * f.x, pos.y + params.dt * f.y)

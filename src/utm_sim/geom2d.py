@@ -87,6 +87,8 @@ class Bounds:
     max_y: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.min_x, self.min_y, self.max_x, self.max_y))):
+            raise ValueError("bounds must be finite")
         if not (self.max_x > self.min_x and self.max_y > self.min_y):
             raise ValueError("bounds must have positive extent")
 

@@ -8,6 +8,7 @@ values at once. The scenario file's `params` object holds every field except
 their key sets and integer keys from `dataclasses.fields(Params)`.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .geom2d import Bounds
@@ -24,8 +25,8 @@ ALGORITHMS = ("vo", "apf")
 class Params:
     """All run parameters of one run.
 
-    Every numeric field must be > 0, except `goal_bias` in [0, 1] and
-    `inflation` >= 0; `circle_spacing` must stay below
+    Every numeric field must be finite and > 0, except `goal_bias` in [0, 1]
+    and `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap. `inflation=None`
     takes the value of `uav_radius`.
     """
@@ -59,12 +60,14 @@ class Params:
     bounds: Bounds = DEFAULT_BOUNDS
 
     def __post_init__(self) -> None:
-        if self.inflation is None:
-            object.__setattr__(self, "inflation", self.uav_radius)  # frozen
         for f in fields(self):
-            if f.type in (int, float) and f.name != "goal_bias" \
-                    and not getattr(self, f.name) > 0:
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type in (int, float) and f.name != "goal_bias" and not value > 0:
                 raise ValueError(f"{f.name} must be > 0")
+        if self.inflation is None:  # after the loop, so errors name uav_radius itself
+            object.__setattr__(self, "inflation", self.uav_radius)  # frozen
         if not 0.0 <= self.goal_bias <= 1.0:
             raise ValueError("goal_bias must be in [0, 1]")
         if not self.inflation >= 0.0:

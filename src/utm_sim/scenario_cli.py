@@ -247,7 +247,7 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     """Write trajectories.csv, distances.csv, events.json, and report.json.
 
     Output is byte-deterministic for identical results: fixed 6-decimal CSV
-    formatting, sorted JSON keys.
+    formatting (`%.6f`, the same text as `_fmt`), sorted JSON keys.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -258,10 +258,8 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     for i in range(n_samples):
         for uid in ids:
             s = result.trajectories[uid][i]
-            lines.append(",".join((
-                _fmt(s.t), uid, _fmt(s.position.x), _fmt(s.position.y),
-                _fmt(s.velocity.x), _fmt(s.velocity.y),
-            )))
+            lines.append("%.6f,%s,%.6f,%.6f,%.6f,%.6f" % (
+                s.t, uid, s.position.x, s.position.y, s.velocity.x, s.velocity.y))
     (out / "trajectories.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     positions = {uid: [s.position for s in samples]
@@ -270,8 +268,8 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     header = ["t"] + [f"{a}-{b}" for (a, b) in series]
     rows = [",".join(header)]
     times = [s.t for s in result.trajectories[ids[0]]] if ids else []
-    for i, t in enumerate(times):
-        rows.append(",".join([_fmt(t)] + [_fmt(ds[i]) for ds in series.values()]))
+    row_fmt = ",".join(["%.6f"] * (1 + len(series)))
+    rows.extend(row_fmt % row for row in zip(times, *series.values()))
     (out / "distances.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     events = [

@@ -10,12 +10,13 @@ against the true rectangles (not the circle approximation) and vehicle discs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .apf_core import apf_step
-from .geom2d import Vec2, distance, point_rect_distance
+from .geom2d import ZERO, Vec2, point_rect_distance
 from .obstacle_field import ObstacleField
 from .params import ALGORITHMS, DEFAULT_UAV_RADIUS, Params  # the first two re-exported
 from .rrt_planner import PlanningError, WaypointPath, plan_path
@@ -85,11 +86,15 @@ def assign_waypoint(state: UavState, dist_wp: float) -> UavState:
     """
     if state.arrived:
         return state
-    if distance(state.position, state.current_waypoint()) >= dist_wp:
+    wp, p = state.current_waypoint(), state.position
+    dx, dy = wp.x - p.x, wp.y - p.y
+    # one axis gap settles "far" exactly, as in gather_threats
+    if dx >= dist_wp or -dx >= dist_wp or dy >= dist_wp or -dy >= dist_wp \
+            or math.hypot(dx, dy) >= dist_wp:
         return state
     if state.waypoint_index + 1 < len(state.path):
         return replace(state, waypoint_index=state.waypoint_index + 1)
-    return replace(state, arrived=True, velocity=Vec2(0.0, 0.0))
+    return replace(state, arrived=True, velocity=ZERO)
 
 
 def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: ObstacleField,
@@ -101,30 +106,48 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     UAVs still count: they are parked bodies. The per-rectangle distance
     prefilter is sound because every circle center lies on its rectangle's
     boundary, so rect distance <= any center distance.
+
+    Far pairs are settled by one axis gap before any `hypot`: a source is out
+    of range when `|dx| >= range` or `|dy| >= range` for the same `dx`, `dy`
+    the exact test uses (for a rectangle, the gap terms `point_rect_distance`
+    takes its `max` over). This is exact, not an approximation: `math.hypot`
+    is faithfully rounded, so `hypot(dx, dy) >= max(|dx|, |dy|)` holds for
+    floats too, and every source that passes still gets the very `hypot` or
+    `point_rect_distance` call on the very operands it got before.
     """
+    px, py = uav.position.x, uav.position.y
     keyed: list[tuple[float, int, str, Threat]] = []
     for other in snapshot:
         if other.id == uav.id:
             continue
-        d = distance(uav.position, other.position)
+        q = other.position
+        dx, dy = q.x - px, q.y - py
+        if dx >= dist_uav or -dx >= dist_uav or dy >= dist_uav or -dy >= dist_uav:
+            continue
+        d = math.hypot(dx, dy)
         if d < dist_uav:
             keyed.append((d, 0, other.id, Threat(
-                position=other.position,
+                position=q,
                 velocity=other.velocity,
                 combined_radius=uav.radius + other.radius,
                 kind="uav",
                 source_id=other.id,
             )))
     for rect, circles in obstacles.circles_by_rect:
-        if point_rect_distance(uav.position, rect) >= dist_obs:
+        if rect.min_x - px >= dist_obs or px - rect.max_x >= dist_obs \
+                or rect.min_y - py >= dist_obs or py - rect.max_y >= dist_obs \
+                or point_rect_distance(uav.position, rect) >= dist_obs:
             continue
         for k, c in enumerate(circles):
-            d = distance(uav.position, c.center)
+            dx, dy = c.center.x - px, c.center.y - py
+            if dx >= dist_obs or -dx >= dist_obs or dy >= dist_obs or -dy >= dist_obs:
+                continue
+            d = math.hypot(dx, dy)
             if d < dist_obs:
                 sid = f"{rect.id}#{k}"
                 keyed.append((d, 1, sid, Threat(
                     position=c.center,
-                    velocity=Vec2(0.0, 0.0),
+                    velocity=ZERO,
                     combined_radius=uav.radius + c.radius,
                     kind="obstacle",
                     source_id=sid,
@@ -137,19 +160,31 @@ def detect_collisions(world: World, t: float) -> list[SimEvent]:
     """Ground-truth overlap scan: UAV discs pairwise and against true rectangles.
 
     Strict inequalities: touching exactly is not a collision. Event order is
-    canonical (sorted ids) regardless of the world's vehicle order.
+    canonical (sorted ids) regardless of the world's vehicle order. A pair
+    whose gap along one axis is already >= the collision distance is skipped
+    before any `hypot`; as in `gather_threats`, that is exact because
+    `hypot(dx, dy) >= max(|dx|, |dy|)` in floating point, and every pair that
+    is not skipped gets the same `hypot` or `point_rect_distance` as before.
     """
     events: list[SimEvent] = []
     uavs = sorted(world.uavs, key=lambda u: u.id)
     for a, b in combinations(uavs, 2):
-        d = distance(a.position, b.position)
-        if d < a.radius + b.radius:
+        r = a.radius + b.radius
+        dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
+        if dx >= r or -dx >= r or dy >= r or -dy >= r:
+            continue
+        d = math.hypot(dx, dy)
+        if d < r:
             events.append(SimEvent(t, "uav_uav_collision",
                                    {"a": a.id, "b": b.id, "distance": d}))
     for u in uavs:
+        p, r = u.position, u.radius
         for rect in world.field.rectangles:
-            d = point_rect_distance(u.position, rect)
-            if d < u.radius:
+            if rect.min_x - p.x >= r or p.x - rect.max_x >= r \
+                    or rect.min_y - p.y >= r or p.y - rect.max_y >= r:
+                continue
+            d = point_rect_distance(p, rect)
+            if d < r:
                 events.append(SimEvent(t, "uav_obstacle_collision",
                                        {"uav": u.id, "rect": rect.id, "distance": d}))
     return events
@@ -178,7 +213,7 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     decided: list[tuple[Vec2, Vec2]] = []  # (new position, new velocity) per UAV
     for u in snapshot:
         if u.arrived:
-            decided.append((u.position, Vec2(0.0, 0.0)))
+            decided.append((u.position, ZERO))
             continue
         threats = gather_threats(u, snapshot, world.field, params.dist_uav, params.dist_obs)
         if params.algorithm == "vo":
@@ -195,7 +230,8 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
             decided.append((new_pos, v))
 
     for i, (pos, vel) in enumerate(decided):
-        world.uavs[i] = replace(world.uavs[i], position=pos, velocity=vel)
+        u = world.uavs[i]
+        world.uavs[i] = UavState(u.id, pos, vel, u.radius, u.path, u.waypoint_index, u.arrived)
 
     events.extend(detect_collisions(world, t))
     return events
@@ -226,7 +262,7 @@ def build_world(scenario: "Scenario", params: Params,
         UavState(
             id=u.id,
             position=u.start,
-            velocity=Vec2(0.0, 0.0),
+            velocity=ZERO,
             radius=params.uav_radius,
             path=paths[u.id],
         )

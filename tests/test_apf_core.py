@@ -115,6 +115,17 @@ class TestApfStep:
         new_pos = apf_step(state, threats, ApfParams())
         assert new_pos == Vec2(0.1 * -7.0, 0.0)  # dt * (-7, 0)
 
+    def test_coincident_threat_is_skipped(self):
+        # as in vo_core.avoid: a threat at the UAV's own position is ignored,
+        # while repulsive_force itself still raises there
+        state = make_state(Vec2(3.0, 4.0), Vec2(100.0, 4.0))
+        here = Threat(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
+        other = Threat(Vec2(5.0, 4.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")
+        params = ApfParams()
+        assert apf_step(state, [here], params) == apf_step(state, [], params)
+        assert apf_step(state, [here, other], params) == apf_step(state, [other], params)
+        assert apf_step(state, [here, other], params) != apf_step(state, [], params)
+
     def test_only_threat_positions_matter(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         t1 = [Threat(Vec2(2.0, 3.0), Vec2(5.0, 5.0), 24.0, "uav", "x")]

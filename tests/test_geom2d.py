@@ -124,6 +124,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(0.0, 0.0, 0.0, 10.0)
 
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_rejects_non_finite(self, i, value):
+        corners = [0.0, 0.0, 10.0, 20.0]
+        corners[i] = value
+        with pytest.raises(ValueError, match="finite"):
+            Bounds(*corners)
+
 
 class TestPointRectDistance:
     def test_regions(self):

@@ -1,10 +1,15 @@
-"""Behaviour gate: `utm-sim run` must keep writing byte-identical trajectories.
+"""Behaviour gate: `utm-sim run` and `compare` must keep writing the same bytes.
 
-tests/golden_digests.json holds the sha256 of trajectories.csv for every
-shipped scenario under both controllers at seed 1. A change that moves any of
-them changes what the simulator does and must say why.
+tests/golden_digests.json holds sha256 digests of:
+- trajectories.csv (key `<scenario>/<algo>/seed=1`), distances.csv and
+  events.json (the same key plus `/<file>`) for every shipped scenario under
+  both controllers at seed 1;
+- every file `compare --seeds 1..2` writes on paper_like_7uav (key
+  `compare/paper_like_7uav/seeds=1..2/<relative path>`).
+A change that moves any of them changes what the simulator does and must say
+why.
 
-Re-record (only when a trajectory change is intended):
+Re-record (only when an output change is intended):
     PYTHONPATH=src python3 tests/test_golden_digests.py
 """
 
@@ -24,25 +29,81 @@ GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIOS = ("head_on_duel", "paper_like_5uav", "paper_like_7uav", "corner_corridor")
 ALGOS = ("vo", "apf")
 SEED = 1
+RUN_FILES = ("trajectories.csv", "distances.csv", "events.json")
+COMPARE_SCENARIO = "paper_like_7uav"
+COMPARE_SEEDS = "1..2"
+COMPARE_PREFIX = f"compare/{COMPARE_SCENARIO}/seeds={COMPARE_SEEDS}"
 
 
-def trajectory_digest(scenario: str, algo: str, out: Path) -> str:
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _main(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["run", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
-                     "--algo", algo, "--seed", str(SEED), "--out", str(out)])
+        code = main(argv)
     assert code == 0
-    return hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
 
 
-def _key(scenario: str, algo: str) -> str:
-    return f"{scenario}/{algo}/seed={SEED}"
+def _key(scenario: str, algo: str, name: str = "trajectories.csv") -> str:
+    key = f"{scenario}/{algo}/seed={SEED}"
+    return key if name == "trajectories.csv" else f"{key}/{name}"
+
+
+def run_digests(scenario: str, algo: str, out: Path) -> dict[str, str]:
+    """Golden key -> digest of each file in RUN_FILES written by one `run`."""
+    _main(["run", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+           "--algo", algo, "--seed", str(SEED), "--out", str(out)])
+    return {_key(scenario, algo, name): _sha256(out / name) for name in RUN_FILES}
+
+
+def compare_digests(out: Path) -> dict[str, str]:
+    """Golden key -> digest of every file the golden `compare` writes."""
+    _main(["compare", "--scenario", str(ROOT / "scenarios" / f"{COMPARE_SCENARIO}.json"),
+           "--seeds", COMPARE_SEEDS, "--out", str(out)])
+    return {f"{COMPARE_PREFIX}/{p.relative_to(out).as_posix()}": _sha256(p)
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def run_outputs(tmp_path_factory):
+    """One `run` per scenario and controller, shared by the tests below."""
+    cache: dict[tuple[str, str], dict[str, str]] = {}
+
+    def get(scenario: str, algo: str) -> dict[str, str]:
+        if (scenario, algo) not in cache:
+            cache[scenario, algo] = run_digests(
+                scenario, algo, tmp_path_factory.mktemp(f"{scenario}-{algo}"))
+        return cache[scenario, algo]
+
+    return get
 
 
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
-def test_trajectories_match_golden_digest(tmp_path, scenario, algo):
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert trajectory_digest(scenario, algo, tmp_path) == golden[_key(scenario, algo)]
+def test_trajectories_match_golden_digest(run_outputs, golden, scenario, algo):
+    key = _key(scenario, algo)
+    assert run_outputs(scenario, algo)[key] == golden[key]
+
+
+@pytest.mark.parametrize("name", ("distances.csv", "events.json"))
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_run_outputs_match_golden_digest(run_outputs, golden, scenario, algo, name):
+    key = _key(scenario, algo, name)
+    assert run_outputs(scenario, algo)[key] == golden[key]
+
+
+def test_compare_outputs_match_golden_digests(tmp_path, golden):
+    expected = {k: v for k, v in golden.items() if k.startswith(COMPARE_PREFIX + "/")}
+    # compare.csv plus four files per seed and controller
+    assert len(expected) == 1 + 2 * 2 * 4
+    assert compare_digests(tmp_path) == expected
 
 
 if __name__ == "__main__":
@@ -50,6 +111,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for scenario in SCENARIOS:
             for algo in ALGOS:
-                digests[_key(scenario, algo)] = trajectory_digest(
-                    scenario, algo, Path(tmp) / scenario / algo)
+                digests.update(run_digests(scenario, algo, Path(tmp) / scenario / algo))
+        digests.update(compare_digests(Path(tmp) / "compare"))
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

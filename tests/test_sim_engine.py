@@ -1,17 +1,21 @@
 import math
 from dataclasses import fields, replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utm_sim.apf_core import ApfParams
-from utm_sim.geom2d import Bounds, Vec2, distance
+from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle
 from utm_sim.params import Params
 from utm_sim.rrt_planner import PlannerParams, PlanningError, WaypointPath
 from utm_sim.scenario_cli import Scenario, UavSpec, load_scenario
 from utm_sim.sim_engine import (
     DEFAULT_UAV_RADIUS,
+    SimEvent,
     SimParams,
     UavState,
     World,
@@ -25,7 +29,7 @@ from utm_sim.sim_engine import (
     run_planned,
     step,
 )
-from utm_sim.vo_core import VoParams
+from utm_sim.vo_core import Threat, VoParams
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,6 +58,22 @@ def test_sim_params_defaults_and_validation():
         SimParams(dt=0.0)
     with pytest.raises(ValueError):
         SimParams(max_steps=0)
+
+
+_NUMERIC_FIELDS = [f.name for f in fields(Params) if f.name not in ("algorithm", "bounds")]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", _NUMERIC_FIELDS)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        Params(**{name: value})
+
+
+def test_non_finite_gain_rejected_before_the_run():
+    sc = load_scenario(SCENARIOS / "head_on_duel.json")
+    with pytest.raises(ValueError, match="k_att must be finite"):
+        replace(sc.sim, k_att=math.inf, algorithm="apf")
 
 
 def test_default_uav_radius():
@@ -258,6 +278,153 @@ class TestDetectCollisions:
         ev2 = detect_collisions(make_world([c, b, a], [rect]), 0.0)
         assert ev1 == ev2
         assert len(ev1) >= 2  # a-b overlap plus c against the rect
+
+
+def oracle_assign_waypoint(state, dist_wp):
+    """assign_waypoint without the axis-gap exit."""
+    if state.arrived or distance(state.position, state.current_waypoint()) >= dist_wp:
+        return state
+    if state.waypoint_index + 1 < len(state.path):
+        return replace(state, waypoint_index=state.waypoint_index + 1)
+    return replace(state, arrived=True, velocity=Vec2(0.0, 0.0))
+
+
+def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs):
+    """gather_threats without the axis-gap exits."""
+    keyed = []
+    for other in snapshot:
+        d = distance(uav.position, other.position)
+        if other.id != uav.id and d < dist_uav:
+            keyed.append((d, 0, other.id, Threat(other.position, other.velocity,
+                                                 uav.radius + other.radius, "uav", other.id)))
+    for rect, circles in obstacles.circles_by_rect:
+        if point_rect_distance(uav.position, rect) >= dist_obs:
+            continue
+        for k, c in enumerate(circles):
+            d = distance(uav.position, c.center)
+            if d < dist_obs:
+                sid = f"{rect.id}#{k}"
+                keyed.append((d, 1, sid, Threat(c.center, Vec2(0.0, 0.0),
+                                                uav.radius + c.radius, "obstacle", sid)))
+    keyed.sort(key=lambda item: item[:3])
+    return [item[3] for item in keyed]
+
+
+def oracle_detect_collisions(world, t):
+    """detect_collisions without the axis-gap exits."""
+    events = []
+    uavs = sorted(world.uavs, key=lambda u: u.id)
+    for a, b in combinations(uavs, 2):
+        d = distance(a.position, b.position)
+        if d < a.radius + b.radius:
+            events.append(SimEvent(t, "uav_uav_collision", {"a": a.id, "b": b.id, "distance": d}))
+    for u in uavs:
+        for rect in world.field.rectangles:
+            d = point_rect_distance(u.position, rect)
+            if d < u.radius:
+                events.append(SimEvent(t, "uav_obstacle_collision",
+                                       {"uav": u.id, "rect": rect.id, "distance": d}))
+    return events
+
+
+_lattice = st.integers(-320, 320).map(lambda k: k / 4)  # sums of these are exact
+_coord = _lattice | st.floats(-80.0, 80.0, allow_nan=False)
+_range = (st.integers(1, 12).map(lambda k: 5.0 * k) | st.integers(1, 120).map(lambda k: k / 2)
+          | st.floats(0.5, 60.0))
+_across = st.just(0.0) | st.integers(-20, 20).map(lambda k: k / 4) | st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _offset(draw, base, gaps):
+    """base +- gap for one gap in `gaps`, or the float just inside or outside it."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    target = base + sign * draw(st.sampled_from(gaps))
+    nudge = draw(st.sampled_from(["on", "inside", "outside"]))
+    if nudge == "on":
+        return target
+    return math.nextafter(target, base if nudge == "inside" else sign * math.inf)
+
+
+@st.composite
+def _near_point(draw, anchor, gaps):
+    """A point about a gap from `anchor`: exactly at, just inside or just
+    outside +-gap along one axis, on a Pythagorean diagonal (distance exactly
+    gap whenever gap / c is exact), or a free point."""
+    how = draw(st.sampled_from(["tie_x", "tie_y", "diagonal", "free"]))
+    if how == "free":
+        return Vec2(draw(_coord), draw(_coord))
+    if how == "diagonal":
+        a, b, c = draw(st.sampled_from([(3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17)]))
+        g = draw(st.sampled_from(gaps)) / c
+        sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        return Vec2(anchor.x + sx * a * g, anchor.y + sy * b * g)
+    if how == "tie_x":
+        return Vec2(draw(_offset(anchor.x, gaps)), anchor.y + draw(_across))
+    return Vec2(anchor.x + draw(_across), draw(_offset(anchor.y, gaps)))
+
+
+@st.composite
+def _rect_and_edge_points(draw, index, gaps):
+    """A rectangle plus points on its edges and about `gap` off its faces."""
+    side = st.integers(1, 80).map(lambda k: k / 2) | st.floats(0.5, 40.0)
+    rect = RectObstacle(Vec2(draw(_lattice), draw(_lattice)), draw(side), draw(side),
+                        f"r{index}")
+    xs = st.sampled_from([rect.min_x, rect.max_x, rect.center.x])
+    ys = st.sampled_from([rect.min_y, rect.max_y, rect.center.y])
+    return rect, [Vec2(draw(xs), draw(ys))] + [
+        Vec2(draw(_offset(draw(xs), gaps)), draw(ys)) for _ in range(2)
+    ] + [
+        Vec2(draw(xs), draw(_offset(draw(ys), gaps))) for _ in range(2)
+    ]
+
+
+@st.composite
+def _scenes(draw):
+    dist_uav, dist_obs, dist_wp = draw(_range), draw(_range), draw(_range)
+    radius = draw(st.sampled_from([12.0, 0.5, 7.25]))
+    gaps = [dist_uav, dist_obs, dist_wp, radius, 2.0 * radius]
+    me = Vec2(draw(_coord), draw(_coord))
+    rects, points = [], [me]
+    for i in range(draw(st.integers(0, 3))):
+        rect, edge_points = draw(_rect_and_edge_points(i, [dist_obs, radius]))
+        rects.append(rect)
+        points.extend(edge_points)
+    points.extend(draw(st.lists(_near_point(me, gaps), max_size=5)))
+    uavs = []
+    for i, pos in enumerate(points):
+        wp = draw(_near_point(pos, gaps))
+        wps = [wp, Vec2(wp.x + 1.0, wp.y)] if draw(st.booleans()) else [wp]
+        uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord)),
+                             radius=radius))
+    return uavs, ObstacleField(rects), dist_uav, dist_obs, dist_wp
+
+
+class TestAxisGapExitsMatchOracle:
+    """The axis-gap exits change nothing: exact lists and floats, ties included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scene=_scenes())
+    def test_engine_equals_plain_oracle(self, scene):
+        uavs, field, dist_uav, dist_obs, dist_wp = scene
+        for u in uavs:
+            got, want = assign_waypoint(u, dist_wp), oracle_assign_waypoint(u, dist_wp)
+            assert got == want and (got is u) == (want is u)
+            assert (gather_threats(u, uavs, field, dist_uav, dist_obs)
+                    == oracle_gather_threats(u, uavs, field, dist_uav, dist_obs))
+        world = make_world(uavs, field.rectangles)
+        assert detect_collisions(world, 1.0) == oracle_detect_collisions(world, 1.0)
+
+    def test_gap_equal_to_range_is_out_and_just_inside_is_in(self):
+        a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
+        on = make_uav("b", Vec2(0.0, -24.0), [Vec2(0.0, 0.0)])
+        inside = make_uav("c", Vec2(math.nextafter(24.0, 0.0), 0.0), [Vec2(0.0, 0.0)])
+        rect = RectObstacle(Vec2(-30.0, 0.0), 12.0, 12.0, "r")  # max_x = -24
+        # b and the rect sit exactly 24 away along one axis, c just inside 24
+        world = make_world([a, on, inside], [rect])
+        threats = gather_threats(a, [a, on, inside], ObstacleField([rect]), 24.0, 24.0)
+        assert [t.source_id for t in threats] == ["c"]
+        assert detect_collisions(world, 0.0) == oracle_detect_collisions(world, 0.0)
+        assert [e.details["b"] for e in detect_collisions(world, 0.0)] == ["c"]
 
 
 class TestStep:
