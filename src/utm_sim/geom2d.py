@@ -158,12 +158,7 @@ def segment_rect_distance(p: Vec2, q: Vec2, rect: "RectObstacle") -> float:
     """Distance from the closed segment pq to the closed solid rectangle; 0 on overlap."""
     if point_in_rect(p, rect) or point_in_rect(q, rect):
         return 0.0
-    corners = (
-        Vec2(rect.min_x, rect.min_y),
-        Vec2(rect.max_x, rect.min_y),
-        Vec2(rect.max_x, rect.max_y),
-        Vec2(rect.min_x, rect.max_y),
-    )
+    corners = rect.corners()
     best = math.inf
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
@@ -184,7 +179,31 @@ def segment_intersects_rect(p: Vec2, q: Vec2, rect: "RectObstacle", inflation: f
 
     Used for edge feasibility: a disc of radius `inflation` swept along pq must
     stay clear of the true rectangle, so the test is distance <= inflation.
+
+    A rectangle whose gap to the segment's bounding box along one axis exceeds
+    `inflation` by more than a slack is settled False without the exact
+    distance; every other case returns `segment_rect_distance(...) <= inflation`.
+    The answer is the exact test's in every case. Let u = 2**-53 and M the
+    largest |coordinate| of p, q and the rectangle extents, and take the gap
+    g > 0 along x with the rectangle to the right (the other sides are
+    symmetric). Both endpoints then lie outside the rectangle. On each edge,
+    the signs of p and q against the edge's line are exact (one factor of the
+    cross product is exactly 0), so a crossing needs a horizontal edge whose
+    line the segment straddles. Its two corners lie on the same side of line
+    pq, at |orient| >= |q.y - p.y| * g, against a rounding error below
+    13 u M |q.y - p.y|, so no crossing is reported. Each of the 16 point-segment
+    distances has an x component of at least g in exact arithmetic; the
+    rounding of `w - t * v` and of g itself costs at most 13 u M, and
+    `math.hypot` never falls below that component. So every computed
+    distance exceeds g - 13 u M. The slack 1e-9 * (1 + M) covers both bounds
+    with six orders of magnitude to spare.
     """
     if inflation < 0.0:
         raise ValueError("inflation must be >= 0")
+    lo_x, hi_x = (p.x, q.x) if p.x <= q.x else (q.x, p.x)
+    lo_y, hi_y = (p.y, q.y) if p.y <= q.y else (q.y, p.y)
+    gap = max(rect.min_x - hi_x, lo_x - rect.max_x, rect.min_y - hi_y, lo_y - rect.max_y)
+    m = max(hi_x, -lo_x, hi_y, -lo_y, rect.max_x, -rect.min_x, rect.max_y, -rect.min_y)
+    if gap > inflation + 1e-9 * (1.0 + m):
+        return False
     return segment_rect_distance(p, q, rect) <= inflation

@@ -55,7 +55,9 @@ class RunReport:
     """Summary of one simulation run.
 
     path_lengths maps a collided UAV to None (rendered as the '--' marker on
-    export); the number is never replaced by a sentinel value.
+    export); the number is never replaced by a sentinel value. pair_distances
+    holds the per-sample series whose minima are pair_min_distances, in the
+    same pair order.
     """
 
     algorithm: str
@@ -63,6 +65,7 @@ class RunReport:
     steps: int
     path_lengths: dict[str, float | None]
     pair_min_distances: dict[tuple[str, str], float]
+    pair_distances: dict[tuple[str, str], list[float]]
     collision_counts: dict[str, int]
     empty_feasible_set_events: int
     event_counts: dict[str, int]
@@ -91,13 +94,14 @@ def build_report(result: SimResult) -> RunReport:
         uid: (None if uid in collided else path_length(pts))
         for uid, pts in positions.items()
     }
-    _, minima = pairwise_distances(positions)
+    series, minima = pairwise_distances(positions)
     return RunReport(
         algorithm=result.algorithm,
         completed=result.completed,
         steps=result.steps,
         path_lengths=path_lengths,
         pair_min_distances=minima,
+        pair_distances=series,
         collision_counts={
             "uav_uav_collision": event_counts["uav_uav_collision"],
             "uav_obstacle_collision": event_counts["uav_obstacle_collision"],

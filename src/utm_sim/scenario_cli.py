@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .geom2d import Bounds, Vec2, distance, point_rect_distance
-from .metrics import COLLISION_MARKER, RunReport, build_report, pairwise_distances
+from .metrics import COLLISION_MARKER, RunReport, build_report
 from .obstacle_field import RectObstacle
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError
@@ -248,29 +248,30 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
 
     Output is byte-deterministic for identical results: fixed 6-decimal CSV
     formatting (`%.6f`, the same text as `_fmt`), sorted JSON keys.
+    distances.csv writes `report.pair_distances`, so `report` must be
+    `build_report(result)`. Both CSV files are written line by line rather
+    than joined first, so their full text is never held next to that series.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = ["t,uav_id,x,y,vx,vy"]
     ids = list(result.trajectories)
     n_samples = len(result.trajectories[ids[0]]) if ids else 0
-    for i in range(n_samples):
-        for uid in ids:
-            s = result.trajectories[uid][i]
-            lines.append("%.6f,%s,%.6f,%.6f,%.6f,%.6f" % (
-                s.t, uid, s.position.x, s.position.y, s.velocity.x, s.velocity.y))
-    (out / "trajectories.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(out / "trajectories.csv", "w", encoding="utf-8") as f:
+        f.write("t,uav_id,x,y,vx,vy\n")
+        for i in range(n_samples):
+            for uid in ids:
+                s = result.trajectories[uid][i]
+                f.write("%.6f,%s,%.6f,%.6f,%.6f,%.6f\n" % (
+                    s.t, uid, s.position.x, s.position.y, s.velocity.x, s.velocity.y))
 
-    positions = {uid: [s.position for s in samples]
-                 for uid, samples in result.trajectories.items()}
-    series, _ = pairwise_distances(positions)
-    header = ["t"] + [f"{a}-{b}" for (a, b) in series]
-    rows = [",".join(header)]
+    series = report.pair_distances
     times = [s.t for s in result.trajectories[ids[0]]] if ids else []
-    row_fmt = ",".join(["%.6f"] * (1 + len(series)))
-    rows.extend(row_fmt % row for row in zip(times, *series.values()))
-    (out / "distances.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    row_fmt = ",".join(["%.6f"] * (1 + len(series))) + "\n"
+    with open(out / "distances.csv", "w", encoding="utf-8") as f:
+        f.write(",".join(["t"] + [f"{a}-{b}" for (a, b) in series]) + "\n")
+        for row in zip(times, *series.values()):
+            f.write(row_fmt % row)
 
     events = [
         {"t": ev.t, "kind": ev.kind, "details": ev.details} for ev in result.events

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utm_sim.geom2d import (
     TAU,
@@ -213,3 +215,75 @@ class TestSegmentRect:
             assert segment_intersects_rect(p, q, r, inflation) == (d_min < inflation), \
                 f"disagreement for {p} -> {q}: sampled min {d_min}"
         assert checked > 800  # the band must not eat the test
+
+
+def _axis_gap(p, q, r):
+    """The bounding-box gap exactly as `segment_intersects_rect` computes it."""
+    return max(r.min_x - max(p.x, q.x), min(p.x, q.x) - r.max_x,
+               r.min_y - max(p.y, q.y), min(p.y, q.y) - r.max_y)
+
+
+def _slack(p, q, r):
+    m = max(abs(v) for v in (p.x, p.y, q.x, q.y, r.min_x, r.max_x, r.min_y, r.max_y))
+    return 1e-9 * (1.0 + m)
+
+
+_coord = st.floats(-500.0, 500.0)
+
+
+@st.composite
+def _segment_rect_cases(draw):
+    """(p, q, rect, inflation): free, point, side-gap and corner segments.
+
+    Side cases put the near end `near` outside one side of the rectangle and
+    the far end `far` beyond it (0 gives a segment parallel to that side).
+    Inflation is free, or the computed gap, 1 ulp either side of it, the gap
+    plus or minus the slack, or 1 ulp either side of gap minus slack (where
+    the early exit starts).
+    """
+    r = rect(draw(_coord), draw(_coord), draw(st.floats(0.01, 200.0)),
+             draw(st.floats(0.01, 200.0)))
+    kind = draw(st.sampled_from(("free", "point", "side", "corner")))
+    if kind == "side":
+        side = draw(st.integers(0, 3))
+        near, far = draw(st.floats(0.0, 50.0)), draw(st.sampled_from((0.0, 1.0, 37.5)))
+        a, b = (draw(st.floats(-60.0, 60.0)) for _ in range(2))
+        if side == 0:
+            pts = ((r.min_x - near, r.min_y + a), (r.min_x - near - far, r.max_y + b))
+        elif side == 1:
+            pts = ((r.max_x + near, r.min_y + a), (r.max_x + near + far, r.max_y + b))
+        elif side == 2:
+            pts = ((r.min_x + a, r.min_y - near), (r.max_x + b, r.min_y - near - far))
+        else:
+            pts = ((r.min_x + a, r.max_y + near), (r.max_x + b, r.max_y + near + far))
+        p, q = (Vec2(*xy) for xy in draw(st.permutations(pts)))
+    elif kind == "corner":
+        p, q = draw(st.sampled_from(r.corners())), Vec2(draw(_coord), draw(_coord))
+    else:
+        p = Vec2(draw(_coord), draw(_coord))
+        q = p if kind == "point" else Vec2(draw(_coord), draw(_coord))
+    g, slack = _axis_gap(p, q, r), _slack(p, q, r)
+    near_gap = (g, math.nextafter(g, math.inf), math.nextafter(g, -math.inf),
+                g + slack, g - slack, math.nextafter(g - slack, math.inf),
+                math.nextafter(g - slack, -math.inf))
+    inflation = draw(st.one_of(st.floats(0.0, 60.0), st.sampled_from(near_gap)))
+    return p, q, r, max(inflation, 0.0)
+
+
+class TestAxisGapExit:
+    """`segment_intersects_rect` settles far rectangles early, with the exact answer."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_segment_rect_cases())
+    def test_equals_exact_test(self, case):
+        p, q, r, inflation = case
+        assert (segment_intersects_rect(p, q, r, inflation)
+                == (segment_rect_distance(p, q, r) <= inflation))
+
+    def test_slack_covers_distance_rounded_below_gap(self):
+        # the computed distance lands below the computed gap, so an exit on
+        # `gap > inflation` alone would answer False where the exact test says True
+        p, q, r = Vec2(8.2, 7.9), Vec2(2.4, -2.0), rect(4.5, -8.7, 4.2, 3.4)
+        d = segment_rect_distance(p, q, r)
+        assert d < _axis_gap(p, q, r)
+        assert segment_intersects_rect(p, q, r, d)

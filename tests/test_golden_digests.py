@@ -1,9 +1,11 @@
 """Behaviour gate: `utm-sim run` and `compare` must keep writing the same bytes.
 
 tests/golden_digests.json holds sha256 digests of:
-- trajectories.csv (key `<scenario>/<algo>/seed=1`), distances.csv and
-  events.json (the same key plus `/<file>`) for every shipped scenario under
-  both controllers at seed 1;
+- trajectories.csv (key `<scenario>/<algo>/seed=1`), distances.csv,
+  events.json and report.json (the same key plus `/<file>`) for every shipped
+  scenario under both controllers at seed 1;
+- waypoints.csv written by `plan` for every shipped scenario at seeds 1-3
+  (key `plan/<scenario>/seed=<n>/waypoints.csv`);
 - every file `compare --seeds 1..2` writes on paper_like_7uav (key
   `compare/paper_like_7uav/seeds=1..2/<relative path>`).
 A change that moves any of them changes what the simulator does and must say
@@ -29,7 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIOS = ("head_on_duel", "paper_like_5uav", "paper_like_7uav", "corner_corridor")
 ALGOS = ("vo", "apf")
 SEED = 1
-RUN_FILES = ("trajectories.csv", "distances.csv", "events.json")
+RUN_FILES = ("trajectories.csv", "distances.csv", "events.json", "report.json")
+PLAN_SEEDS = (1, 2, 3)
 COMPARE_SCENARIO = "paper_like_7uav"
 COMPARE_SEEDS = "1..2"
 COMPARE_PREFIX = f"compare/{COMPARE_SCENARIO}/seeds={COMPARE_SEEDS}"
@@ -55,6 +58,13 @@ def run_digests(scenario: str, algo: str, out: Path) -> dict[str, str]:
     _main(["run", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
            "--algo", algo, "--seed", str(SEED), "--out", str(out)])
     return {_key(scenario, algo, name): _sha256(out / name) for name in RUN_FILES}
+
+
+def plan_digest(scenario: str, seed: int, out: Path) -> dict[str, str]:
+    """Golden key -> digest of the waypoints.csv one `plan` writes."""
+    _main(["plan", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+           "--seed", str(seed), "--out", str(out)])
+    return {f"plan/{scenario}/seed={seed}/waypoints.csv": _sha256(out / "waypoints.csv")}
 
 
 def compare_digests(out: Path) -> dict[str, str]:
@@ -91,12 +101,19 @@ def test_trajectories_match_golden_digest(run_outputs, golden, scenario, algo):
     assert run_outputs(scenario, algo)[key] == golden[key]
 
 
-@pytest.mark.parametrize("name", ("distances.csv", "events.json"))
+@pytest.mark.parametrize("name", ("distances.csv", "events.json", "report.json"))
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_run_outputs_match_golden_digest(run_outputs, golden, scenario, algo, name):
     key = _key(scenario, algo, name)
     assert run_outputs(scenario, algo)[key] == golden[key]
+
+
+@pytest.mark.parametrize("seed", PLAN_SEEDS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_plan_waypoints_match_golden_digest(tmp_path, golden, scenario, seed):
+    key = f"plan/{scenario}/seed={seed}/waypoints.csv"
+    assert plan_digest(scenario, seed, tmp_path) == {key: golden[key]}
 
 
 def test_compare_outputs_match_golden_digests(tmp_path, golden):
@@ -112,5 +129,7 @@ if __name__ == "__main__":
         for scenario in SCENARIOS:
             for algo in ALGOS:
                 digests.update(run_digests(scenario, algo, Path(tmp) / scenario / algo))
+            for seed in PLAN_SEEDS:
+                digests.update(plan_digest(scenario, seed, Path(tmp) / "plan" / scenario / str(seed)))
         digests.update(compare_digests(Path(tmp) / "compare"))
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")

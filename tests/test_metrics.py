@@ -100,6 +100,14 @@ class TestBuildReport:
         assert rep.event_counts["arrived"] == 1
         assert ("u1", "u2") in rep.pair_min_distances
 
+    def test_pair_distances_are_the_series_behind_the_minima(self):
+        result = make_result([])
+        rep = build_report(result)
+        positions = {uid: [s.position for s in samples]
+                     for uid, samples in result.trajectories.items()}
+        assert (rep.pair_distances, rep.pair_min_distances) == pairwise_distances(positions)
+        assert list(rep.pair_distances) == list(rep.pair_min_distances)
+
     def test_collision_marks_both_uavs_with_marker_not_number(self):
         events = [SimEvent(0.1, "uav_uav_collision",
                            {"a": "u1", "b": "u2", "distance": 20.0})]

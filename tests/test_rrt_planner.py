@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from utm_sim import rrt_planner
 from utm_sim.geom2d import Bounds, Vec2, distance, segment_rect_distance
 from utm_sim.obstacle_field import RectObstacle
 from utm_sim.rrt_planner import (
@@ -193,3 +196,42 @@ class TestPlanPath:
     def test_path_requires_at_least_one_waypoint(self):
         with pytest.raises(ValueError):
             WaypointPath(())
+
+
+def _plain_edge_test(p, q, rect, inflation):
+    return segment_rect_distance(p, q, rect) <= inflation
+
+
+def _outcome(start, goal, rects, params, seed):
+    try:
+        return plan_path(start, goal, rects, params, seed)
+    except (ValueError, PlanningError) as exc:
+        return type(exc), str(exc)
+
+
+_xy = st.builds(Vec2, st.floats(0.0, 400.0), st.floats(0.0, 400.0))
+
+
+@st.composite
+def _planning_problems(draw):
+    rects = [RectObstacle(Vec2(draw(st.floats(40.0, 360.0)), draw(st.floats(40.0, 360.0))),
+                          draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)), f"r{i}")
+             for i in range(draw(st.integers(0, 5)))]
+    params = PlannerParams(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
+                           goal_bias=draw(st.sampled_from((0.05, 0.4))),
+                           inflation=draw(st.sampled_from((0.0, 2.5, 5.0, 12.0))),
+                           max_iters=300)
+    return draw(_xy), draw(_xy), rects, params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEdgeCheckEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_planning_problems())
+    def test_plan_equals_plain_distance_test(self, problem):
+        # same path, or the same error, as a planner whose edge test is the
+        # plain distance comparison with no early exit
+        fast = _outcome(*problem)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rrt_planner, "segment_intersects_rect", _plain_edge_test)
+            plain = _outcome(*problem)
+        assert fast == plain
