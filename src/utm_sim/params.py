@@ -27,7 +27,8 @@ class Params:
 
     Every numeric field must be finite and > 0, except `goal_bias` in [0, 1]
     and `inflation` >= 0; `circle_spacing` must stay below
-    `2 * obstacle_circle_radius` so adjacent circles overlap. `inflation=None`
+    `2 * obstacle_circle_radius` so adjacent circles overlap, and `kp * dt`
+    must stay below 2 so the nominal step converges. `inflation=None`
     takes the value of `uav_radius`.
     """
 
@@ -75,5 +76,8 @@ class Params:
         if self.circle_spacing >= 2.0 * self.obstacle_circle_radius:
             raise ValueError("circle_spacing must be < 2 * obstacle_circle_radius; "
                              "adjacent circles would leave perimeter gaps")
+        if self.kp * self.dt >= 2.0:
+            raise ValueError(f"kp * dt must be < 2, got kp={self.kp}, dt={self.dt}; "
+                             "the nominal step p += dt * kp * (wp - p) would diverge")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")

@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .geom2d import Vec2, distance, segment_intersects_rect
 from .obstacle_field import RectObstacle
 from .params import Params
@@ -50,9 +48,6 @@ class RrtTree:
     def __init__(self, root: Vec2):
         self.vertices: list[Vec2] = [root]
         self.parents: list[int] = [-1]
-        # packed coordinates for the nearest-vertex scan
-        self._coords = np.empty((256, 2), dtype=np.float64)
-        self._coords[0] = (root.x, root.y)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -63,18 +58,17 @@ class RrtTree:
         idx = len(self.vertices)
         self.vertices.append(v)
         self.parents.append(parent)
-        if idx >= self._coords.shape[0]:
-            grown = np.empty((self._coords.shape[0] * 2, 2), dtype=np.float64)
-            grown[:idx] = self._coords[:idx]
-            self._coords = grown
-        self._coords[idx] = (v.x, v.y)
         return idx
 
     def nearest(self, q: Vec2) -> int:
-        """Index of the vertex closest to q; ties go to the lowest index."""
-        pts = self._coords[: len(self.vertices)]
-        d2 = (pts[:, 0] - q.x) ** 2 + (pts[:, 1] - q.y) ** 2
-        return int(np.argmin(d2))
+        """Index of the vertex closest to q; ties go to the lowest index.
+
+        Squares are written as products: one correctly rounded multiply each,
+        where `** 2` would go through C `pow`.
+        """
+        qx, qy = q.x, q.y
+        d2 = [(v.x - qx) * (v.x - qx) + (v.y - qy) * (v.y - qy) for v in self.vertices]
+        return d2.index(min(d2))
 
     def branch_to(self, idx: int) -> list[Vec2]:
         """Vertices from the root to idx, in root-first order."""
@@ -111,12 +105,6 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
     return Vec2(origin.x + (toward.x - origin.x) * t, origin.y + (toward.y - origin.y) * t)
 
 
-def _point_clear(p: Vec2, obstacles: Sequence[RectObstacle], params: Params) -> bool:
-    if not params.bounds.contains(p):
-        return False
-    return not any(segment_intersects_rect(p, p, r, params.inflation) for r in obstacles)
-
-
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
               params: Params, seed: int) -> WaypointPath:
     """Plan a waypoint path from start to the goal region.
@@ -128,7 +116,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     for label, p in (("start", start), ("goal", goal)):
         if not params.bounds.contains(p):
             raise ValueError(f"{label} {p} lies outside the workspace bounds")
-        if not _point_clear(p, obstacles, params):
+        if any(segment_intersects_rect(p, p, r, params.inflation) for r in obstacles):
             raise ValueError(f"{label} {p} lies inside an inflated obstacle")
     if distance(start, goal) < params.goal_radius:
         return WaypointPath((start,))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,11 @@ class TestSteer:
                 assert abs(cross) < 1e-6
 
 
+# a coarse grid makes duplicate vertices and exactly tied queries common
+_tree_coord = st.integers(-4, 4).map(lambda k: k * 0.5) | st.floats(-1e3, 1e3)
+_tree_xy = st.builds(Vec2, _tree_coord, _tree_coord)
+
+
 class TestTree:
     def test_nearest_tie_breaks_to_lowest_index(self):
         tree = RrtTree(Vec2(0.0, 0.0))
@@ -95,7 +101,7 @@ class TestTree:
     def test_branch_and_growth(self):
         tree = RrtTree(Vec2(0.0, 0.0))
         idx = 0
-        for i in range(1, 600):  # force the coordinate buffer to regrow
+        for i in range(1, 600):  # a long chain: branch_to walks all 600 vertices
             idx = tree.add(Vec2(float(i), 0.0), idx)
         assert len(tree) == 600
         branch = tree.branch_to(idx)
@@ -103,6 +109,17 @@ class TestTree:
         assert branch[-1] == Vec2(599.0, 0.0)
         assert len(branch) == 600
         assert tree.nearest(Vec2(598.7, 1.0)) == 599
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(_tree_xy, min_size=1, max_size=40), q=_tree_xy)
+    def test_nearest_equals_argmin_oracle(self, points, q):
+        # oracle: numpy's squared-distance argmin, which breaks ties to the lowest index
+        tree = RrtTree(points[0])
+        for i, v in enumerate(points[1:]):
+            tree.add(v, i)
+        xs = np.array([v.x for v in points])
+        ys = np.array([v.y for v in points])
+        assert tree.nearest(q) == int(np.argmin((xs - q.x) ** 2 + (ys - q.y) ** 2))
 
     def test_add_validates_parent(self):
         tree = RrtTree(Vec2(0.0, 0.0))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -21,6 +24,7 @@ from utm_sim.scenario_cli import (
 from utm_sim.sim_engine import SimParams, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -403,6 +407,50 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "simulation error" in err and "non-finite" in err
         assert "scenario error" not in err
+
+    def _head_on_duel_copy(self, tmp_path, kp):
+        doc = json.loads((SCENARIOS / "head_on_duel.json").read_text())
+        doc["params"].update(kp=kp, dt=1.0, max_steps=4000)
+        return write_scenario(tmp_path, doc, f"duel_kp{kp}.json")
+
+    @pytest.mark.parametrize("kp", [2.0, 3.0])
+    def test_divergent_kp_dt_exit_2(self, tmp_path, capsys, kp):
+        # at kp * dt >= 2 the nominal step overshoots the waypoint by at least
+        # as much as it started off, so the run could never arrive
+        scn = self._head_on_duel_copy(tmp_path, kp)
+        code = main(["run", "--scenario", str(scn), "--algo", "vo",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and f"kp={kp}, dt=1.0" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_kp_dt_just_below_2_completes(self, tmp_path):
+        scn = self._head_on_duel_copy(tmp_path, 1.9)
+        out = tmp_path / "o"
+        code = main(["run", "--scenario", str(scn), "--algo", "vo",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["completed"] is True
+
+    def test_runs_without_numpy(self, tmp_path):
+        # numpy is a test dependency only; a None entry in sys.modules makes
+        # any `import numpy` raise, so a returning import fails here
+        scn = SCENARIOS / "paper_like_5uav.json"
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from utm_sim.scenario_cli import main\n"
+            f"assert main(['plan', '--scenario', {str(scn)!r}, '--seed', '1',"
+            f" '--out', {str(tmp_path / 'plan')!r}]) == 0\n"
+            f"assert main(['run', '--scenario', {str(scn)!r}, '--algo', 'vo', '--seed', '1',"
+            f" '--max-steps', '40', '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "plan" / "waypoints.csv").exists()
+        assert (tmp_path / "run" / "trajectories.csv").exists()
 
     def test_missing_scenario_file_exit_4(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"),
