@@ -2,7 +2,9 @@
 
 The attractive force always has magnitude k_att toward the active waypoint and
 the repulsive force magnitude k_rep away from each active threat, regardless
-of range. The constant magnitudes are deliberate: they are what makes this
+of range. Their sum is the velocity command (Khatib 1986): `apf_step` returns
+a velocity, as `vo_core.avoid` does, and the engine commits both controllers
+the same way. The constant magnitudes are deliberate: they are what makes this
 baseline cut corners near obstacle edges, which the avoidance comparison
 measures.
 """
@@ -38,23 +40,17 @@ def repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
     return k_rep * direction.unit()
 
 
-def total_force(pos: Vec2, waypoint: Vec2, threat_positions: Sequence[Vec2],
-                params: Params) -> Vec2:
-    """Attractive force plus the sum of per-threat repulsions."""
-    f = attractive_force(pos, waypoint, params.k_att)
-    for tp in threat_positions:
-        f = f + repulsive_force(pos, tp, params.k_rep)
-    return f
-
-
 def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> Vec2:
-    """New position after one Euler step of the total force.
+    """Velocity command for one step: the total force, as `vo_core.avoid` returns one.
 
+    The attractive force plus each threat's repulsion, summed in threat order.
     `threats` must already be filtered to activation range; only their
     positions matter here. A threat at the vehicle's own position is skipped,
     as `vo_core.avoid` skips it: it has no direction to repel along.
     """
     pos = state.position
-    wp = state.current_waypoint()
-    f = total_force(pos, wp, [t.position for t in threats if t.position != pos], params)
-    return Vec2(pos.x + params.dt * f.x, pos.y + params.dt * f.y)
+    f = attractive_force(pos, state.current_waypoint(), params.k_att)
+    for t in threats:
+        if t.position != pos:
+            f = f + repulsive_force(pos, t.position, params.k_rep)
+    return f

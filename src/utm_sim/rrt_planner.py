@@ -38,9 +38,6 @@ class WaypointPath:
     def __len__(self) -> int:
         return len(self.waypoints)
 
-    def length(self) -> float:
-        return sum(distance(a, b) for a, b in zip(self.waypoints, self.waypoints[1:]))
-
 
 class RrtTree:
     """Tree of collision-free configurations; vertex 0 is the start, edges point to parents."""

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .geom2d import Bounds, Vec2, distance, point_rect_distance
-from .metrics import COLLISION_MARKER, RunReport, build_report
+from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
 from .obstacle_field import RectObstacle
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError
@@ -239,18 +239,14 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> None:
     """Write trajectories.csv, distances.csv, events.json, and report.json.
 
     Output is byte-deterministic for identical results: fixed 6-decimal CSV
-    formatting (`%.6f`, the same text as `_fmt`), sorted JSON keys.
-    distances.csv writes `report.pair_distances`, so `report` must be
-    `build_report(result)`. Both CSV files are written line by line rather
-    than joined first, so their full text is never held next to that series.
+    formatting (`%.6f`), sorted JSON keys. distances.csv writes
+    `report.pair_distances`, so `report` must be `build_report(result)`. Both
+    CSV files are written line by line rather than joined first, so their full
+    text is never held next to that series.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,10 +340,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     lines = ["uav_id,waypoint_index,x,y"]
     for uid, path in paths.items():
         for i, wp in enumerate(path.waypoints):
-            lines.append(f"{uid},{i},{_fmt(wp.x)},{_fmt(wp.y)}")
+            lines.append("%s,%d,%.6f,%.6f" % (uid, i, wp.x, wp.y))
     (out / "waypoints.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for uid, path in paths.items():
-        print(f"{uid}: {len(path)} waypoints, {path.length():.2f} m")
+        print(f"{uid}: {len(path)} waypoints, {path_length(path.waypoints):.2f} m")
     print(f"wrote {out}/waypoints.csv")
     return 0
 

@@ -1,10 +1,11 @@
 """Synchronous fixed-step multi-vehicle simulation loop.
 
-Each step works from a frozen snapshot of all vehicle states: waypoint
-bookkeeping, threat gathering, and velocity decisions all read the snapshot,
-and every new position commits simultaneously afterwards, so step results do
-not depend on vehicle iteration order. Ground-truth collision checks run
-against the true rectangles (not the circle approximation) and vehicle discs.
+Each step works from a frozen snapshot of all vehicle states: threat
+gathering and velocity decisions read the snapshot, never a state committed
+earlier in the same step, so step results do not depend on vehicle iteration
+order. Both controllers return a velocity, and each UAV advances by `dt` times
+its velocity. Ground-truth collision checks run against the true rectangles
+(not the circle approximation) and vehicle discs.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class UavState:
             raise ValueError("radius must be > 0")
         if not 0 <= self.waypoint_index < len(self.path):
             raise ValueError("waypoint_index out of range")
+        if self.arrived and self.velocity != ZERO:
+            raise ValueError("an arrived UAV is parked: its velocity must be zero")
 
     def current_waypoint(self) -> Vec2:
         return self.path.waypoints[self.waypoint_index]
@@ -193,10 +196,11 @@ def detect_collisions(world: World, t: float) -> list[SimEvent]:
 def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     """Advance every UAV one synchronous step; returns this step's events.
 
-    Phases: waypoint bookkeeping, per-UAV threat gathering and velocity
-    decision against the frozen snapshot, simultaneous position commit,
-    ground-truth collision scan. `t` stamps the emitted events and should be
-    the post-step time.
+    Phases: waypoint bookkeeping, then one pass that gathers each moving UAV's
+    threats from the frozen snapshot, takes its velocity from the controller
+    (`avoid` for VO, `apf_step` for APF) and commits `position + dt * velocity`,
+    then the ground-truth collision scan. Parked UAVs keep their state. `t`
+    stamps the emitted events and should be the post-step time.
     """
     events: list[SimEvent] = []
     for i, u in enumerate(world.uavs):
@@ -209,11 +213,10 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
                                        {"uav": u.id, "waypoint_index": nxt.waypoint_index}))
             world.uavs[i] = nxt
 
+    # a copy: the commits below must not reach a later UAV's threat gathering
     snapshot = tuple(world.uavs)
-    decided: list[tuple[Vec2, Vec2]] = []  # (new position, new velocity) per UAV
-    for u in snapshot:
+    for i, u in enumerate(snapshot):
         if u.arrived:
-            decided.append((u.position, ZERO))
             continue
         threats = gather_threats(u, snapshot, world.field, params.dist_uav, params.dist_obs)
         if params.algorithm == "vo":
@@ -221,17 +224,11 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
             if res.empty_set:
                 events.append(SimEvent(t, "empty_feasible_set", {"uav": u.id}))
             v = res.velocity
-            decided.append((Vec2(u.position.x + params.dt * v.x,
-                                 u.position.y + params.dt * v.y), v))
         else:
-            new_pos = apf_step(u, threats, params)
-            v = Vec2((new_pos.x - u.position.x) / params.dt,
-                     (new_pos.y - u.position.y) / params.dt)
-            decided.append((new_pos, v))
-
-    for i, (pos, vel) in enumerate(decided):
-        u = world.uavs[i]
-        world.uavs[i] = UavState(u.id, pos, vel, u.radius, u.path, u.waypoint_index, u.arrived)
+            v = apf_step(u, threats, params)
+        world.uavs[i] = UavState(u.id, Vec2(u.position.x + params.dt * v.x,
+                                            u.position.y + params.dt * v.y),
+                                 v, u.radius, u.path, u.waypoint_index, u.arrived)
 
     events.extend(detect_collisions(world, t))
     return events

@@ -2,14 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from utm_sim.apf_core import (
-    ApfParams,
-    apf_step,
-    attractive_force,
-    repulsive_force,
-    total_force,
-)
+from utm_sim.apf_core import ApfParams, apf_step, attractive_force, repulsive_force
 from utm_sim.geom2d import Vec2
 from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
@@ -79,41 +75,36 @@ class TestForces:
             repulsive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 15.0)
 
 
-class TestTotalForce:
-    def test_threat_between_uav_and_waypoint(self):
+class TestApfStep:
+    def test_free_space_step_length(self):
+        # no threats: the command is k_att toward the waypoint (a dt * 8 = 0.8 step)
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        assert apf_step(state, [], ApfParams()) == Vec2(8.0, 0.0)
+
+    def test_step_with_blocking_threat(self):
         # attraction +8, repulsion -15 along the same line: net backward 7
-        tf = total_force(Vec2(0.0, 0.0), Vec2(10.0, 0.0), [Vec2(2.0, 0.0)], ApfParams())
-        assert tf == Vec2(-7.0, 0.0)
+        state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
+        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        assert apf_step(state, threats, ApfParams()) == Vec2(-7.0, 0.0)
 
     def test_threat_behind(self):
-        tf = total_force(Vec2(0.0, 0.0), Vec2(10.0, 0.0), [Vec2(-2.0, 0.0)], ApfParams())
-        assert tf == Vec2(23.0, 0.0)
-        assert tf.norm() == 23.0
+        state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
+        threats = [Threat(Vec2(-2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        v = apf_step(state, threats, ApfParams())
+        assert v == Vec2(23.0, 0.0)
+        assert v.norm() == 23.0
 
     def test_superposition(self):
         rng = random.Random(12)
         params = ApfParams()
         pos, wp = Vec2(0.0, 0.0), Vec2(50.0, 20.0)
-        threats = [Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(4)]
-        tf = total_force(pos, wp, threats, params)
+        points = [Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(4)]
+        threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, "obstacle", f"o{k}")
+                   for k, tp in enumerate(points)]
         expected = attractive_force(pos, wp, params.k_att)
-        for tp in threats:
+        for tp in points:
             expected = expected + repulsive_force(pos, tp, params.k_rep)
-        assert tf == expected
-
-
-class TestApfStep:
-    def test_free_space_step_length(self):
-        # no threats: one step moves dt * k_att = 0.8 toward the waypoint
-        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        new_pos = apf_step(state, [], ApfParams())
-        assert new_pos == Vec2(0.8, 0.0)
-
-    def test_step_with_blocking_threat(self):
-        state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
-        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
-        new_pos = apf_step(state, threats, ApfParams())
-        assert new_pos == Vec2(0.1 * -7.0, 0.0)  # dt * (-7, 0)
+        assert apf_step(make_state(pos, wp), threats, params) == expected
 
     def test_coincident_threat_is_skipped(self):
         # as in vo_core.avoid: a threat at the UAV's own position is ignored,
@@ -131,3 +122,34 @@ class TestApfStep:
         t1 = [Threat(Vec2(2.0, 3.0), Vec2(5.0, 5.0), 24.0, "uav", "x")]
         t2 = [Threat(Vec2(2.0, 3.0), Vec2(-5.0, 0.0), 12.0, "obstacle", "y")]
         assert apf_step(state, t1, ApfParams()) == apf_step(state, t2, ApfParams())
+
+
+_coord = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
+_points = st.builds(Vec2, _coord, _coord)
+
+
+@st.composite
+def _apf_cases(draw):
+    """A state and a threat list that may be empty, hold the UAV's own
+    position and repeat a threat."""
+    pos = draw(_points)
+    wp = draw(_points.filter(lambda p: p != pos))
+    points = draw(st.lists(st.one_of(_points, st.just(pos)), max_size=6))
+    if points and draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    params = ApfParams(k_att=draw(st.floats(0.1, 50.0)), k_rep=draw(st.floats(0.1, 50.0)))
+    return make_state(pos, wp), points, params
+
+
+@given(_apf_cases())
+def test_apf_step_is_the_vec2_sum_of_the_forces(case):
+    state, points, params = case
+    threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, "obstacle", f"o{k}")
+               for k, tp in enumerate(points)]
+    pos = state.position
+    expected = attractive_force(pos, state.current_waypoint(), params.k_att)
+    for tp in points:
+        if tp != pos:
+            expected = expected + repulsive_force(pos, tp, params.k_rep)
+    v = apf_step(state, threats, params)
+    assert (v.x.hex(), v.y.hex()) == (expected.x.hex(), expected.y.hex())

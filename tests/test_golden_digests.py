@@ -7,7 +7,9 @@ tests/golden_digests.json holds sha256 digests of:
 - waypoints.csv written by `plan` for every shipped scenario at seeds 1-3
   (key `plan/<scenario>/seed=<n>/waypoints.csv`);
 - every file `compare --seeds 1..2` writes on paper_like_7uav (key
-  `compare/paper_like_7uav/seeds=1..2/<relative path>`).
+  `compare/paper_like_7uav/seeds=1..2/<relative path>`);
+- the stdout of each of those commands, with its output directory replaced by
+  `<out>` (the command's key plus `/stdout`).
 A change that moves any of them changes what the simulator does and must say
 why.
 
@@ -42,10 +44,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _main(argv: list[str]) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
+def _main(argv: list[str], out: Path) -> str:
+    """Run one command writing under `out`; digest of its stdout, `out` as `<out>`."""
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main([*argv, "--out", str(out)])
     assert code == 0
+    text = buf.getvalue().replace(str(out), "<out>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _key(scenario: str, algo: str, name: str = "trajectories.csv") -> str:
@@ -54,25 +59,30 @@ def _key(scenario: str, algo: str, name: str = "trajectories.csv") -> str:
 
 
 def run_digests(scenario: str, algo: str, out: Path) -> dict[str, str]:
-    """Golden key -> digest of each file in RUN_FILES written by one `run`."""
-    _main(["run", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
-           "--algo", algo, "--seed", str(SEED), "--out", str(out)])
-    return {_key(scenario, algo, name): _sha256(out / name) for name in RUN_FILES}
+    """Golden key -> digest of each file in RUN_FILES written by one `run`, and of its stdout."""
+    stdout = _main(["run", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+                    "--algo", algo, "--seed", str(SEED)], out)
+    digests = {_key(scenario, algo, name): _sha256(out / name) for name in RUN_FILES}
+    digests[_key(scenario, algo, "stdout")] = stdout
+    return digests
 
 
 def plan_digest(scenario: str, seed: int, out: Path) -> dict[str, str]:
-    """Golden key -> digest of the waypoints.csv one `plan` writes."""
-    _main(["plan", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
-           "--seed", str(seed), "--out", str(out)])
-    return {f"plan/{scenario}/seed={seed}/waypoints.csv": _sha256(out / "waypoints.csv")}
+    """Golden key -> digest of the waypoints.csv one `plan` writes, and of its stdout."""
+    stdout = _main(["plan", "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
+                    "--seed", str(seed)], out)
+    return {f"plan/{scenario}/seed={seed}/waypoints.csv": _sha256(out / "waypoints.csv"),
+            f"plan/{scenario}/seed={seed}/stdout": stdout}
 
 
 def compare_digests(out: Path) -> dict[str, str]:
-    """Golden key -> digest of every file the golden `compare` writes."""
-    _main(["compare", "--scenario", str(ROOT / "scenarios" / f"{COMPARE_SCENARIO}.json"),
-           "--seeds", COMPARE_SEEDS, "--out", str(out)])
-    return {f"{COMPARE_PREFIX}/{p.relative_to(out).as_posix()}": _sha256(p)
-            for p in sorted(out.rglob("*")) if p.is_file()}
+    """Golden key -> digest of every file the golden `compare` writes, and of its stdout."""
+    stdout = _main(["compare", "--scenario", str(ROOT / "scenarios" / f"{COMPARE_SCENARIO}.json"),
+                    "--seeds", COMPARE_SEEDS], out)
+    digests = {f"{COMPARE_PREFIX}/{p.relative_to(out).as_posix()}": _sha256(p)
+               for p in sorted(out.rglob("*")) if p.is_file()}
+    digests[f"{COMPARE_PREFIX}/stdout"] = stdout
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +111,7 @@ def test_trajectories_match_golden_digest(run_outputs, golden, scenario, algo):
     assert run_outputs(scenario, algo)[key] == golden[key]
 
 
-@pytest.mark.parametrize("name", ("distances.csv", "events.json", "report.json"))
+@pytest.mark.parametrize("name", ("distances.csv", "events.json", "report.json", "stdout"))
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_run_outputs_match_golden_digest(run_outputs, golden, scenario, algo, name):
@@ -112,14 +122,14 @@ def test_run_outputs_match_golden_digest(run_outputs, golden, scenario, algo, na
 @pytest.mark.parametrize("seed", PLAN_SEEDS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_plan_waypoints_match_golden_digest(tmp_path, golden, scenario, seed):
-    key = f"plan/{scenario}/seed={seed}/waypoints.csv"
-    assert plan_digest(scenario, seed, tmp_path) == {key: golden[key]}
+    keys = [f"plan/{scenario}/seed={seed}/{name}" for name in ("waypoints.csv", "stdout")]
+    assert plan_digest(scenario, seed, tmp_path) == {key: golden[key] for key in keys}
 
 
 def test_compare_outputs_match_golden_digests(tmp_path, golden):
     expected = {k: v for k, v in golden.items() if k.startswith(COMPARE_PREFIX + "/")}
-    # compare.csv plus four files per seed and controller
-    assert len(expected) == 1 + 2 * 2 * 4
+    # stdout, compare.csv, and four files per seed and controller
+    assert len(expected) == 2 + 2 * 2 * 4
     assert compare_digests(tmp_path) == expected
 
 

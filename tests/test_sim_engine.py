@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utm_sim.apf_core import ApfParams
+from utm_sim.apf_core import ApfParams, apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle
 from utm_sim.params import Params
@@ -149,6 +149,8 @@ class TestUavState:
             make_uav("a", Vec2(0, 0), [Vec2(1, 1)], radius=0.0)
         with pytest.raises(ValueError):
             make_uav("a", Vec2(0, 0), [Vec2(1, 1)], wp_index=1)
+        with pytest.raises(ValueError):  # step passes parked states through as they are
+            make_uav("a", Vec2(0, 0), [Vec2(1, 1)], vel=Vec2(3.0, -4.0), arrived=True)
 
     def test_current_waypoint(self):
         u = make_uav("a", Vec2(0, 0), [Vec2(1, 1), Vec2(2, 2)], wp_index=1)
@@ -504,6 +506,30 @@ class TestStep:
         assert moved.position == Vec2(0.8, 0.0)  # dt * k_att
         assert moved.velocity.x == pytest.approx(8.0)
         assert moved.velocity.y == 0.0
+
+    def test_apf_velocity_is_the_commanded_force(self):
+        # inputs where (new_pos - pos) / dt differs from the force in the last
+        # bit, so the recorded velocity must be the command itself
+        a = make_uav("a", Vec2(0.3, 0.7), [Vec2(100.0, 37.0)])
+        b = make_uav("b", Vec2(30.0, 10.0), [Vec2(-50.0, 10.0)])
+        world = make_world([a, b])
+        params = SimParams(algorithm="apf")
+        before = tuple(world.uavs)
+        step(world, params, t=params.dt)
+        for u, moved in zip(before, world.uavs):
+            threats = gather_threats(u, before, world.field, params.dist_uav, params.dist_obs)
+            assert threats  # a and b repel each other
+            v = apf_step(u, threats, params)
+            assert moved.velocity == v
+            assert moved.position == Vec2(u.position.x + params.dt * v.x,
+                                          u.position.y + params.dt * v.y)
+
+    @pytest.mark.parametrize("algorithm", ("vo", "apf"))
+    def test_parked_uav_passes_through_unchanged(self, algorithm):
+        parked = make_uav("p", Vec2(20.0, 0.0), [Vec2(20.0, 0.0)], arrived=True)
+        world = make_world([make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)]), parked])
+        step(world, SimParams(algorithm=algorithm), t=0.1)
+        assert world.uavs[1] is parked
 
 
 class TestSeedsAndPlanning:
