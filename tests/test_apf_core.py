@@ -75,13 +75,11 @@ class TestForces:
             repulsive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 15.0)
 
 
-class TestApfStep:
-    def test_free_space_step_length(self):
-        # no threats: the command is k_att toward the waypoint (a dt * 8 = 0.8 step)
-        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        assert apf_step(state, [], ApfParams()) == Vec2(8.0, 0.0)
+class TestTotalForce:
+    """apf_step returns the total force, attraction plus every repulsion,
+    as the UAV's velocity command."""
 
-    def test_step_with_blocking_threat(self):
+    def test_threat_between_uav_and_waypoint(self):
         # attraction +8, repulsion -15 along the same line: net backward 7
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
@@ -105,6 +103,21 @@ class TestApfStep:
         for tp in points:
             expected = expected + repulsive_force(pos, tp, params.k_rep)
         assert apf_step(make_state(pos, wp), threats, params) == expected
+
+
+class TestApfStep:
+    def test_free_space_step_length(self):
+        # no threats: the command is k_att toward the waypoint (a dt * 8 = 0.8 step)
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        assert apf_step(state, [], ApfParams()) == Vec2(8.0, 0.0)
+
+    def test_step_with_blocking_threat(self):
+        # the net force (-7, 0) moves the UAV dt * 7 backward in one step
+        state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
+        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        params = ApfParams()
+        v = apf_step(state, threats, params)
+        assert state.position + v * params.dt == Vec2(0.1 * -7.0, 0.0)
 
     def test_coincident_threat_is_skipped(self):
         # as in vo_core.avoid: a threat at the UAV's own position is ignored,
