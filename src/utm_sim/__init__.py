@@ -1,34 +1,34 @@
 """Multi-UAV traffic simulation: sampled waypoint planning, velocity-obstacle
 collision avoidance, a potential-field baseline, and scenario tooling."""
 
-from .apf_core import ApfParams, apf_step, attractive_force, repulsive_force
+from .apf_core import apf_step, attractive_force, repulsive_force
 from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
 from .obstacle_field import (CircleObstacle, ObstacleField, RectObstacle,
                              discretize_rectangle)
 from .params import Params
-from .rrt_planner import (PlannerParams, PlanningError, WaypointPath, plan_path,
+from .rrt_planner import (PlanningError, WaypointPath, check_endpoints, plan_path,
                           steer)
 from .scenario_cli import (Scenario, ScenarioError, UavSpec, export_result,
                            load_scenario, main, save_scenario)
-from .sim_engine import (SimParams, SimResult, UavState, World, assign_waypoint,
+from .sim_engine import (SimResult, UavState, World, assign_waypoint,
                          detect_collisions, plan_paths, run, run_planned, step)
-from .vo_core import (AvoidResult, CollisionCone, FeasibleSet, Threat, VoParams,
-                      avoid, collision_cone, in_cone, prune_feasible,
-                      search_feasible, select_velocity)
+from .vo_core import (AvoidResult, CollisionCone, FeasibleSet, Threat, avoid,
+                      collision_cone, in_cone, prune_feasible, search_feasible,
+                      select_velocity)
 
 __all__ = [
-    "ApfParams", "apf_step", "attractive_force", "repulsive_force",
+    "apf_step", "attractive_force", "repulsive_force",
     "Bounds", "Vec2", "angle_of", "distance", "normalize_angle",
     "RunReport", "build_report", "pairwise_distances", "path_length",
     "CircleObstacle", "ObstacleField", "RectObstacle", "discretize_rectangle",
     "Params",
-    "PlannerParams", "PlanningError", "WaypointPath", "plan_path", "steer",
+    "PlanningError", "WaypointPath", "check_endpoints", "plan_path", "steer",
     "Scenario", "ScenarioError", "UavSpec", "export_result", "load_scenario",
     "main", "save_scenario",
-    "SimParams", "SimResult", "UavState", "World", "assign_waypoint",
+    "SimResult", "UavState", "World", "assign_waypoint",
     "detect_collisions", "plan_paths", "run", "run_planned", "step",
-    "AvoidResult", "CollisionCone", "FeasibleSet", "Threat", "VoParams",
+    "AvoidResult", "CollisionCone", "FeasibleSet", "Threat",
     "avoid", "collision_cone", "in_cone", "prune_feasible", "search_feasible",
     "select_velocity",
 ]

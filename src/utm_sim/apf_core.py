@@ -21,9 +21,6 @@ if TYPE_CHECKING:
     from .vo_core import Threat
 
 
-ApfParams = Params  # former name of the one parameter table
-
-
 def attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
     """Force of magnitude k_att pointing from pos toward the waypoint."""
     direction = waypoint - pos

@@ -9,9 +9,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .obstacle_field import RectObstacle
 
-TAU = math.tau
-
-
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """Immutable 2D vector. Positions are meters, velocities meters/second."""
@@ -65,7 +62,7 @@ def normalize_angle(a: float) -> float:
     """Wrap a finite angle into (-pi, pi]. Idempotent; -pi maps to +pi."""
     if not math.isfinite(a):
         raise ValueError(f"non-finite angle {a}")
-    r = math.remainder(a, TAU)
+    r = math.remainder(a, math.tau)
     # remainder returns values in [-pi, pi]; fold the single excluded endpoint
     return math.pi if r <= -math.pi else r
 
@@ -94,11 +91,6 @@ class Bounds:
 
     def contains(self, p: Vec2) -> bool:
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-
-    @property
-    def center(self) -> Vec2:
-        return Vec2((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
 
 def point_in_rect(p: Vec2, rect: "RectObstacle") -> bool:
     """True when p lies in the closed solid rectangle (boundary counts as inside)."""

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geom2d import Vec2, distance
-from .params import DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING  # re-exported
+from .params import DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +108,4 @@ class ObstacleField:
         self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
         self.circles_by_rect: tuple[tuple[RectObstacle, tuple[CircleObstacle, ...]], ...] = tuple(
             (r, tuple(discretize_rectangle(r, circle_radius, spacing))) for r in self.rectangles
-        )
-        self.circles: tuple[CircleObstacle, ...] = tuple(
-            c for _, group in self.circles_by_rect for c in group
         )

@@ -22,9 +22,6 @@ class PlanningError(Exception):
     """Planner exhausted its iteration budget without reaching the goal region."""
 
 
-PlannerParams = Params  # former name of the one parameter table
-
-
 @dataclass(frozen=True)
 class WaypointPath:
     """Ordered waypoints from start to goal region, consecutive pairs <= step_size apart."""
@@ -45,9 +42,6 @@ class RrtTree:
     def __init__(self, root: Vec2):
         self.vertices: list[Vec2] = [root]
         self.parents: list[int] = [-1]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     def add(self, v: Vec2, parent: int) -> int:
         if not 0 <= parent < len(self.vertices):
@@ -102,19 +96,33 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
     return Vec2(origin.x + (toward.x - origin.x) * t, origin.y + (toward.y - origin.y) * t)
 
 
+def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
+                    params: Params) -> None:
+    """Raise ValueError unless start and goal are usable tree vertices.
+
+    Each must lie inside the workspace bounds and be clear of every rectangle
+    by the planner's own edge test: the zero-length edge (p, p) must not come
+    within `params.inflation` of it. The scenario loader applies this same
+    rule, so every endpoint it accepts is one `plan_path` accepts.
+    """
+    for label, p in (("start", start), ("goal", goal)):
+        if not params.bounds.contains(p):
+            raise ValueError(f"{label} {p} lies outside the workspace bounds")
+        for r in obstacles:
+            if segment_intersects_rect(p, p, r, params.inflation):
+                raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
+
+
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
               params: Params, seed: int) -> WaypointPath:
     """Plan a waypoint path from start to the goal region.
 
     Deterministic for a given (start, goal, obstacles, params, seed). Raises
-    ValueError for infeasible endpoints and PlanningError when max_iters runs
-    out; PlanningError is recoverable (retry with another seed or budget).
+    ValueError when `check_endpoints` rejects an endpoint, and PlanningError
+    when max_iters runs out; PlanningError is recoverable (retry with another
+    seed or budget).
     """
-    for label, p in (("start", start), ("goal", goal)):
-        if not params.bounds.contains(p):
-            raise ValueError(f"{label} {p} lies outside the workspace bounds")
-        if any(segment_intersects_rect(p, p, r, params.inflation) for r in obstacles):
-            raise ValueError(f"{label} {p} lies inside an inflated obstacle")
+    check_endpoints(start, goal, obstacles, params)
     if distance(start, goal) < params.goal_radius:
         return WaypointPath((start,))
 

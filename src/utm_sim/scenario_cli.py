@@ -18,11 +18,11 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from .geom2d import Bounds, Vec2, distance, point_rect_distance
+from .geom2d import Bounds, Vec2, distance
 from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
 from .obstacle_field import RectObstacle
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
-from .rrt_planner import PlanningError
+from .rrt_planner import PlanningError, check_endpoints
 from .sim_engine import SimResult, plan_paths, run, run_planned
 
 
@@ -53,25 +53,14 @@ class UavSpec:
 class Scenario:
     """Obstacles, missions and the one parameter table `sim`.
 
-    `bounds`, `planner` and `uav_radius` are read-only views of `sim`.
+    The workspace bounds, the body radius and every planner and controller
+    setting are read from `sim` (`sim.bounds`, `sim.uav_radius`, ...).
     """
 
     name: str
     rectangles: tuple[RectObstacle, ...]
     uavs: tuple[UavSpec, ...]
     sim: Params
-
-    @property
-    def bounds(self) -> Bounds:
-        return self.sim.bounds
-
-    @property
-    def planner(self) -> Params:
-        return self.sim
-
-    @property
-    def uav_radius(self) -> float:
-        return self.sim.uav_radius
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -193,13 +182,10 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"params: {exc}") from exc
 
     for u in uavs:
-        for label, pt in (("start", u.start), ("goal", u.goal)):
-            _require(bounds.contains(pt),
-                     f"uav '{u.id}' {label} {pt} lies outside the workspace bounds")
-            for r in rects:
-                _require(point_rect_distance(pt, r) > params.inflation,
-                         f"uav '{u.id}' {label} {pt} lies within the inflated "
-                         f"obstacle '{r.id}'")
+        try:
+            check_endpoints(u.start, u.goal, rects, params)
+        except ValueError as exc:
+            raise ScenarioError(f"uav '{u.id}': {exc}") from exc
     # strict <, as in the engine's collision scan: touching bodies do not overlap
     uav_radius = params.uav_radius
     for i, a in enumerate(uavs):
@@ -219,12 +205,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """
     doc = {
         "name": scenario.name,
-        "bounds": {
-            "min_x": scenario.bounds.min_x,
-            "min_y": scenario.bounds.min_y,
-            "max_x": scenario.bounds.max_x,
-            "max_y": scenario.bounds.max_y,
-        },
+        "bounds": asdict(scenario.sim.bounds),
         "rectangles": [
             {"id": r.id, "center": [r.center.x, r.center.y],
              "width": r.width, "height": r.height}
@@ -297,11 +278,11 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
 def _parse_seed_range(text: str) -> list[int]:
     m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
     if m is None:
-        raise ScenarioError(f"bad seed range {text!r}; expected N or N0..N1")
+        raise argparse.ArgumentTypeError(f"bad seed range {text!r}; expected N or N0..N1")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) is not None else lo
     if hi < lo:
-        raise ScenarioError(f"bad seed range {text!r}: end below start")
+        raise argparse.ArgumentTypeError(f"bad seed range {text!r}: end below start")
     return list(range(lo, hi + 1))
 
 
@@ -350,11 +331,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    seeds = _parse_seed_range(args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_lines = ["seed,uav_id,vo_path_length,apf_path_length"]
-    for seed in seeds:
+    for seed in args.seeds:
         paths = plan_paths(scenario, seed)
         reports: dict[str, RunReport] = {}
         for algo in ("vo", "apf"):
@@ -408,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="run both algorithms over shared plans and seeds")
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--seeds", required=True,
+    p_cmp.add_argument("--seeds", required=True, type=_parse_seed_range,
                        help="seed range N0..N1 (inclusive) or a single seed")
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=_cmd_compare)

@@ -19,14 +19,12 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
 from .obstacle_field import ObstacleField
-from .params import ALGORITHMS, DEFAULT_UAV_RADIUS, Params  # the first two re-exported
+from .params import Params
 from .rrt_planner import PlanningError, WaypointPath, plan_path
 from .vo_core import Threat, avoid
 
 if TYPE_CHECKING:
     from .scenario_cli import Scenario
-
-SimParams = Params  # former name of the one parameter table
 
 
 @dataclass(frozen=True)

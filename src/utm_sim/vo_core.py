@@ -20,22 +20,20 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .geom2d import TAU, Vec2, angle_of, distance, normalize_angle
+from .geom2d import Vec2, angle_of, distance, normalize_angle
 from .params import Params
 
 if TYPE_CHECKING:
     from .sim_engine import UavState
 
 
-VoParams = Params  # former name of the one parameter table
-
-
 @dataclass(frozen=True, slots=True)
 class Threat:
     """One conflict source as seen by a single vehicle for one decision.
 
-    combined_radius is the sum of both bodies' radii. kind/source_id only feed
-    the engine's canonical threat ordering; the cone math never reads them.
+    combined_radius is the sum of both bodies' radii. kind/source_id record
+    the engine's canonical ordering key (UAVs before obstacle circles, then
+    source id); they do not feed it, and the cone math never reads them.
     """
 
     position: Vec2
@@ -155,7 +153,7 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     bx, by = v_b.x, v_b.y
     cands: list[tuple[float, float]] = []
     k = 0
-    while (theta := k * params.theta_step) < TAU:
+    while (theta := k * params.theta_step) < math.tau:
         if _heading_in_cone(theta, cone):
             # zero speed has no heading, so it survives any cone; `0.0 +`
             # folds a -0.0 component to 0.0 as the vector sum does

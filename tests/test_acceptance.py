@@ -16,18 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from utm_sim.apf_core import ApfParams
 from utm_sim.geom2d import (Vec2, distance, normalize_angle,
                             point_rect_distance, segment_rect_distance)
 from utm_sim.metrics import build_report
-from utm_sim.obstacle_field import (DEFAULT_CIRCLE_RADIUS,
-                                    DEFAULT_CIRCLE_SPACING, RectObstacle,
-                                    discretize_rectangle)
-from utm_sim.rrt_planner import PlannerParams
+from utm_sim.obstacle_field import RectObstacle, discretize_rectangle
+from utm_sim.params import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING,
+                            DEFAULT_UAV_RADIUS, Params)
 from utm_sim.scenario_cli import load_scenario, main
-from utm_sim.sim_engine import (DEFAULT_UAV_RADIUS, SimParams, plan_paths,
-                                run, run_planned)
-from utm_sim.vo_core import VoParams, collision_cone, in_cone
+from utm_sim.sim_engine import plan_paths, run, run_planned
+from utm_sim.vo_core import collision_cone, in_cone
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -37,30 +34,25 @@ def _gate(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def _vo_sim(scenario) -> SimParams:
+def _vo_sim(scenario) -> Params:
     return dataclasses.replace(scenario.sim, algorithm="vo")
 
 
-def _apf_sim(scenario) -> SimParams:
+def _apf_sim(scenario) -> Params:
     return dataclasses.replace(scenario.sim, algorithm="apf")
 
 
 def test_criterion_01_parameter_defaults():
-    sim = SimParams()
-    vo = VoParams()
-    apf = ApfParams()
-    planner = PlannerParams()
+    p = Params()  # the one table the planner, both controllers and the step loop read
     ok = (
-        sim.kp == 0.2 and sim.dt == 0.1 and sim.dist_wp == 10.0
+        p.kp == 0.2 and p.dt == 0.1 and p.dist_wp == 10.0
         and DEFAULT_UAV_RADIUS == 12.0
         and DEFAULT_CIRCLE_RADIUS == 12.0
         and DEFAULT_CIRCLE_SPACING == 15.0
-        and vo.dist_uav == 50.0 and vo.dist_obs == 20.0 and vo.kp == 0.2
-        and vo.theta_step == 0.2 and vo.mag_step == 0.2
-        and apf.k_att == 8.0 and apf.k_rep == 15.0
-        and apf.dt == 0.1 and apf.dist_wp == 10.0
-        and apf.dist_uav == 50.0 and apf.dist_obs == 20.0
-        and planner.inflation == 12.0
+        and p.dist_uav == 50.0 and p.dist_obs == 20.0
+        and p.theta_step == 0.2 and p.mag_step == 0.2
+        and p.k_att == 8.0 and p.k_rep == 15.0
+        and p.inflation == 12.0
     )
     _gate(1, ok, "default-constructed params carry the frozen control/geometry values")
 
@@ -141,7 +133,7 @@ def test_criterion_04_head_on_duel():
     assert len(sc.rectangles) == 0 and len(sc.uavs) == 2
     assert sc.uavs[0].start == Vec2(0.0, 200.0) and sc.uavs[0].goal == Vec2(400.0, 200.0)
     assert sc.uavs[1].start == Vec2(400.0, 200.0) and sc.uavs[1].goal == Vec2(0.0, 200.0)
-    assert sc.uav_radius == 12.0 and sc.sim.max_steps == 20_000
+    assert sc.sim.uav_radius == 12.0 and sc.sim.max_steps == 20_000
 
     worst = math.inf
     all_done = True
@@ -253,7 +245,7 @@ def test_criterion_09_planner_output_validity():
     sc = load_scenario(SCENARIOS / "paper_like_5uav.json")
     goals = {u.id: u.goal for u in sc.uavs}
     starts = {u.id: u.start for u in sc.uavs}
-    p = sc.planner
+    p = sc.sim
     violations = []
     for seed in range(1, 51):
         for uid, path in plan_paths(sc, seed).items():

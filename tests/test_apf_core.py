@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from utm_sim.apf_core import ApfParams, apf_step, attractive_force, repulsive_force
+from utm_sim.apf_core import apf_step, attractive_force, repulsive_force
 from utm_sim.geom2d import Vec2
+from utm_sim.params import Params
 from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import Threat
@@ -18,7 +19,7 @@ def make_state(pos: Vec2, wp: Vec2) -> UavState:
 
 
 def test_default_params():
-    p = ApfParams()
+    p = Params()
     assert p.k_att == 8.0
     assert p.k_rep == 15.0
     assert p.dt == 0.1
@@ -26,7 +27,7 @@ def test_default_params():
     assert p.dist_uav == 50.0
     assert p.dist_obs == 20.0
     with pytest.raises(ValueError):
-        ApfParams(k_att=0.0)
+        Params(k_att=0.0)
 
 
 class TestForces:
@@ -83,18 +84,18 @@ class TestTotalForce:
         # attraction +8, repulsion -15 along the same line: net backward 7
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
-        assert apf_step(state, threats, ApfParams()) == Vec2(-7.0, 0.0)
+        assert apf_step(state, threats, Params()) == Vec2(-7.0, 0.0)
 
     def test_threat_behind(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         threats = [Threat(Vec2(-2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
-        v = apf_step(state, threats, ApfParams())
+        v = apf_step(state, threats, Params())
         assert v == Vec2(23.0, 0.0)
         assert v.norm() == 23.0
 
     def test_superposition(self):
         rng = random.Random(12)
-        params = ApfParams()
+        params = Params()
         pos, wp = Vec2(0.0, 0.0), Vec2(50.0, 20.0)
         points = [Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(4)]
         threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, "obstacle", f"o{k}")
@@ -109,13 +110,13 @@ class TestApfStep:
     def test_free_space_step_length(self):
         # no threats: the command is k_att toward the waypoint (a dt * 8 = 0.8 step)
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        assert apf_step(state, [], ApfParams()) == Vec2(8.0, 0.0)
+        assert apf_step(state, [], Params()) == Vec2(8.0, 0.0)
 
     def test_step_with_blocking_threat(self):
         # the net force (-7, 0) moves the UAV dt * 7 backward in one step
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
-        params = ApfParams()
+        params = Params()
         v = apf_step(state, threats, params)
         assert state.position + v * params.dt == Vec2(0.1 * -7.0, 0.0)
 
@@ -125,7 +126,7 @@ class TestApfStep:
         state = make_state(Vec2(3.0, 4.0), Vec2(100.0, 4.0))
         here = Threat(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
         other = Threat(Vec2(5.0, 4.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")
-        params = ApfParams()
+        params = Params()
         assert apf_step(state, [here], params) == apf_step(state, [], params)
         assert apf_step(state, [here, other], params) == apf_step(state, [other], params)
         assert apf_step(state, [here, other], params) != apf_step(state, [], params)
@@ -134,7 +135,7 @@ class TestApfStep:
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
         t1 = [Threat(Vec2(2.0, 3.0), Vec2(5.0, 5.0), 24.0, "uav", "x")]
         t2 = [Threat(Vec2(2.0, 3.0), Vec2(-5.0, 0.0), 12.0, "obstacle", "y")]
-        assert apf_step(state, t1, ApfParams()) == apf_step(state, t2, ApfParams())
+        assert apf_step(state, t1, Params()) == apf_step(state, t2, Params())
 
 
 _coord = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
@@ -150,7 +151,7 @@ def _apf_cases(draw):
     points = draw(st.lists(st.one_of(_points, st.just(pos)), max_size=6))
     if points and draw(st.booleans()):
         points.append(draw(st.sampled_from(points)))
-    params = ApfParams(k_att=draw(st.floats(0.1, 50.0)), k_rep=draw(st.floats(0.1, 50.0)))
+    params = Params(k_att=draw(st.floats(0.1, 50.0)), k_rep=draw(st.floats(0.1, 50.0)))
     return make_state(pos, wp), points, params
 
 

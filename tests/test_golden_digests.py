@@ -2,8 +2,8 @@
 
 tests/golden_digests.json holds sha256 digests of:
 - trajectories.csv (key `<scenario>/<algo>/seed=1`), distances.csv,
-  events.json and report.json (the same key plus `/<file>`) for every shipped
-  scenario under both controllers at seed 1;
+  events.json, report.json and the echoed scenario.json (the same key plus
+  `/<file>`) for every shipped scenario under both controllers at seed 1;
 - waypoints.csv written by `plan` for every shipped scenario at seeds 1-3
   (key `plan/<scenario>/seed=<n>/waypoints.csv`);
 - every file `compare --seeds 1..2` writes on paper_like_7uav (key
@@ -33,7 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIOS = ("head_on_duel", "paper_like_5uav", "paper_like_7uav", "corner_corridor")
 ALGOS = ("vo", "apf")
 SEED = 1
-RUN_FILES = ("trajectories.csv", "distances.csv", "events.json", "report.json")
+RUN_FILES = ("trajectories.csv", "distances.csv", "events.json", "report.json",
+             "scenario.json")
 PLAN_SEEDS = (1, 2, 3)
 COMPARE_SCENARIO = "paper_like_7uav"
 COMPARE_SEEDS = "1..2"
@@ -111,7 +112,8 @@ def test_trajectories_match_golden_digest(run_outputs, golden, scenario, algo):
     assert run_outputs(scenario, algo)[key] == golden[key]
 
 
-@pytest.mark.parametrize("name", ("distances.csv", "events.json", "report.json", "stdout"))
+@pytest.mark.parametrize("name", ("distances.csv", "events.json", "report.json", "scenario.json",
+                                  "stdout"))
 @pytest.mark.parametrize("algo", ALGOS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_run_outputs_match_golden_digest(run_outputs, golden, scenario, algo, name):

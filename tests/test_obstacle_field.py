@@ -125,10 +125,11 @@ class TestObstacleField:
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
         f = ObstacleField([r1, r2])
         assert f.rectangles == (r1, r2)
-        assert len(f.circles) == 6 + 4
+        circles = [c for _, group in f.circles_by_rect for c in group]
+        assert len(circles) == 6 + 4
         assert [rect.id for rect, _ in f.circles_by_rect] == ["a", "b"]
-        assert all(isinstance(c, CircleObstacle) for c in f.circles)
-        assert {c.parent for c in f.circles} == {"a", "b"}
+        assert all(isinstance(c, CircleObstacle) for c in circles)
+        assert {c.parent for c in circles} == {"a", "b"}
 
     def test_duplicate_ids_rejected(self):
         r1 = RectObstacle(Vec2(0, 0), 10.0, 10.0, "a")
@@ -139,4 +140,4 @@ class TestObstacleField:
     def test_empty_field(self):
         f = ObstacleField([])
         assert f.rectangles == ()
-        assert f.circles == ()
+        assert f.circles_by_rect == ()

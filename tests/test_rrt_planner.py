@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from utm_sim import rrt_planner
 from utm_sim.geom2d import Bounds, Vec2, distance, segment_rect_distance
 from utm_sim.obstacle_field import RectObstacle
+from utm_sim.params import Params
 from utm_sim.rrt_planner import (
-    PlannerParams,
     PlanningError,
     RrtTree,
     WaypointPath,
@@ -21,7 +21,7 @@ from utm_sim.rrt_planner import (
 
 class TestParams:
     def test_defaults(self):
-        p = PlannerParams()
+        p = Params()
         assert p.step_size == 10.0
         assert p.goal_bias == 0.05
         assert p.max_iters == 10_000
@@ -30,20 +30,20 @@ class TestParams:
         assert p.bounds == Bounds(0.0, 0.0, 400.0, 400.0)
 
     def test_goal_bias_range_inclusive(self):
-        PlannerParams(goal_bias=0.0)
-        PlannerParams(goal_bias=1.0)
+        Params(goal_bias=0.0)
+        Params(goal_bias=1.0)
         with pytest.raises(ValueError):
-            PlannerParams(goal_bias=-0.01)
+            Params(goal_bias=-0.01)
         with pytest.raises(ValueError):
-            PlannerParams(goal_bias=1.01)
+            Params(goal_bias=1.01)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            PlannerParams(step_size=0.0)
+            Params(step_size=0.0)
         with pytest.raises(ValueError):
-            PlannerParams(max_iters=0)
+            Params(max_iters=0)
         with pytest.raises(ValueError):
-            PlannerParams(inflation=-1.0)
+            Params(inflation=-1.0)
 
 
 class TestSteer:
@@ -103,7 +103,7 @@ class TestTree:
         idx = 0
         for i in range(1, 600):  # a long chain: branch_to walks all 600 vertices
             idx = tree.add(Vec2(float(i), 0.0), idx)
-        assert len(tree) == 600
+        assert len(tree.vertices) == 600
         branch = tree.branch_to(idx)
         assert branch[0] == Vec2(0.0, 0.0)
         assert branch[-1] == Vec2(599.0, 0.0)
@@ -129,13 +129,13 @@ class TestTree:
 
 class TestSampleConfig:
     def test_goal_bias_one_always_goal(self):
-        params = PlannerParams(goal_bias=1.0)
+        params = Params(goal_bias=1.0)
         goal = Vec2(123.0, 45.0)
         rng = random.Random(0)
         assert all(sample_config(params, goal, rng) == goal for _ in range(50))
 
     def test_goal_bias_zero_uniform_in_bounds(self):
-        params = PlannerParams(goal_bias=0.0, bounds=Bounds(10.0, 20.0, 30.0, 40.0))
+        params = Params(goal_bias=0.0, bounds=Bounds(10.0, 20.0, 30.0, 40.0))
         goal = Vec2(25.0, 25.0)
         rng = random.Random(1)
         hits = 0
@@ -161,12 +161,12 @@ def _clear_plan_invariants(path: WaypointPath, start, goal, rects, params):
 
 class TestPlanPath:
     def test_trivial_when_start_in_goal_region(self):
-        params = PlannerParams()
+        params = Params()
         p = plan_path(Vec2(5.0, 5.0), Vec2(9.0, 5.0), [], params, seed=1)
         assert p.waypoints == (Vec2(5.0, 5.0),)
 
     def test_deterministic_per_seed(self):
-        params = PlannerParams()
+        params = Params()
         rects = [RectObstacle(Vec2(200.0, 200.0), 80.0, 80.0, "mid")]
         a = plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), rects, params, seed=42)
         b = plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), rects, params, seed=42)
@@ -176,7 +176,7 @@ class TestPlanPath:
 
     def test_invariants_on_random_maps(self):
         rng = random.Random(77)
-        params = PlannerParams()
+        params = Params()
         start, goal = Vec2(20.0, 20.0), Vec2(380.0, 380.0)
         for trial in range(15):
             rects = []
@@ -188,13 +188,13 @@ class TestPlanPath:
             _clear_plan_invariants(path, start, goal, rects, params)
 
     def test_endpoint_validation(self):
-        params = PlannerParams()
+        params = Params()
         rects = [RectObstacle(Vec2(200.0, 200.0), 50.0, 50.0, "mid")]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^start .* outside the workspace bounds$"):
             plan_path(Vec2(-5.0, 20.0), Vec2(380.0, 380.0), rects, params, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^goal .* within the inflated obstacle 'mid'$"):
             plan_path(Vec2(20.0, 20.0), Vec2(200.0, 200.0), rects, params, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inflated obstacle 'mid'"):
             # within the inflation margin of the rectangle counts as blocked
             plan_path(Vec2(20.0, 20.0), Vec2(200.0, 236.0), rects, params, seed=1)
 
@@ -206,7 +206,7 @@ class TestPlanPath:
             RectObstacle(Vec2(155.0, 200.0), 10.0, 110.0, "left"),
             RectObstacle(Vec2(245.0, 200.0), 10.0, 110.0, "right"),
         ]
-        params = PlannerParams(max_iters=2000)
+        params = Params(max_iters=2000)
         with pytest.raises(PlanningError):
             plan_path(Vec2(20.0, 20.0), Vec2(200.0, 200.0), walls, params, seed=3)
 
@@ -234,7 +234,7 @@ def _planning_problems(draw):
     rects = [RectObstacle(Vec2(draw(st.floats(40.0, 360.0)), draw(st.floats(40.0, 360.0))),
                           draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)), f"r{i}")
              for i in range(draw(st.integers(0, 5)))]
-    params = PlannerParams(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
+    params = Params(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
                            goal_bias=draw(st.sampled_from((0.05, 0.4))),
                            inflation=draw(st.sampled_from((0.0, 2.5, 5.0, 12.0))),
                            max_iters=300)

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utm_sim.apf_core import ApfParams, apf_step
+import utm_sim
+from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle
-from utm_sim.params import Params
-from utm_sim.rrt_planner import PlannerParams, PlanningError, WaypointPath
+from utm_sim.params import DEFAULT_UAV_RADIUS, Params
+from utm_sim.rrt_planner import PlanningError, WaypointPath
 from utm_sim.scenario_cli import Scenario, UavSpec, load_scenario
 from utm_sim.sim_engine import (
-    DEFAULT_UAV_RADIUS,
     SimEvent,
-    SimParams,
     UavState,
     World,
     assign_waypoint,
@@ -29,7 +28,7 @@ from utm_sim.sim_engine import (
     run_planned,
     step,
 )
-from utm_sim.vo_core import Threat, VoParams
+from utm_sim.vo_core import Threat
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,14 +49,14 @@ def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **param
 
 
 def test_sim_params_defaults_and_validation():
-    p = SimParams()
+    p = Params()
     assert (p.dt, p.kp, p.dist_wp, p.max_steps, p.algorithm) == (0.1, 0.2, 10.0, 20_000, "vo")
     with pytest.raises(ValueError):
-        SimParams(algorithm="magic")
+        Params(algorithm="magic")
     with pytest.raises(ValueError):
-        SimParams(dt=0.0)
+        Params(dt=0.0)
     with pytest.raises(ValueError):
-        SimParams(max_steps=0)
+        Params(max_steps=0)
 
 
 _NUMERIC_FIELDS = [f.name for f in fields(Params) if f.name not in ("algorithm", "bounds")]
@@ -81,16 +80,16 @@ def test_default_uav_radius():
 
 
 class TestOneTable:
-    def test_former_names_are_the_one_table(self):
-        assert SimParams is Params and VoParams is Params
-        assert ApfParams is Params and PlannerParams is Params
+    def test_public_names_are_one_name_each(self):
+        names = utm_sim.__all__
+        assert len(set(names)) == len(names)
+        objects = [getattr(utm_sim, name) for name in names]  # every name resolves
+        assert len({id(obj) for obj in objects}) == len(names)  # no second name for one object
 
     def test_no_second_table_in_world_or_scenario(self):
         assert [f.name for f in fields(World)] == ["uavs", "field"]
         assert [f.name for f in fields(Scenario)] == ["name", "rectangles", "uavs", "sim"]
-        sc = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))],
-                           uav_radius=9.0)
-        assert sc.planner is sc.sim and sc.uav_radius == 9.0 and sc.bounds is sc.sim.bounds
+        assert not [name for name, v in vars(Scenario).items() if isinstance(v, property)]
 
     def test_inflation_defaults_to_uav_radius(self):
         assert Params().inflation == 12.0
@@ -106,9 +105,10 @@ class TestOneTable:
                          circle_spacing=8.0)
         world = build_world(sc, params, plan_paths(sc, 1))
         assert [u.radius for u in world.uavs] == [9.0]
-        assert {c.radius for c in world.field.circles} == {5.0}
+        circles = [c for _, group in world.field.circles_by_rect for c in group]
+        assert {c.radius for c in circles} == {5.0}
         # 30 m edges at spacing 8: four circles per edge
-        assert len(world.field.circles) == 16
+        assert len(circles) == 16
 
     def test_kp_on_the_run_table_steers_vo(self):
         sc = load_scenario(SCENARIOS / "head_on_duel.json")
@@ -433,7 +433,7 @@ class TestStep:
     def test_free_space_velocity_and_position(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         world = make_world([u])
-        events = step(world, SimParams(), t=0.1)
+        events = step(world, Params(), t=0.1)
         assert events == []
         moved = world.uavs[0]
         assert moved.velocity == Vec2(20.0, 0.0)  # kp * (wp - pos)
@@ -443,7 +443,7 @@ class TestStep:
     def test_waypoint_advance_event_then_motion_toward_new_target(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(5.0, 0.0), Vec2(0.0, 50.0)])
         world = make_world([u])
-        events = step(world, SimParams(), t=0.1)
+        events = step(world, Params(), t=0.1)
         assert [e.kind for e in events] == ["waypoint_advanced"]
         assert events[0].details == {"uav": "a", "waypoint_index": 1}
         # motion this same step already aims at the new waypoint
@@ -453,14 +453,14 @@ class TestStep:
     def test_arrival_parks_uav(self):
         u = make_uav("a", Vec2(99.0, 0.0), [Vec2(100.0, 0.0)])
         world = make_world([u])
-        events = step(world, SimParams(), t=0.1)
+        events = step(world, Params(), t=0.1)
         assert [e.kind for e in events] == ["arrived"]
         parked = world.uavs[0]
         assert parked.arrived
         assert parked.position == Vec2(99.0, 0.0)
         assert parked.velocity == Vec2(0.0, 0.0)
         # subsequent steps leave it exactly in place
-        assert step(world, SimParams(), t=0.2) == []
+        assert step(world, Params(), t=0.2) == []
         assert world.uavs[0].position == Vec2(99.0, 0.0)
 
     def test_permutation_invariance_of_interacting_pair(self):
@@ -470,7 +470,7 @@ class TestStep:
             return make_world([a, b] if order == "ab" else [b, a])
 
         w1, w2 = build("ab"), build("ba")
-        params = SimParams()
+        params = Params()
         for i in range(1, 120):
             e1 = step(w1, params, t=i * params.dt)
             e2 = step(w2, params, t=i * params.dt)
@@ -483,7 +483,7 @@ class TestStep:
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         b = make_uav("b", Vec2(40.0, 0.0), [Vec2(40.0, 0.0)], arrived=True)
         world = make_world([a, b])
-        step(world, SimParams(), t=0.1)
+        step(world, Params(), t=0.1)
         moved = {u.id: u for u in world.uavs}["a"]
         assert moved.velocity != Vec2(20.0, 0.0)  # had to deviate
 
@@ -492,7 +492,7 @@ class TestStep:
         b = make_uav("b", Vec2(10.0, 0.0), [Vec2(200.0, 0.0)], vel=Vec2(0.0, 0.0))
         c = make_uav("c", Vec2(-10.0, 0.0), [Vec2(200.0, 0.0)], vel=Vec2(30.0, 0.0))
         world = make_world([a, b, c])
-        events = step(world, SimParams(), t=0.1)
+        events = step(world, Params(), t=0.1)
         empty = [e for e in events if e.kind == "empty_feasible_set"]
         assert any(e.details["uav"] == "a" for e in empty)
         moved = {u.id: u for u in world.uavs}["a"]
@@ -501,7 +501,7 @@ class TestStep:
     def test_apf_algorithm_velocity_is_displacement_rate(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         world = make_world([u])
-        step(world, SimParams(algorithm="apf"), t=0.1)
+        step(world, Params(algorithm="apf"), t=0.1)
         moved = world.uavs[0]
         assert moved.position == Vec2(0.8, 0.0)  # dt * k_att
         assert moved.velocity.x == pytest.approx(8.0)
@@ -513,7 +513,7 @@ class TestStep:
         a = make_uav("a", Vec2(0.3, 0.7), [Vec2(100.0, 37.0)])
         b = make_uav("b", Vec2(30.0, 10.0), [Vec2(-50.0, 10.0)])
         world = make_world([a, b])
-        params = SimParams(algorithm="apf")
+        params = Params(algorithm="apf")
         before = tuple(world.uavs)
         step(world, params, t=params.dt)
         for u, moved in zip(before, world.uavs):
@@ -528,7 +528,7 @@ class TestStep:
     def test_parked_uav_passes_through_unchanged(self, algorithm):
         parked = make_uav("p", Vec2(20.0, 0.0), [Vec2(20.0, 0.0)], arrived=True)
         world = make_world([make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)]), parked])
-        step(world, SimParams(algorithm=algorithm), t=0.1)
+        step(world, Params(algorithm=algorithm), t=0.1)
         assert world.uavs[1] is parked
 
 
@@ -570,7 +570,7 @@ class TestSeedsAndPlanning:
 class TestRun:
     def test_single_uav_completes(self):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))])
-        result = run(scenario, SimParams(), seed=3)
+        result = run(scenario, Params(), seed=3)
         assert result.completed
         assert result.algorithm == "vo"
         assert 0 < result.steps < 2000
@@ -586,7 +586,7 @@ class TestRun:
 
     def test_time_axis_uniform(self):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))])
-        result = run(scenario, SimParams(), seed=3)
+        result = run(scenario, Params(), seed=3)
         ts = [s.t for s in result.trajectories["u1"]]
         for i, t in enumerate(ts):
             assert t == i * 0.1
@@ -596,13 +596,13 @@ class TestRun:
             UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0)),
             UavSpec("u2", Vec2(30.0, 200.0), Vec2(120.0, 300.0)),
         ])
-        result = run(scenario, SimParams(max_steps=5), seed=3)
+        result = run(scenario, Params(max_steps=5), seed=3)
         t0 = [e for e in result.events if e.t == 0.0 and e.kind == "uav_uav_collision"]
         assert t0
 
     def test_max_steps_cutoff(self):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(380.0, 200.0))])
-        result = run(scenario, SimParams(max_steps=7), seed=3)
+        result = run(scenario, Params(max_steps=7), seed=3)
         assert not result.completed
         assert result.steps == 7
         assert len(result.trajectories["u1"]) == 8
@@ -613,15 +613,15 @@ class TestRun:
              UavSpec("u2", Vec2(380.0, 20.0), Vec2(20.0, 380.0))],
             rects=[RectObstacle(Vec2(200.0, 200.0), 60.0, 60.0, "mid")],
         )
-        r1 = run(scenario, SimParams(), seed=11)
-        r2 = run(scenario, SimParams(), seed=11)
+        r1 = run(scenario, Params(), seed=11)
+        r2 = run(scenario, Params(), seed=11)
         assert r1.trajectories == r2.trajectories
         assert r1.events == r2.events
 
     def test_run_planned_shares_paths_between_algorithms(self):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(200.0, 200.0))])
         paths = plan_paths(scenario, 5)
-        r_vo = run_planned(scenario, SimParams(algorithm="vo"), paths)
-        r_apf = run_planned(scenario, SimParams(algorithm="apf"), paths)
+        r_vo = run_planned(scenario, Params(algorithm="vo"), paths)
+        r_apf = run_planned(scenario, Params(algorithm="apf"), paths)
         assert r_vo.completed and r_apf.completed
         assert r_vo.algorithm == "vo" and r_apf.algorithm == "apf"

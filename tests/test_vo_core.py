@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from utm_sim.geom2d import TAU, Vec2, distance, normalize_angle
+from utm_sim.geom2d import Vec2, distance, normalize_angle
+from utm_sim.params import Params
 from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import (
     CollisionCone,
     FeasibleSet,
     Threat,
-    VoParams,
     avoid,
     collision_cone,
     in_cone,
@@ -26,16 +26,16 @@ def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a", radius: float = 12.0) -> 
 
 
 def test_default_params():
-    p = VoParams()
+    p = Params()
     assert p.theta_step == 0.2
     assert p.mag_step == 0.2
     assert p.dist_uav == 50.0
     assert p.dist_obs == 20.0
     assert p.kp == 0.2
     with pytest.raises(ValueError):
-        VoParams(theta_step=0.0)
+        Params(theta_step=0.0)
     with pytest.raises(ValueError):
-        VoParams(kp=-1.0)
+        Params(kp=-1.0)
 
 
 class TestCollisionCone:
@@ -135,7 +135,7 @@ def grid_candidates(speeds, v_b, blocked=frozenset()):
     Built with Vec2 arithmetic so the float pairs must equal the vector sums."""
     out = []
     k = 0
-    while (theta := k * 0.2) < TAU:
+    while (theta := k * 0.2) < math.tau:
         if k in blocked:
             s = Vec2(0.0, 0.0) + v_b
             out.append((s.x, s.y))
@@ -153,7 +153,7 @@ class TestSearchFeasible:
         cone = collision_cone(Vec2(0.0, 0.0),
                               Vec2(1000.0 * math.cos(0.5), 1000.0 * math.sin(0.5)),
                               0.05, 0.05)
-        params = VoParams()
+        params = Params()
         v_b = Vec2(1.0, 2.0)
         v_ab = Vec2(0.5, 0.0)
         fset = search_feasible(v_ab, v_b, cone, params)
@@ -168,7 +168,7 @@ class TestSearchFeasible:
 
     def test_speed_grid_keeps_off_grid_maximum(self):
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(1000.0, 0.0), 0.05, 0.05)
-        fset = search_feasible(Vec2(0.0, 0.7), Vec2(0.0, 0.0), cone, VoParams())
+        fset = search_feasible(Vec2(0.0, 0.7), Vec2(0.0, 0.0), cone, Params())
         # speeds 0, 0.2, 0.4, 0.6 on the grid, then 0.7 itself; heading 0 lies
         # inside the thin cone and keeps only its zero entry
         speeds = [k * 0.2 for k in range(4)] + [0.7]
@@ -180,7 +180,7 @@ class TestSearchFeasible:
     def test_cone_blocks_headings_but_zero_speed_survives(self):
         # frozen case: |v_ab| = 1, cone center 0, half-angle asin(0.5)
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
-        fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone, VoParams())
+        fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone, Params())
         blocked = {0, 1, 2, 29, 30, 31}  # headings 0.0-0.4 and 5.8-6.2 are inside the cone
         # full grid is 32 x 6 = 192; blocked headings keep only their M=0 entry
         assert len(fset.candidates) == 192 - len(blocked) * 5
@@ -196,7 +196,7 @@ class TestSearchFeasible:
         # Vec2(0, 0) + Vec2(-0.0, -0.0) is (0.0, 0.0): a -0.0 here would
         # print as -0.000000 if hover won, changing the exported bytes
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
-        fset = search_feasible(Vec2(1.0, 0.0), Vec2(-0.0, -0.0), cone, VoParams())
+        fset = search_feasible(Vec2(1.0, 0.0), Vec2(-0.0, -0.0), cone, Params())
         for x, y in fset.candidates[:3]:
             assert (math.copysign(1.0, x), math.copysign(1.0, y)) == (1.0, 1.0)
 
@@ -209,7 +209,7 @@ class TestSearchFeasible:
             cone = collision_cone(Vec2(0.0, 0.0), p_b, 6.0, 6.0)
             v_b = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
             v_ab = Vec2(rng.uniform(-8, 8), rng.uniform(-8, 8))
-            fset = search_feasible(v_ab, v_b, cone, VoParams())
+            fset = search_feasible(v_ab, v_b, cone, Params())
             assert fset.candidates
             for cand in fset.candidates:
                 assert not in_cone(Vec2(*cand) - v_b, cone)
@@ -218,7 +218,7 @@ class TestSearchFeasible:
 class TestPruneAndSelect:
     def test_prune_removes_conflicting_and_keeps_order(self):
         cone1 = collision_cone(Vec2(0.0, 0.0), Vec2(1000.0, 1000.0), 0.01, 0.01)
-        fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone1, VoParams())
+        fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone1, Params())
         # prune against a violating threat dead ahead: forward headings die
         cone2 = collision_cone(Vec2(0.0, 0.0), Vec2(5.0, 0.0), 12.0, 12.0)
         v_other = Vec2(0.0, 0.0)
@@ -275,7 +275,7 @@ def oracle_avoid(pos, wp, threats, params):
     best_d2 = math.inf
     count = 0
     k = 0
-    while (theta := k * params.theta_step) < TAU:
+    while (theta := k * params.theta_step) < math.tau:
         for m in mags:
             rel = Vec2(m * math.cos(theta), m * math.sin(theta))
             vel = rel + first_threat.velocity
@@ -298,7 +298,7 @@ def oracle_avoid(pos, wp, threats, params):
 class TestAvoid:
     def test_no_threats_returns_nominal_velocity(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 50.0))
-        res = avoid(state, [], VoParams())
+        res = avoid(state, [], Params())
         assert res.velocity == Vec2(20.0, 10.0)  # kp * (wp - pos)
         assert not res.engaged
         assert not res.empty_set
@@ -307,7 +307,7 @@ class TestAvoid:
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         # threat well off to the side, moving away
         th = Threat(Vec2(0.0, 45.0), Vec2(0.0, 5.0), 24.0, "uav", "b")
-        res = avoid(state, [th], VoParams())
+        res = avoid(state, [th], Params())
         assert res.velocity == Vec2(20.0, 0.0)
         assert not res.engaged
 
@@ -316,7 +316,7 @@ class TestAvoid:
         # is blocked, and the zero-speed candidate is the closest survivor
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         th = Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
-        res = avoid(state, [th], VoParams())
+        res = avoid(state, [th], Params())
         assert res.engaged
         assert not res.empty_set  # the set is not empty, hover simply wins
         assert res.velocity == Vec2(0.0, 0.0)
@@ -324,7 +324,7 @@ class TestAvoid:
     def test_head_on_conflict_matches_oracle(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "uav", "b")
-        params = VoParams()
+        params = Params()
         res = avoid(state, [th], params)
         want, engaged, empty = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0), [th], params)
         assert engaged and not empty
@@ -340,7 +340,7 @@ class TestAvoid:
             Threat(Vec2(50.0, 5.0), Vec2(-15.0, 0.0), 24.0, "uav", "b"),
             Threat(Vec2(40.0, -30.0), Vec2(0.0, 8.0), 24.0, "uav", "c"),
         ]
-        params = VoParams()
+        params = Params()
         res = avoid(state, threats, params)
         want, engaged, empty = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0),
                                             threats, params)
@@ -362,17 +362,17 @@ class TestAvoid:
             Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b"),
             Threat(Vec2(-10.0, 0.0), Vec2(30.0, 0.0), 24.0, "uav", "c"),
         ]
-        res = avoid(state, threats, VoParams())
+        res = avoid(state, threats, Params())
         assert res.engaged
         assert res.empty_set
         assert res.velocity == Vec2(0.0, 0.0)
         want, _, empty = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0),
-                                      threats, VoParams())
+                                      threats, Params())
         assert empty and want == Vec2(0.0, 0.0)
 
     def test_randomized_agreement_with_oracle(self):
         rng = random.Random(2025)
-        params = VoParams()
+        params = Params()
         agreements = 0
         for _ in range(300):
             pos = Vec2(rng.uniform(-20, 20), rng.uniform(-20, 20))
@@ -398,7 +398,7 @@ class TestAvoid:
     def test_threat_at_own_position_is_skipped(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         th = Threat(Vec2(0.0, 0.0), Vec2(1.0, 0.0), 24.0, "uav", "ghost")
-        res = avoid(state, [th], VoParams())
+        res = avoid(state, [th], Params())
         assert res.velocity == Vec2(20.0, 0.0)
         assert not res.engaged
 
