@@ -7,10 +7,16 @@ a velocity, as `vo_core.avoid` does, and the engine commits both controllers
 the same way. The constant magnitudes are deliberate: they are what makes this
 baseline cut corners near obstacle edges, which the avoidance comparison
 measures.
+
+`attractive_force` and `repulsive_force` are the reference law on `Vec2`.
+`apf_step`, which runs once per UAV-step, does the same arithmetic on plain
+floats in the same order and builds one `Vec2` at the end, so its result is
+bit for bit the `Vec2` sum of the two force functions.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 from .geom2d import Vec2
@@ -40,14 +46,34 @@ def repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
 def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> Vec2:
     """Velocity command for one step: the total force, as `vo_core.avoid` returns one.
 
-    The attractive force plus each threat's repulsion, summed in threat order.
-    `threats` must already be filtered to activation range; only their
-    positions matter here. A threat at the vehicle's own position is skipped,
-    as `vo_core.avoid` skips it: it has no direction to repel along.
+    The attractive force plus each threat's repulsion, summed left to right in
+    threat order. `threats` must already be filtered to activation range; only
+    their positions matter here. A threat at the vehicle's own position is
+    skipped, as `vo_core.avoid` skips it: it has no direction to repel along.
+
+    Floats inside, one `Vec2` out: each term is `dx / n * k`, which is what
+    `k * direction.unit()` computes (`Vec2.__rmul__` is `__mul__`), and the
+    sums are the components of `Vec2.__add__`. The result is bit for bit that
+    of `attractive_force` plus each `repulsive_force`. A difference that
+    overflows turns into nan here instead of raising at once, and nan survives
+    every later add, so the returned `Vec2` raises `ValueError` exactly when
+    the force functions would.
     """
-    pos = state.position
-    f = attractive_force(pos, state.current_waypoint(), params.k_att)
+    px, py = state.position.x, state.position.y
+    wp = state.current_waypoint()
+    dx, dy = wp.x - px, wp.y - py
+    if dx == 0.0 and dy == 0.0:
+        raise ValueError("attractive force undefined at the waypoint itself")
+    n = math.hypot(dx, dy)
+    fx, fy = dx / n * params.k_att, dy / n * params.k_att
+    k_rep = params.k_rep
     for t in threats:
-        if t.position != pos:
-            f = f + repulsive_force(pos, t.position, params.k_rep)
-    return f
+        # finite floats differ by exactly 0 only when they are equal, so this
+        # skips exactly the threats at the UAV's own position
+        dx, dy = px - t.position.x, py - t.position.y
+        if dx == 0.0 and dy == 0.0:
+            continue
+        n = math.hypot(dx, dy)
+        fx += dx / n * k_rep
+        fy += dy / n * k_rep
+    return Vec2(fx, fy)

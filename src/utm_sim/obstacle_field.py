@@ -94,7 +94,12 @@ def discretize_rectangle(rect: RectObstacle, circle_radius: float,
 class ObstacleField:
     """All static obstacles of a scenario plus their circle approximation.
 
-    Immutable after construction; the engine shares one instance across steps.
+    `rings` holds, for each rectangle in input order, its circles as
+    `(k, circle)` pairs sorted by centre x (ties in perimeter order), where `k`
+    is the circle's index in `discretize_rectangle`'s perimeter order and so
+    names it (`"<rect id>#<k>"`). The x order lets threat gathering find the
+    circles within range along x by bisection. Immutable after construction;
+    the engine shares one instance across steps.
     """
 
     def __init__(self, rectangles: list[RectObstacle],
@@ -106,6 +111,8 @@ class ObstacleField:
                 raise ValueError(f"duplicate rectangle id '{r.id}'")
             seen.add(r.id)
         self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
-        self.circles_by_rect: tuple[tuple[RectObstacle, tuple[CircleObstacle, ...]], ...] = tuple(
-            (r, tuple(discretize_rectangle(r, circle_radius, spacing))) for r in self.rectangles
+        self.rings: tuple[tuple[RectObstacle, tuple[tuple[int, CircleObstacle], ...]], ...] = tuple(
+            (r, tuple(sorted(enumerate(discretize_rectangle(r, circle_radius, spacing)),
+                             key=lambda kc: kc[1].center.x)))
+            for r in self.rectangles
         )

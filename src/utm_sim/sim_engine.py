@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
@@ -115,6 +116,16 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     is faithfully rounded, so `hypot(dx, dy) >= max(|dx|, |dy|)` holds for
     floats too, and every source that passes still gets the very `hypot` or
     `point_rect_distance` call on the very operands it got before.
+
+    Of each rectangle's ring only the circles that pass both `dx` tests are
+    visited. The computed `cx - px` is monotone in `cx` (rounding never
+    reverses an order), so along the ring, which is sorted by centre x, the
+    circles failing `px - cx < range` (the same float as `-(cx - px)`) form a
+    prefix and those failing `cx - px < range` a suffix. Two bisections on
+    these very predicates find the run between them. Comparing `cx` with a
+    precomputed `px - range` or `px + range` would not be the same test,
+    because that sum is rounded too. The visiting order does not matter: the
+    sort key (distance, kind, source id) is total.
     """
     px, py = uav.position.x, uav.position.y
     keyed: list[tuple[float, int, str, Threat]] = []
@@ -134,14 +145,16 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
                 kind="uav",
                 source_id=other.id,
             )))
-    for rect, circles in obstacles.circles_by_rect:
+    for rect, ring in obstacles.rings:
         if rect.min_x - px >= dist_obs or px - rect.max_x >= dist_obs \
                 or rect.min_y - py >= dist_obs or py - rect.max_y >= dist_obs \
                 or point_rect_distance(uav.position, rect) >= dist_obs:
             continue
-        for k, c in enumerate(circles):
+        lo = bisect_left(ring, True, key=lambda kc: px - kc[1].center.x < dist_obs)
+        hi = bisect_left(ring, True, lo, key=lambda kc: kc[1].center.x - px >= dist_obs)
+        for k, c in ring[lo:hi]:
             dx, dy = c.center.x - px, c.center.y - py
-            if dx >= dist_obs or -dx >= dist_obs or dy >= dist_obs or -dy >= dist_obs:
+            if dy >= dist_obs or -dy >= dist_obs:
                 continue
             d = math.hypot(dx, dy)
             if d < dist_obs:

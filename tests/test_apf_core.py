@@ -138,17 +138,28 @@ class TestApfStep:
         assert apf_step(state, t1, Params()) == apf_step(state, t2, Params())
 
 
-_coord = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
+_coord = (st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
+          | st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False))
 _points = st.builds(Vec2, _coord, _coord)
 
 
 @st.composite
+def _next_to(draw, p):
+    """p moved by 1 ulp along x, along y, or along both."""
+    def nudge(v):
+        return math.nextafter(v, draw(st.sampled_from([math.inf, -math.inf])))
+    how = draw(st.sampled_from(["x", "y", "xy"]))
+    return Vec2(nudge(p.x) if "x" in how else p.x, nudge(p.y) if "y" in how else p.y)
+
+
+@st.composite
 def _apf_cases(draw):
-    """A state and a threat list that may be empty, hold the UAV's own
-    position and repeat a threat."""
+    """A state and a threat list of mixed magnitudes (coordinates up to 1e150)
+    that may be empty, hold the UAV's own position or a point 1 ulp from it,
+    and repeat a threat."""
     pos = draw(_points)
-    wp = draw(_points.filter(lambda p: p != pos))
-    points = draw(st.lists(st.one_of(_points, st.just(pos)), max_size=6))
+    wp = draw(st.one_of(_points, _next_to(pos)).filter(lambda p: p != pos))
+    points = draw(st.lists(st.one_of(_points, st.just(pos), _next_to(pos)), max_size=6))
     if points and draw(st.booleans()):
         points.append(draw(st.sampled_from(points)))
     params = Params(k_att=draw(st.floats(0.1, 50.0)), k_rep=draw(st.floats(0.1, 50.0)))
@@ -167,3 +178,24 @@ def test_apf_step_is_the_vec2_sum_of_the_forces(case):
             expected = expected + repulsive_force(pos, tp, params.k_rep)
     v = apf_step(state, threats, params)
     assert (v.x.hex(), v.y.hex()) == (expected.x.hex(), expected.y.hex())
+
+
+@pytest.mark.parametrize("pos, wp", [((-1e308, 0.0), (1e308, 0.0)),
+                                     ((0.0, 1.5e308), (3.0, -1.5e308))])
+def test_overflowing_waypoint_offset_raises(pos, wp):
+    # waypoint - pos is not finite: the force functions raise there, and so
+    # must apf_step, rather than return an inf or nan velocity
+    state = make_state(Vec2(*pos), Vec2(*wp))
+    with pytest.raises(ValueError):
+        attractive_force(state.position, state.current_waypoint(), 8.0)
+    with pytest.raises(ValueError):
+        apf_step(state, [], Params())
+
+
+def test_overflowing_threat_offset_raises():
+    state = make_state(Vec2(1e308, 0.0), Vec2(0.0, 0.0))
+    threat = Threat(Vec2(-1e308, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
+    with pytest.raises(ValueError):
+        repulsive_force(state.position, threat.position, 15.0)
+    with pytest.raises(ValueError):
+        apf_step(state, [threat], Params())

@@ -125,11 +125,24 @@ class TestObstacleField:
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
         f = ObstacleField([r1, r2])
         assert f.rectangles == (r1, r2)
-        circles = [c for _, group in f.circles_by_rect for c in group]
+        circles = [c for _, ring in f.rings for _, c in ring]
         assert len(circles) == 6 + 4
-        assert [rect.id for rect, _ in f.circles_by_rect] == ["a", "b"]
+        assert [rect.id for rect, _ in f.rings] == ["a", "b"]
         assert all(isinstance(c, CircleObstacle) for c in circles)
         assert {c.parent for c in circles} == {"a", "b"}
+
+    def test_ring_is_in_x_order_and_keeps_the_perimeter_index(self):
+        rects = [RectObstacle(Vec2(0.0, 0.0), 360.0, 30.0, "wall"),
+                 RectObstacle(Vec2(-7.3, 41.9), 23.7, 88.1, "post")]
+        f = ObstacleField(rects, 12.0, 15.0)
+        for rect, ring in f.rings:
+            xs = [c.center.x for _, c in ring]
+            assert xs == sorted(xs)
+            # ties in x keep perimeter order
+            assert all(a[0] < b[0] for a, b in zip(ring, ring[1:])
+                       if a[1].center.x == b[1].center.x)
+            assert sorted(ring, key=lambda kc: kc[0]) == list(
+                enumerate(discretize_rectangle(rect, 12.0, 15.0)))
 
     def test_duplicate_ids_rejected(self):
         r1 = RectObstacle(Vec2(0, 0), 10.0, 10.0, "a")
@@ -140,4 +153,4 @@ class TestObstacleField:
     def test_empty_field(self):
         f = ObstacleField([])
         assert f.rectangles == ()
-        assert f.circles_by_rect == ()
+        assert f.rings == ()

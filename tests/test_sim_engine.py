@@ -1,4 +1,6 @@
+import json
 import math
+import tempfile
 from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
@@ -10,10 +12,11 @@ from hypothesis import strategies as st
 import utm_sim
 from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
-from utm_sim.obstacle_field import ObstacleField, RectObstacle
-from utm_sim.params import DEFAULT_UAV_RADIUS, Params
+from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
+from utm_sim.params import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING, DEFAULT_UAV_RADIUS,
+                            Params)
 from utm_sim.rrt_planner import PlanningError, WaypointPath
-from utm_sim.scenario_cli import Scenario, UavSpec, load_scenario
+from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, load_scenario
 from utm_sim.sim_engine import (
     SimEvent,
     UavState,
@@ -105,7 +108,7 @@ class TestOneTable:
                          circle_spacing=8.0)
         world = build_world(sc, params, plan_paths(sc, 1))
         assert [u.radius for u in world.uavs] == [9.0]
-        circles = [c for _, group in world.field.circles_by_rect for c in group]
+        circles = [c for _, ring in world.field.rings for _, c in ring]
         assert {c.radius for c in circles} == {5.0}
         # 30 m edges at spacing 8: four circles per edge
         assert len(circles) == 16
@@ -291,18 +294,21 @@ def oracle_assign_waypoint(state, dist_wp):
     return replace(state, arrived=True, velocity=Vec2(0.0, 0.0))
 
 
-def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs):
-    """gather_threats without the axis-gap exits."""
+def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs,
+                          circle_radius=DEFAULT_CIRCLE_RADIUS, spacing=DEFAULT_CIRCLE_SPACING):
+    """gather_threats without the axis-gap exits or the x-window: every circle
+    of every rectangle near enough, numbered in `discretize_rectangle`'s
+    perimeter order (`obstacles` must use the same circle sizes)."""
     keyed = []
     for other in snapshot:
         d = distance(uav.position, other.position)
         if other.id != uav.id and d < dist_uav:
             keyed.append((d, 0, other.id, Threat(other.position, other.velocity,
                                                  uav.radius + other.radius, "uav", other.id)))
-    for rect, circles in obstacles.circles_by_rect:
+    for rect in obstacles.rectangles:
         if point_rect_distance(uav.position, rect) >= dist_obs:
             continue
-        for k, c in enumerate(circles):
+        for k, c in enumerate(discretize_rectangle(rect, circle_radius, spacing)):
             d = distance(uav.position, c.center)
             if d < dist_obs:
                 sid = f"{rect.id}#{k}"
@@ -391,6 +397,18 @@ def _scenes(draw):
         rect, edge_points = draw(_rect_and_edge_points(i, [dist_obs, radius]))
         rects.append(rect)
         points.extend(edge_points)
+    if draw(st.booleans()):
+        # a wall with dozens of circles, and points dist_obs along x from one
+        # circle centre, or the float just inside or outside that
+        wall = RectObstacle(Vec2(draw(_lattice), draw(_lattice)),
+                            draw(st.integers(40, 160).map(lambda k: 2.5 * k)
+                                 | st.floats(100.0, 400.0)),
+                            draw(st.integers(1, 80).map(lambda k: k / 2)), "wall")
+        rects.append(wall)
+        circles = discretize_rectangle(wall, DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING)
+        for _ in range(2):
+            c = draw(st.sampled_from(circles)).center
+            points.append(Vec2(draw(_offset(c.x, [dist_obs])), c.y + draw(_across)))
     points.extend(draw(st.lists(_near_point(me, gaps), max_size=5)))
     uavs = []
     for i, pos in enumerate(points):
@@ -427,6 +445,60 @@ class TestAxisGapExitsMatchOracle:
         assert [t.source_id for t in threats] == ["c"]
         assert detect_collisions(world, 0.0) == oracle_detect_collisions(world, 0.0)
         assert [e.details["b"] for e in detect_collisions(world, 0.0)] == ["c"]
+
+
+class TestCircleWindow:
+    """gather_threats visits only a ring's circles inside the x-window; its
+    edges are the exact `dx` tests, down to the last ulp."""
+
+    # 360 x 30 around the origin: 52 circles, the bottom edge at y = -15 with
+    # centres -180 + 15 k for k = 0..24
+    WALL = RectObstacle(Vec2(0.0, 0.0), 360.0, 30.0, "w")
+
+    def _ids(self, px):
+        uav = make_uav("a", Vec2(px, -15.0), [Vec2(0.0, -100.0)])
+        field = ObstacleField([self.WALL])
+        got = gather_threats(uav, [uav], field, 50.0, 20.0)
+        assert got == oracle_gather_threats(uav, [uav], field, 50.0, 20.0)
+        return [t.source_id for t in got]
+
+    @pytest.mark.parametrize("cx, far, near", [(135.0, "w#21", ["w#20", "w#19"]),
+                                               (-135.0, "w#3", ["w#4", "w#5"])])
+    def test_circle_range_away_along_x(self, cx, far, near):
+        # the UAV 20 m short of a circle centre along x, then 1 ulp nearer
+        # and 1 ulp farther; 115 + 20 rounds back to 135, so a window taken
+        # from a precomputed px + 20 would drop the circle 1 ulp inside
+        px = cx - math.copysign(20.0, cx)
+        assert abs(cx - px) == 20.0
+        assert self._ids(px) == near
+        assert self._ids(math.nextafter(px, cx)) == near + [far]
+        assert self._ids(math.nextafter(px, -cx)) == near
+
+    def test_every_bottom_circle_at_either_window_edge(self):
+        ring = dict(ObstacleField([self.WALL]).rings[0][1])
+        assert len(ring) == 52
+        for k in range(25):
+            cx = ring[k].center.x
+            for side in (1.0, -1.0):
+                # px with the computed gap side * (cx - px) at 20, then the
+                # nearest floats that put it below and above 20
+                def gap(p):
+                    return side * (cx - p)
+
+                px = step_until(cx - side * 20.0, cx, lambda p: gap(p) <= 20.0)
+                px = step_until(px, -side * math.inf, lambda p: gap(p) >= 20.0)
+                assert gap(px) == 20.0
+                assert f"w#{k}" not in self._ids(px)
+                assert f"w#{k}" in self._ids(step_until(px, cx, lambda p: gap(p) < 20.0))
+                assert f"w#{k}" not in self._ids(
+                    step_until(px, -side * math.inf, lambda p: gap(p) > 20.0))
+
+
+def step_until(x, toward, done):
+    """x, or the first float stepped from x toward `toward` that is `done`."""
+    while not done(x):
+        x = math.nextafter(x, toward)
+    return x
 
 
 class TestStep:
@@ -625,3 +697,63 @@ class TestRun:
         r_apf = run_planned(scenario, Params(algorithm="apf"), paths)
         assert r_vo.completed and r_apf.completed
         assert r_vo.algorithm == "vo" and r_apf.algorithm == "apf"
+
+
+_spot = st.integers(0, 80).map(lambda k: 5.0 * k) | st.floats(0.0, 400.0)
+
+
+@st.composite
+def _documents(draw):
+    """A small scenario document; the loader may still reject it."""
+    rects = []
+    for i in range(draw(st.integers(0, 4))):
+        w, h = draw(st.floats(5.0, 120.0)), draw(st.floats(5.0, 120.0))
+        rects.append({"id": f"r{i}", "width": w, "height": h,
+                      "center": [draw(st.floats(w / 2, 400.0 - w / 2)),
+                                 draw(st.floats(h / 2, 400.0 - h / 2))]})
+    uavs = [{"id": f"u{i}", "start": [draw(_spot), draw(_spot)],
+             "goal": [draw(_spot), draw(_spot)]}
+            for i in range(draw(st.integers(1, 4)))]
+    params = {"max_steps": draw(st.integers(1, 150)), "max_iters": 400,
+              "dist_obs": draw(st.sampled_from([20.0, 35.0])),
+              "k_rep": draw(st.sampled_from([15.0, 40.0]))}
+    return {"rectangles": rects, "uavs": uavs, "params": params}
+
+
+def _outcome(scenario, seed):
+    """Per algorithm: per-id trajectory bits, steps, completed and the event
+    multiset; or PlanningError. Any other exception fails the test."""
+    try:
+        paths = plan_paths(scenario, seed)
+    except PlanningError:
+        return PlanningError
+    out = {}
+    for algo in ("vo", "apf"):
+        res = run_planned(scenario, replace(scenario.sim, algorithm=algo), paths)
+        out[algo] = (
+            {uid: [(s.t.hex(), s.position.x.hex(), s.position.y.hex(),
+                    s.velocity.x.hex(), s.velocity.y.hex()) for s in samples]
+             for uid, samples in res.trajectories.items()},
+            res.steps, res.completed, sorted(map(repr, res.events)),
+        )
+    return out
+
+
+class TestOrderInvariance:
+    """Any scenario the loader accepts runs under both controllers, and the
+    order in which its file lists UAVs or rectangles changes nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=_documents(), seed=st.integers(1, 5), data=st.data())
+    def test_shuffled_uavs_and_rectangles(self, doc, seed, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                scenario = load_scenario(path)
+            except ScenarioError:
+                return
+        want = _outcome(scenario, seed)
+        for field in ("uavs", "rectangles"):
+            order = data.draw(st.permutations(getattr(scenario, field)), label=field)
+            assert _outcome(replace(scenario, **{field: tuple(order)}), seed) == want
