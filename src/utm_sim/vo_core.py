@@ -11,16 +11,26 @@ velocity. An empty set falls back to hovering in place.
 
 Candidates are plain (vx, vy) float pairs in world frame, not Vec2: a decision
 enumerates hundreds of them, and only the one velocity that leaves `avoid` is
-built (and finiteness-checked) as a Vec2.
+built (and finiteness-checked) as a Vec2. A seeded set is kept as its polar
+grid (speeds, open headings, the threat's velocity) and lists its candidates
+only when something reads them, which is pruning against a second threat.
+Selecting on an unpruned grid evaluates, per open heading, only the two or
+three speeds near the nominal velocity's projection onto that heading, and
+picks the same candidate as the scan of the whole list (see
+`select_velocity`). The heading table (theta, cos, sin) and the speed grid
+are computed once per step size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .geom2d import Vec2, angle_of, distance, normalize_angle
+from .geom2d import Vec2, angle_of, distance
 from .params import Params
 
 if TYPE_CHECKING:
@@ -54,20 +64,60 @@ class CollisionCone:
 
     center_angle: float
     half_angle: float
-    c_left: float
-    c_right: float
     already_violating: bool
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class _PolarGrid:
+    """A seeded set before it is listed: every heading with its speeds, or
+    only its zero-speed entry where the seeding cone blocks it."""
+
+    headings: tuple[tuple[float, float, float], ...]  # (theta, cos, sin), ascending
+    open: list[bool]  # heading lies outside the seeding cone
+    speeds: list[float]  # ascending, ends on the relative speed v_max
+    mag_step: float
+    bx: float  # the seeding threat's velocity
+    by: float
+
+    def candidates(self) -> list[tuple[float, float]]:
+        bx, by, speeds = self.bx, self.by, self.speeds
+        # zero speed has no heading, so it survives any cone; `0.0 +` folds a
+        # -0.0 component to 0.0 as the vector sum does
+        zero = (0.0 + bx, 0.0 + by)
+        cands: list[tuple[float, float]] = []
+        for (_, cos_t, sin_t), is_open in zip(self.headings, self.open):
+            if is_open:
+                cands.extend([(m * cos_t + bx, m * sin_t + by) for m in speeds])
+            else:
+                cands.append(zero)
+        return cands
+
+
 class FeasibleSet:
     """Feasible absolute velocities as (vx, vy) float pairs, in search order.
 
     Search order is ascending heading, then ascending speed. A heading blocked
-    by the seeding cone contributes only its zero-speed entry.
+    by the seeding cone contributes only its zero-speed entry. A set returned
+    by `search_feasible` keeps its polar grid in `grid` and builds the
+    `candidates` list on first read; a set built from a list has no grid.
     """
 
-    candidates: list[tuple[float, float]] = field(default_factory=list)
+    __slots__ = ("_candidates", "grid")
+
+    def __init__(self, candidates: list[tuple[float, float]] | None = None,
+                 grid: _PolarGrid | None = None) -> None:
+        self._candidates = [] if candidates is None and grid is None else candidates
+        self.grid = grid
+
+    @property
+    def candidates(self) -> list[tuple[float, float]]:
+        if self._candidates is None:
+            self._candidates = self.grid.candidates()
+        return self._candidates
+
+    def __bool__(self) -> bool:
+        # a grid is never empty: every heading keeps at least its zero speed
+        return self._candidates is None or bool(self._candidates)
 
 
 class AvoidResult(NamedTuple):
@@ -97,20 +147,19 @@ def collision_cone(p_a: Vec2, p_b: Vec2, r_a: float, r_b: float) -> CollisionCon
     else:
         half = math.asin(combined / d)
         violating = False
-    return CollisionCone(
-        center_angle=center,
-        half_angle=half,
-        c_left=normalize_angle(center + half),
-        c_right=normalize_angle(center - half),
-        already_violating=violating,
-    )
+    return CollisionCone(center_angle=center, half_angle=half, already_violating=violating)
 
+
+# Cone membership compares |normalize_angle(offset)| with the half-angle.
+# normalize_angle is remainder(offset, tau) with -pi folded to +pi, and the
+# fold keeps the absolute value, so the remainder alone gives the same answer
+# for every finite offset.
 
 def _in_cone_xy(x: float, y: float, cone: CollisionCone) -> bool:
     # the in_cone rule on a bare (x, y) relative velocity
     if x == 0.0 and y == 0.0:
         return False
-    return abs(normalize_angle(math.atan2(y, x) - cone.center_angle)) < cone.half_angle
+    return abs(math.remainder(math.atan2(y, x) - cone.center_angle, math.tau)) < cone.half_angle
 
 
 def in_cone(v_rel: Vec2, cone: CollisionCone) -> bool:
@@ -122,18 +171,40 @@ def in_cone(v_rel: Vec2, cone: CollisionCone) -> bool:
     return _in_cone_xy(v_rel.x, v_rel.y, cone)
 
 
-def _heading_in_cone(theta: float, cone: CollisionCone) -> bool:
-    # same predicate as in_cone for a nonzero velocity with known heading
-    return abs(normalize_angle(theta - cone.center_angle)) < cone.half_angle
+def _open_headings(headings: tuple[tuple[float, float, float], ...],
+                   cone: CollisionCone) -> list[bool]:
+    # per heading, the negated in_cone rule for a nonzero velocity along it
+    center, half = cone.center_angle, cone.half_angle
+    return [not abs(math.remainder(theta - center, math.tau)) < half for theta, _, _ in headings]
+
+
+@lru_cache(maxsize=16)
+def _headings(theta_step: float) -> tuple[tuple[float, float, float], ...]:
+    """(theta, cos theta, sin theta) for every heading k*theta_step < 2*pi, in order."""
+    table = []
+    k = 0
+    while (theta := k * theta_step) < math.tau:
+        table.append((theta, math.cos(theta), math.sin(theta)))
+        k += 1
+    return tuple(table)
+
+
+# Per mag_step, the speeds k*mag_step for k = 0, 1, ..., grown on demand. The
+# table only ever gains entries, and each entry is the float the loop
+# `k * step` gives, so sharing it changes no search's result.
+_SPEED_TABLES: dict[float, list[float]] = {}
 
 
 def _magnitude_grid(v_max: float, step: float) -> list[float]:
-    """Speeds {k*step <= v_max} plus v_max itself when it is off-grid."""
-    grid: list[float] = []
-    k = 0
-    while (m := k * step) <= v_max:
-        grid.append(m)
-        k += 1
+    """Speeds {k*step <= v_max} plus v_max itself when it is off-grid.
+
+    k*step rounds monotonically in k, so the on-grid speeds are the prefix of
+    the stored table up to bisect_right(table, v_max).
+    """
+    table = _SPEED_TABLES.setdefault(step, [0.0])
+    while table[-1] <= v_max:
+        table.append(len(table) * step)
+    grid = table[:bisect_right(table, v_max)]
     if grid[-1] != v_max:
         grid.append(v_max)
     return grid
@@ -141,28 +212,25 @@ def _magnitude_grid(v_max: float, step: float) -> list[float]:
 
 def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
                     params: Params) -> FeasibleSet:
-    """Enumerate replacement velocities outside `cone`, in absolute form.
+    """Seed the replacement velocities outside `cone`, in absolute form.
 
     Headings run over {k*theta_step < 2*pi}; per heading, speeds over the
     magnitude grid capped at |v_ab|. A relative candidate (m, theta) survives
-    when it is outside the cone; it is stored as the absolute velocity
-    (m*cos + v_b.x, m*sin + v_b.y) so later pruning and selection work in
-    world frame. The arithmetic is exactly that of Vec2(m*cos, m*sin) + v_b.
+    when it is outside the cone (a blocked heading keeps only m = 0, which has
+    no heading); it stands for the absolute velocity
+    (m*cos + v_b.x, m*sin + v_b.y), whose arithmetic is exactly that of
+    Vec2(m*cos, m*sin) + v_b. The set is returned as its grid; its
+    `candidates` list is built in this order when first read.
     """
-    speeds = _magnitude_grid(v_ab.norm(), params.mag_step)
-    bx, by = v_b.x, v_b.y
-    cands: list[tuple[float, float]] = []
-    k = 0
-    while (theta := k * params.theta_step) < math.tau:
-        if _heading_in_cone(theta, cone):
-            # zero speed has no heading, so it survives any cone; `0.0 +`
-            # folds a -0.0 component to 0.0 as the vector sum does
-            cands.append((0.0 + bx, 0.0 + by))
-        else:
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            cands.extend([(m * cos_t + bx, m * sin_t + by) for m in speeds])
-        k += 1
-    return FeasibleSet(cands)
+    headings = _headings(params.theta_step)
+    return FeasibleSet(grid=_PolarGrid(
+        headings=headings,
+        open=_open_headings(headings, cone),
+        speeds=_magnitude_grid(v_ab.norm(), params.mag_step),
+        mag_step=params.mag_step,
+        bx=v_b.x,
+        by=v_b.y,
+    ))
 
 
 def prune_feasible(fset: FeasibleSet, v_b_other: Vec2,
@@ -175,17 +243,115 @@ def prune_feasible(fset: FeasibleSet, v_b_other: Vec2,
     ])
 
 
-def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
-    """Candidate closest to the nominal velocity; earliest wins ties; hover if empty."""
-    best: tuple[float, float] | None = None
+def _closest(cands: list[tuple[float, float]], nx: float, ny: float) -> tuple[float, float] | None:
+    # the reference rule: first candidate of least squared distance
+    best = None
     best_d2 = math.inf
-    nx, ny = v_desired.x, v_desired.y
-    for cand in fset.candidates:
+    for cand in cands:
         dx = cand[0] - nx
         dy = cand[1] - ny
         d2 = dx * dx + dy * dy
         if d2 < best_d2:
             best, best_d2 = cand, d2
+    return best
+
+
+_U = 2.0 ** -53  # unit roundoff of a double
+_TINY = 2.0 ** -1000  # covers the absolute error of products that underflow
+
+
+def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, float] | None:
+    """`_closest(grid.candidates(), nx, ny)` without listing the grid, or None
+    where the rounding bound of `select_velocity` does not hold."""
+    speeds, step, bx, by = grid.speeds, grid.mag_step, grid.bx, grid.by
+    v_max = speeds[-1]
+    scale = v_max + abs(bx) + abs(by) + abs(nx) + abs(ny)
+    err = 32.0 * _U * (scale * scale) + _TINY
+    if not 16.0 * err <= step * step:  # also when scale * scale overflows
+        return None
+    wx, wy = nx - bx, ny - by
+    # every zero-speed entry, blocked or not, has this same computed d2
+    zero = (0.0 + bx, 0.0 + by)
+    dx = zero[0] - nx
+    dy = zero[1] - ny
+    zero_d2 = dx * dx + dy * dy
+    # a blocked heading 0 puts its zero-speed entry first; every other blocked
+    # heading ties with it or with a zero-speed entry beaten by the open
+    # heading holding it, so only open headings are walked
+    best, best_d2 = (None, math.inf) if grid.open[0] else (zero, zero_d2)
+    bound = best_d2 + 2.0 * err
+    for _, cos_t, sin_t in compress(grid.headings, grid.open):
+        t = cos_t * wx + sin_t * wy
+        if t <= 0.0:
+            if zero_d2 >= bound:
+                continue
+            t = 0.0
+        else:
+            cross = cos_t * wy - sin_t * wx
+            if cross * cross >= bound:
+                continue
+            if t > v_max:
+                t = v_max
+        for m in speeds[bisect_left(speeds, t - step):bisect_right(speeds, t + step)]:
+            cx = m * cos_t + bx
+            cy = m * sin_t + by
+            dx = cx - nx
+            dy = cy - ny
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                best, best_d2 = (cx, cy), d2
+                bound = best_d2 + 2.0 * err
+    return best
+
+
+def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
+    """Candidate closest to the nominal velocity; earliest wins ties; hover if empty.
+
+    The rule is the scan of `fset.candidates` for the first least computed
+    d2 = dx*dx + dy*dy. On a set that still holds its grid, the open headings
+    are walked in search order and each is settled from at most a few speeds,
+    evaluated with the same float expressions, which gives the same candidate.
+
+    Let u = 2**-53, n the nominal velocity, b the seeding threat's velocity,
+    w = n - b, q = (cos, sin) of a heading as stored (|q|^2 is within 5 u of 1
+    for faithfully rounded math.cos and math.sin) and
+    S = v_max + |b_x| + |b_y| + |n_x| + |n_y|. In exact arithmetic speed m
+    has D(m) = |m q - w|^2 = |q|^2 (m - m*)^2 + D*, with m* = q.w / |q|^2 and
+    D* = (q x w)^2 / |q|^2. For t = cos*w_x + sin*w_y and
+    cross = cos*w_y - sin*w_x as computed, the standard error bounds give
+    |d2 - D(m)| <= 9 u S^2, |cross^2 - D*| <= 13 u S^2 and |t - m*| <= 9 u S.
+    Let E = 32 u S^2 (plus 2**-1000 for products that underflow). The grid is
+    walked only when 16 E <= mag_step^2, so u S < 1e-9 mag_step; otherwise
+    (huge speeds, or S * S overflowing), on a pruned set and on a set built
+    from a list, the full scan runs.
+
+    - Skip: a heading is passed over when a lower bound L of its D, less
+      the errors, reaches best_d2: L >= best_d2 + 2E, where rounding that sum
+      costs under 2 u S^2 as best_d2 <= 2 S^2. For t > 0, L = cross^2 (D >= D*).
+      For t <= 0, m* <= 9 u S, so D(m) >= D(0) - 19 u S^2 on [0, v_max] and
+      L is the d2 of speed 0, which is the same for every zero-speed entry.
+      Each computed d2 on the heading is then >= best_d2: none is closer.
+    - Window: only the speeds in [t_c - mag_step, t_c + mag_step] are
+      evaluated, t_c being t clamped to [0, v_max]. The speeds run from 0 to
+      v_max at most mag_step (1 + 1e-9) apart, so one, s0, lies within about
+      mag_step / 2 of p, m* clamped to [0, v_max], and |t_c - p| <= 9 u S.
+      Every speed m outside the window has |m - p| - |s0 - p| >= 0.49 mag_step,
+      and |m - m*| - |s0 - m*| equals that difference (m, s0 and p lie on the
+      same side of m* or p is m*), so D(m) - D(s0) >= 0.23 mag_step^2 >= 3.6 E,
+      more than twice the d2 error: its computed d2 is above that of s0. The
+      window thus holds the heading's least d2 and its first occurrence, and
+      scanning it in order with the strict `<` keeps the earliest on ties.
+
+    A blocked heading holds only a zero-speed entry. Each has the d2 of any
+    other zero-speed entry, so only a blocked heading 0 can win; any later
+    one ties with a value already reached.
+    """
+    nx, ny = v_desired.x, v_desired.y
+    best = None
+    if fset.grid is not None:
+        best = _closest_on_grid(fset.grid, nx, ny)
+    if best is None:
+        best = _closest(fset.candidates, nx, ny)
     return Vec2(*best) if best is not None else Vec2(0.0, 0.0)
 
 
@@ -215,6 +381,6 @@ def avoid(state: "UavState", threats: Sequence[Threat], params: Params) -> Avoid
             fset = prune_feasible(fset, threat.velocity, cone)
     if fset is None:
         return AvoidResult(v_a, engaged=False, empty_set=False)
-    if not fset.candidates:
+    if not fset:
         return AvoidResult(Vec2(0.0, 0.0), engaged=True, empty_set=True)
     return AvoidResult(select_velocity(fset, v_a), engaged=True, empty_set=False)

@@ -64,8 +64,8 @@ def test_criterion_02_cone_closed_forms():
     ok = abs(cone.half_angle - math.pi / 6.0) < 1e-12
     ok = ok and not cone.already_violating
     ok = ok and abs(cone.center_angle - 0.0) < 1e-12
-    ok = ok and abs(normalize_angle(cone.c_left - math.pi / 6.0)) < 1e-12
-    ok = ok and abs(normalize_angle(cone.c_right + math.pi / 6.0)) < 1e-12
+    ok = ok and abs(normalize_angle(cone.center_angle + cone.half_angle - math.pi / 6.0)) < 1e-12
+    ok = ok and abs(normalize_angle(cone.center_angle - cone.half_angle + math.pi / 6.0)) < 1e-12
 
     # 5-12-13 triangle: combined 5 at distance 13, against an atan2 closed form
     cone = collision_cone(Vec2(0.0, 0.0), Vec2(12.0, 5.0), 2.0, 3.0)

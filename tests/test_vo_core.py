@@ -1,8 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from utm_sim import vo_core
 from utm_sim.geom2d import Vec2, distance, normalize_angle
 from utm_sim.params import Params
 from utm_sim.rrt_planner import WaypointPath
@@ -44,8 +48,8 @@ class TestCollisionCone:
         c = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
         assert c.center_angle == 0.0
         assert abs(c.half_angle - math.pi / 6) < 1e-12
-        assert abs(c.c_left - math.pi / 6) < 1e-12
-        assert abs(c.c_right + math.pi / 6) < 1e-12
+        assert abs(normalize_angle(c.center_angle + c.half_angle) - math.pi / 6) < 1e-12
+        assert abs(normalize_angle(c.center_angle - c.half_angle) + math.pi / 6) < 1e-12
         assert not c.already_violating
 
     def test_5_12_13_geometry(self):
@@ -65,10 +69,12 @@ class TestCollisionCone:
     def test_edge_angles_wrap(self):
         c = collision_cone(Vec2(0.0, 0.0), Vec2(-10.0, 0.0), 2.0, 3.0)
         assert c.center_angle == math.pi
-        assert c.c_left == pytest.approx(-math.pi + math.pi / 6)
-        assert c.c_right == pytest.approx(math.pi - math.pi / 6)
-        assert -math.pi < c.c_left <= math.pi
-        assert -math.pi < c.c_right <= math.pi
+        left = normalize_angle(c.center_angle + c.half_angle)
+        right = normalize_angle(c.center_angle - c.half_angle)
+        assert left == pytest.approx(-math.pi + math.pi / 6)
+        assert right == pytest.approx(math.pi - math.pi / 6)
+        assert -math.pi < left <= math.pi
+        assert -math.pi < right <= math.pi
 
     def test_coincident_positions_raise(self):
         with pytest.raises(ValueError):
@@ -417,3 +423,209 @@ class TestNormalizationConsistency:
             if abs(offset - cone.half_angle) < 1e-9:
                 continue
             assert got == (offset < cone.half_angle)
+
+
+_ANGLES = st.one_of(
+    st.sampled_from((math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                     math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 4.0),
+                     math.nextafter(-math.pi, -4.0), 0.0, -0.0, math.tau, -math.tau))
+    .flatmap(lambda a: st.sampled_from((a, a + math.tau, a - math.tau, a + 3.0 * math.tau))),
+    st.integers(-10**6, 10**6).flatmap(lambda k: st.sampled_from((
+        k * math.tau, math.nextafter(k * math.tau, math.inf),
+        math.nextafter(k * math.tau, -math.inf), k * math.tau + math.pi,
+        k * math.tau - math.pi))),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestConeRemainder:
+    """Cone membership reads |remainder(offset, tau)| in place of |normalize_angle(offset)|."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(x=_ANGLES)
+    def test_same_magnitude_as_normalize_angle(self, x):
+        assert abs(math.remainder(x, math.tau)).hex() == abs(normalize_angle(x)).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(center=st.floats(-math.pi, math.pi), half=st.floats(0.0, math.pi / 2.0),
+           theta=_ANGLES.filter(lambda a: abs(a) < 1e300))
+    def test_membership_matches_the_normalized_offset(self, center, half, theta):
+        cone = CollisionCone(center, half, False)
+        inside = abs(normalize_angle(theta - center)) < half
+        assert vo_core._open_headings(((theta, 0.0, 0.0),), cone) == [not inside]
+        v = Vec2(math.cos(theta), math.sin(theta))
+        assert in_cone(v, cone) == (abs(normalize_angle(math.atan2(v.y, v.x) - center)) < half)
+
+
+class TestGridTables:
+    @settings(max_examples=200, deadline=None)
+    @given(step=st.sampled_from((0.2, 0.25, 0.1, 0.37, 1.0, 3.0)),
+           picks=st.lists(st.tuples(st.integers(0, 60), st.sampled_from((-1, 0, 1)),
+                                    st.floats(0.0, 1.0)), min_size=1, max_size=6))
+    def test_speed_grid_equals_the_per_search_loop(self, step, picks):
+        # calls in any order share one stored table per step
+        for k, ulps, frac in picks:
+            v_max = k * step if frac < 0.5 else (k + frac) * step
+            if ulps and v_max > 0.0:
+                v_max = math.nextafter(v_max, ulps * math.inf)
+            want = []
+            j = 0
+            while (m := j * step) <= v_max:
+                want.append(m)
+                j += 1
+            if want[-1] != v_max:
+                want.append(v_max)
+            assert [m.hex() for m in vo_core._magnitude_grid(v_max, step)] == [m.hex() for m in want]
+
+    @pytest.mark.parametrize("theta_step", [0.2, 0.05, 0.7, 1.0, 2.5])
+    def test_heading_table(self, theta_step):
+        table = vo_core._headings(theta_step)
+        k = 0
+        while (theta := k * theta_step) < math.tau:
+            assert table[k] == (theta, math.cos(theta), math.sin(theta))
+            k += 1
+        assert len(table) == k
+        # the premise of select_velocity's bound: |q|^2 within 5 u of 1
+        for _, c, s in table:
+            assert abs(Fraction(c) ** 2 + Fraction(s) ** 2 - 1) <= 5 * Fraction(2) ** -53
+
+
+@st.composite
+def _select_cases(draw):
+    """(v_ab, v_b, cone, params, v_desired) for one seeded search and its selection.
+
+    The nominal velocity is free, on a grid heading's ray (at a grid speed or
+    between), half-way between two grid speeds on a heading, behind a heading
+    (projection t < 0) or beyond v_max (t > v_max); v_max may sit 1 ulp off a
+    grid speed; the cone may leave a single heading open; `huge` puts v_b and
+    the nominal velocity near 1e150, where the grid walk must fall back.
+    """
+    theta_step = draw(st.sampled_from((0.2, 0.25, 0.5, 0.07, 1.3)))
+    mag_step = draw(st.sampled_from((0.2, 0.25, 1.0, 0.37, 0.1)))
+    params = Params(theta_step=theta_step, mag_step=mag_step)
+    thetas = [theta for theta, _, _ in vo_core._headings(theta_step)]
+    kind = draw(st.sampled_from(("free", "ray", "half_way", "ulp_vmax", "behind",
+                                 "beyond", "one_open", "huge")))
+    k = draw(st.integers(0, 40))
+    if kind == "ulp_vmax":
+        v_max = math.nextafter(max(k, 1) * mag_step, draw(st.sampled_from((-math.inf, math.inf))))
+    elif kind == "half_way" or draw(st.booleans()):
+        v_max = max(k, 1) * mag_step
+    else:
+        v_max = draw(st.floats(0.0, 40.0 * mag_step))
+    v_ab = Vec2(v_max, 0.0)  # hypot(v_max, 0) is v_max exactly
+    comp = st.floats(-25.0, 25.0)
+    if kind == "huge":
+        comp = st.floats(1e149, 1e151).flatmap(lambda a: st.sampled_from((a, -a)))
+    v_b = Vec2(draw(comp), draw(comp))
+    j = draw(st.integers(0, len(thetas) - 1))
+    if kind == "one_open":
+        gap = min(theta_step, math.tau - thetas[-1])
+        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), math.pi - gap / 2.0, False)
+    elif kind == "half_way":
+        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), 0.3, False)  # j stays open
+    else:
+        cone = CollisionCone(draw(st.floats(-math.pi, math.pi)),
+                             draw(st.floats(0.0, math.pi / 2.0)), False)
+    c, s = math.cos(thetas[j]), math.sin(thetas[j])
+    if kind == "half_way":
+        lam = (draw(st.integers(0, max(k, 1) - 1)) + 0.5) * mag_step
+        n = Vec2(lam * c + v_b.x, lam * s + v_b.y)
+    elif kind in ("ray", "ulp_vmax", "one_open"):
+        lam = draw(st.one_of(st.floats(-1.0, 2.0 * v_max + 1.0),
+                             st.integers(0, 90).map(lambda i: i * mag_step / 2.0),
+                             st.just(v_max)))
+        n = Vec2(lam * c + v_b.x, lam * s + v_b.y)
+    elif kind == "behind":
+        lam = draw(st.floats(1e-9, 30.0))
+        n = Vec2(v_b.x - lam * c, v_b.y - lam * s)
+    elif kind == "beyond":
+        lam = v_max + draw(st.floats(1e-9, 30.0))
+        n = Vec2(lam * c + v_b.x, lam * s + v_b.y)
+    elif kind == "huge":
+        n = Vec2(draw(comp), draw(comp))
+    else:
+        n = Vec2(draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0)))
+    return v_ab, v_b, cone, params, n
+
+
+def _assert_picks_as_full_scan(v_ab, v_b, cone, params, n):
+    got = select_velocity(search_feasible(v_ab, v_b, cone, params), n)
+    listed = FeasibleSet(list(search_feasible(v_ab, v_b, cone, params).candidates))
+    want = select_velocity(listed, n)
+    assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+    return got
+
+
+class TestSelectOnGrid:
+    """Selecting on the seeded grid picks the full scan's candidate, bit for bit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=_select_cases())
+    def test_equals_full_scan(self, case):
+        _assert_picks_as_full_scan(*case)
+
+    def test_tie_half_way_goes_to_the_lower_speed(self):
+        # heading 0 has cos 1 and sin 0 exactly: speeds 1.25 and 1.5 are both
+        # exactly 0.125 from the nominal 1.375, and the earlier (lower) one wins
+        params = Params(mag_step=0.25)
+        cone = CollisionCone(math.pi, 0.3, False)
+        got = _assert_picks_as_full_scan(Vec2(3.0, 0.0), Vec2(0.0, 0.0), cone, params,
+                                         Vec2(1.375, 0.0))
+        assert got == Vec2(1.25, 0.0)
+
+    @pytest.mark.parametrize("n", [
+        Vec2(0.6 * math.cos(7 * 0.2), 0.6 * math.sin(7 * 0.2)),  # on heading 7's ray
+        Vec2(-2.0, -0.3),  # behind every open heading near it: t < 0
+        Vec2(9.0, 4.0),  # beyond v_max
+    ])
+    def test_pinned_nominals(self, n):
+        cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
+        _assert_picks_as_full_scan(Vec2(1.0, 0.0), Vec2(0.0, 0.0), cone, Params(), n)
+
+    @pytest.mark.parametrize("ulps", [-1, 1])
+    def test_v_max_one_ulp_off_a_grid_speed(self, ulps):
+        v_max = math.nextafter(1.0, ulps * math.inf)
+        cone = CollisionCone(math.pi, 0.3, False)
+        for n in (Vec2(v_max, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.01)):
+            _assert_picks_as_full_scan(Vec2(v_max, 0.0), Vec2(0.0, 0.0), cone, Params(), n)
+
+    def test_every_heading_blocked_but_one(self):
+        # centre opposite heading 5 (theta 1.0), so only heading 5 is open
+        cone = CollisionCone(normalize_angle(1.0 + math.pi), math.pi - 0.04, False)
+        fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params())
+        assert fset.grid.open == [k == 5 for k in range(32)]
+        for n in (Vec2(0.5, 0.5), Vec2(1.0, 1.5), Vec2(-3.0, 0.0), Vec2(0.7, 0.9)):
+            _assert_picks_as_full_scan(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params(), n)
+
+    def test_huge_magnitudes_take_the_full_scan(self):
+        cone = CollisionCone(0.0, 0.5, False)
+        big = Vec2(1e150, -1e150)
+        fset = search_feasible(Vec2(2.0, 0.0), big, cone, Params())
+        assert vo_core._closest_on_grid(fset.grid, 1.5e150, 0.0) is None
+        _assert_picks_as_full_scan(Vec2(2.0, 0.0), big, cone, Params(), Vec2(1.5e150, 0.0))
+        small = search_feasible(Vec2(2.0, 0.0), Vec2(1.0, -1.0), cone, Params())
+        assert vo_core._closest_on_grid(small.grid, 1.5, 0.0) is not None
+
+    def test_all_infinite_distances_return_hover(self):
+        # every candidate's squared distance overflows, as in the full scan
+        cone = CollisionCone(0.0, 0.5, False)
+        v_b = Vec2(1e300, 1e300)
+        fset = search_feasible(Vec2(1.0, 0.0), v_b, cone, Params())
+        assert select_velocity(fset, Vec2(-1e300, -1e300)) == Vec2(0.0, 0.0)
+        _assert_picks_as_full_scan(Vec2(1.0, 0.0), v_b, cone, Params(), Vec2(-1e300, -1e300))
+
+    def test_one_conflicting_threat_never_lists_candidates(self, monkeypatch):
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "uav", "b")
+        want, engaged, _ = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0), [th], Params())
+        assert engaged
+
+        def refuse(self):
+            raise AssertionError("the candidate list was built")
+
+        monkeypatch.setattr(vo_core._PolarGrid, "candidates", refuse)
+        res = avoid(state, [th], Params())
+        assert res.engaged and not res.empty_set
+        assert res.velocity == want
