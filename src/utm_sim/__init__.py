@@ -1,7 +1,7 @@
 """Multi-UAV traffic simulation: sampled waypoint planning, velocity-obstacle
 collision avoidance, a potential-field baseline, and scenario tooling."""
 
-from .apf_core import apf_step, attractive_force, repulsive_force
+from .apf_core import apf_step
 from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
 from .obstacle_field import (CircleObstacle, ObstacleField, RectObstacle,
@@ -18,7 +18,7 @@ from .vo_core import (AvoidResult, CollisionCone, FeasibleSet, Threat, avoid,
                       select_velocity)
 
 __all__ = [
-    "apf_step", "attractive_force", "repulsive_force",
+    "apf_step",
     "Bounds", "Vec2", "angle_of", "distance", "normalize_angle",
     "RunReport", "build_report", "pairwise_distances", "path_length",
     "CircleObstacle", "ObstacleField", "RectObstacle", "discretize_rectangle",

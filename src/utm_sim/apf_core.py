@@ -8,10 +8,8 @@ the same way. The constant magnitudes are deliberate: they are what makes this
 baseline cut corners near obstacle edges, which the avoidance comparison
 measures.
 
-`attractive_force` and `repulsive_force` are the reference law on `Vec2`.
-`apf_step`, which runs once per UAV-step, does the same arithmetic on plain
-floats in the same order and builds one `Vec2` at the end, so its result is
-bit for bit the `Vec2` sum of the two force functions.
+`apf_step` runs once per UAV-step. It sums the forces on plain floats and
+builds one `Vec2` at the end.
 """
 
 from __future__ import annotations
@@ -27,22 +25,6 @@ if TYPE_CHECKING:
     from .vo_core import Threat
 
 
-def attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
-    """Force of magnitude k_att pointing from pos toward the waypoint."""
-    direction = waypoint - pos
-    if direction.is_zero():
-        raise ValueError("attractive force undefined at the waypoint itself")
-    return k_att * direction.unit()
-
-
-def repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
-    """Force of magnitude k_rep pointing from the threat toward pos."""
-    direction = pos - threat_pos
-    if direction.is_zero():
-        raise ValueError("repulsive force undefined at coincident positions")
-    return k_rep * direction.unit()
-
-
 def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> Vec2:
     """Velocity command for one step: the total force, as `vo_core.avoid` returns one.
 
@@ -51,13 +33,10 @@ def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> 
     their positions matter here. A threat at the vehicle's own position is
     skipped, as `vo_core.avoid` skips it: it has no direction to repel along.
 
-    Floats inside, one `Vec2` out: each term is `dx / n * k`, which is what
-    `k * direction.unit()` computes (`Vec2.__rmul__` is `__mul__`), and the
-    sums are the components of `Vec2.__add__`. The result is bit for bit that
-    of `attractive_force` plus each `repulsive_force`. A difference that
-    overflows turns into nan here instead of raising at once, and nan survives
-    every later add, so the returned `Vec2` raises `ValueError` exactly when
-    the force functions would.
+    Each term is `dx / n * k`: the offset `dx` over its `math.hypot` length
+    `n`, times the gain. An offset that overflows turns into nan here instead
+    of raising at once, and nan survives every later add, so the returned
+    `Vec2` raises `ValueError` whenever an offset or the sum is not finite.
     """
     px, py = state.position.x, state.position.y
     wp = state.current_waypoint()

@@ -20,35 +20,14 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
     def is_zero(self) -> bool:
         return self.x == 0.0 and self.y == 0.0
-
-    def unit(self) -> "Vec2":
-        """Unit vector in this direction; undefined (raises) for the zero vector."""
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vec2(self.x / n, self.y / n)
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
 
 
 ZERO = Vec2(0.0, 0.0)

@@ -52,11 +52,10 @@ class RectObstacle:
 
 @dataclass(frozen=True, slots=True)
 class CircleObstacle:
-    """One disc of the boundary approximation; `parent` is the source rectangle id."""
+    """One disc of the boundary approximation of a rectangle."""
 
     center: Vec2
     radius: float
-    parent: str
 
 
 def discretize_rectangle(rect: RectObstacle, circle_radius: float,
@@ -81,13 +80,13 @@ def discretize_rectangle(rect: RectObstacle, circle_radius: float,
     circles: list[CircleObstacle] = []
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        circles.append(CircleObstacle(a, circle_radius, rect.id))
+        circles.append(CircleObstacle(a, circle_radius))
         edge_len = distance(a, b)
         n = math.ceil(edge_len / spacing)
         for k in range(1, n):
             t = k / n
             c = Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            circles.append(CircleObstacle(c, circle_radius, rect.id))
+            circles.append(CircleObstacle(c, circle_radius))
     return circles
 
 

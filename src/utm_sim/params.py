@@ -25,8 +25,9 @@ ALGORITHMS = ("vo", "apf")
 class Params:
     """All run parameters of one run.
 
-    Every numeric field must be finite and > 0, except `goal_bias` in [0, 1]
-    and `inflation` >= 0; `circle_spacing` must stay below
+    Integer fields take an `int` and float fields an `int` or `float`, never
+    a `bool`. Every numeric field must be finite and > 0, except `goal_bias`
+    in [0, 1] and `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap, and `kp * dt`
     must stay below 2 so the nominal step converges. `inflation=None`
     takes the value of `uav_radius`.
@@ -65,6 +66,11 @@ class Params:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in (float, float | None) and value is not None \
+                    and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if f.type in (int, float) and f.name != "goal_bias" and not value > 0:
                 raise ValueError(f"{f.name} must be > 0")
         if self.inflation is None:  # after the loop, so errors name uav_radius itself

@@ -30,7 +30,7 @@ class ScenarioError(Exception):
     """Scenario file is malformed or semantically invalid."""
 
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 _TOP_KEYS = {"name", "bounds", "rectangles", "uavs", "params"}
 _BOUNDS_KEYS = {"min_x", "min_y", "max_x", "max_y"}
@@ -95,7 +95,7 @@ def _vec(value: Any, ctx: str) -> Vec2:
 
 
 def _id(value: Any, ctx: str) -> str:
-    _require(isinstance(value, str) and bool(_ID_RE.match(value)),
+    _require(isinstance(value, str) and _ID_RE.fullmatch(value) is not None,
              f"{ctx} must be a non-empty string of [A-Za-z0-9_-], got {value!r}")
     return value
 
@@ -160,8 +160,12 @@ def load_scenario(path: str | Path) -> Scenario:
         _require(isinstance(udoc, dict), f"{ctx} must be an object")
         _check_keys(udoc, _UAV_KEYS, ctx)
         _require(set(udoc) == _UAV_KEYS, f"{ctx} needs id, start, goal")
+        uid = _id(udoc["id"], f"{ctx}.id")
+        # "a-b" labels the pair (a, b) in distances.csv and report.json
+        _require("-" not in uid,
+                 f"{ctx}.id {uid!r} must not contain '-', the separator of pair labels")
         uavs.append(UavSpec(
-            id=_id(udoc["id"], f"{ctx}.id"),
+            id=uid,
             start=_vec(udoc["start"], f"{ctx}.start"),
             goal=_vec(udoc["goal"], f"{ctx}.goal"),
         ))

@@ -125,7 +125,7 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     these very predicates find the run between them. Comparing `cx` with a
     precomputed `px - range` or `px + range` would not be the same test,
     because that sum is rounded too. The visiting order does not matter: the
-    sort key (distance, kind, source id) is total.
+    sort key (distance, UAV before circle, source id) is total.
     """
     px, py = uav.position.x, uav.position.y
     keyed: list[tuple[float, int, str, Threat]] = []
@@ -142,7 +142,6 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
                 position=q,
                 velocity=other.velocity,
                 combined_radius=uav.radius + other.radius,
-                kind="uav",
                 source_id=other.id,
             )))
     for rect, ring in obstacles.rings:
@@ -163,7 +162,6 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
                     position=c.center,
                     velocity=ZERO,
                     combined_radius=uav.radius + c.radius,
-                    kind="obstacle",
                     source_id=sid,
                 )))
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))

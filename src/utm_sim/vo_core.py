@@ -41,15 +41,14 @@ if TYPE_CHECKING:
 class Threat:
     """One conflict source as seen by a single vehicle for one decision.
 
-    combined_radius is the sum of both bodies' radii. kind/source_id record
-    the engine's canonical ordering key (UAVs before obstacle circles, then
-    source id); they do not feed it, and the cone math never reads them.
+    combined_radius is the sum of both bodies' radii. source_id names the
+    source: a UAV id, or `<rect id>#<k>` for an obstacle circle. The cone
+    math never reads it.
     """
 
     position: Vec2
     velocity: Vec2
     combined_radius: float
-    kind: str = "uav"
     source_id: str = ""
 
 
@@ -58,13 +57,12 @@ class CollisionCone:
     """Angular cone of relative velocities leading to collision with one threat.
 
     center_angle is the line-of-sight angle toward the threat, half_angle the
-    cone half-width. already_violating marks separations at or below the
-    combined radius, where the cone degenerates to the approaching half-plane.
+    cone half-width. At separations at or below the combined radius the cone
+    degenerates to the approaching half-plane: half_angle is pi/2.
     """
 
     center_angle: float
     half_angle: float
-    already_violating: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +80,7 @@ class _PolarGrid:
     def candidates(self) -> list[tuple[float, float]]:
         bx, by, speeds = self.bx, self.by, self.speeds
         # zero speed has no heading, so it survives any cone; `0.0 +` folds a
-        # -0.0 component to 0.0 as the vector sum does
+        # -0.0 component of the threat's velocity to 0.0, which exports as 0.000000
         zero = (0.0 + bx, 0.0 + by)
         cands: list[tuple[float, float]] = []
         for (_, cos_t, sin_t), is_open in zip(self.headings, self.open):
@@ -131,8 +129,8 @@ def collision_cone(p_a: Vec2, p_b: Vec2, r_a: float, r_b: float) -> CollisionCon
 
     Line of sight from the two-argument arctangent; half-angle is
     asin((r_a + r_b) / distance). At distance <= combined radius the geometric
-    cone is undefined, so the half-angle clamps to pi/2 (any velocity with an
-    approaching component is conflicting) and already_violating is set.
+    cone is undefined, so the half-angle clamps to pi/2: any velocity with an
+    approaching component is conflicting.
     """
     if r_a < 0.0 or r_b < 0.0:
         raise ValueError("radii must be >= 0")
@@ -141,13 +139,8 @@ def collision_cone(p_a: Vec2, p_b: Vec2, r_a: float, r_b: float) -> CollisionCon
         raise ValueError("collision cone undefined for coincident positions")
     center = angle_of(p_b - p_a)
     combined = r_a + r_b
-    if d <= combined:
-        half = math.pi / 2.0
-        violating = True
-    else:
-        half = math.asin(combined / d)
-        violating = False
-    return CollisionCone(center_angle=center, half_angle=half, already_violating=violating)
+    half = math.pi / 2.0 if d <= combined else math.asin(combined / d)
+    return CollisionCone(center_angle=center, half_angle=half)
 
 
 # Cone membership compares |normalize_angle(offset)| with the half-angle.
@@ -218,8 +211,7 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     magnitude grid capped at |v_ab|. A relative candidate (m, theta) survives
     when it is outside the cone (a blocked heading keeps only m = 0, which has
     no heading); it stands for the absolute velocity
-    (m*cos + v_b.x, m*sin + v_b.y), whose arithmetic is exactly that of
-    Vec2(m*cos, m*sin) + v_b. The set is returned as its grid; its
+    (m*cos + v_b.x, m*sin + v_b.y). The set is returned as its grid; its
     `candidates` list is built in this order when first read.
     """
     headings = _headings(params.theta_step)

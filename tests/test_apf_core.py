@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from utm_sim.apf_core import apf_step, attractive_force, repulsive_force
+from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Vec2
 from utm_sim.params import Params
 from utm_sim.rrt_planner import WaypointPath
@@ -16,6 +16,38 @@ from utm_sim.vo_core import Threat
 def make_state(pos: Vec2, wp: Vec2) -> UavState:
     return UavState(id="a", position=pos, velocity=Vec2(0.0, 0.0),
                     radius=12.0, path=WaypointPath((wp,)))
+
+
+# The reference law on `Vec2`: each force is its gain times the unit offset,
+# and the command is their sum, left to right. `apf_step` computes it on
+# plain floats; the tests below hold it to this law bit for bit.
+
+def _attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
+    """Force of magnitude k_att pointing from pos toward the waypoint."""
+    d = waypoint - pos
+    if d.is_zero():
+        raise ValueError("attractive force undefined at the waypoint itself")
+    n = d.norm()
+    return Vec2(k_att * (d.x / n), k_att * (d.y / n))
+
+
+def _repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
+    """Force of magnitude k_rep pointing from the threat toward pos."""
+    d = pos - threat_pos
+    if d.is_zero():
+        raise ValueError("repulsive force undefined at coincident positions")
+    n = d.norm()
+    return Vec2(k_rep * (d.x / n), k_rep * (d.y / n))
+
+
+def _total_force(pos: Vec2, waypoint: Vec2, points, params: Params) -> Vec2:
+    """Attraction plus the repulsion of every point other than pos, in order."""
+    total = _attractive_force(pos, waypoint, params.k_att)
+    for tp in points:
+        if tp != pos:
+            f = _repulsive_force(pos, tp, params.k_rep)
+            total = Vec2(total.x + f.x, total.y + f.y)
+    return total
 
 
 def test_default_params():
@@ -31,34 +63,45 @@ def test_default_params():
 
 
 class TestForces:
+    """The attraction alone is `apf_step` with no threats, and one threat's
+    repulsion is what that threat adds to it. Exact antisymmetry is checked
+    on the reference law, which `apf_step` matches bit for bit."""
+
     def test_attractive_3_4_5(self):
-        f = attractive_force(Vec2(1.0, 1.0), Vec2(4.0, 5.0), 8.0)
+        f = apf_step(make_state(Vec2(1.0, 1.0), Vec2(4.0, 5.0)), [], Params(k_att=8.0))
         assert f == Vec2(4.8, 6.4)
 
     def test_attractive_magnitude_independent_of_distance(self):
         rng = random.Random(4)
+        params = Params(k_att=8.0)
         for _ in range(500):
             pos = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
             wp = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
             if pos == wp:
                 continue
-            f = attractive_force(pos, wp, 8.0)
+            f = apf_step(make_state(pos, wp), [], params)
             assert f.norm() == pytest.approx(8.0, abs=1e-12)
             # points from pos toward wp
-            assert f.dot(wp - pos) > 0.0
+            assert f.x * (wp.x - pos.x) + f.y * (wp.y - pos.y) > 0.0
 
     def test_repulsive_magnitude_and_direction(self):
-        f = repulsive_force(Vec2(0.0, 0.0), Vec2(2.0, 0.0), 15.0)
-        assert f == Vec2(-15.0, 0.0)
+        # attraction (0, 8) up toward the waypoint, repulsion (-15, 0) away from the threat
+        state = make_state(Vec2(0.0, 0.0), Vec2(0.0, 10.0))
+        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "o")]
+        assert apf_step(state, threats, Params(k_rep=15.0)) == Vec2(-15.0, 8.0)
         rng = random.Random(6)
+        params = Params(k_rep=15.0)
         for _ in range(500):
             pos = Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50))
             tp = Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50))
             if pos == tp:
                 continue
-            f = repulsive_force(pos, tp, 15.0)
+            state = make_state(pos, Vec2(pos.x + 1.0, pos.y))
+            total = apf_step(state, [Threat(tp, Vec2(0.0, 0.0), 24.0, "o")], params)
+            attraction = apf_step(state, [], params)
+            f = Vec2(total.x - attraction.x, total.y - attraction.y)
             assert f.norm() == pytest.approx(15.0, abs=1e-12)
-            assert f.dot(pos - tp) > 0.0
+            assert f.x * (pos.x - tp.x) + f.y * (pos.y - tp.y) > 0.0
 
     def test_repulsion_antisymmetric_exactly(self):
         rng = random.Random(8)
@@ -67,13 +110,16 @@ class TestForces:
             b = Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50))
             if a == b:
                 continue
-            assert repulsive_force(a, b, 15.0) == -repulsive_force(b, a, 15.0)
+            f, g = _repulsive_force(a, b, 15.0), _repulsive_force(b, a, 15.0)
+            assert (f.x, f.y) == (-g.x, -g.y)
 
     def test_degenerate_positions_raise(self):
         with pytest.raises(ValueError):
-            attractive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 8.0)
+            apf_step(make_state(Vec2(1.0, 1.0), Vec2(1.0, 1.0)), [], Params())
+        # the law has no direction at a threat's own position, which is why
+        # apf_step skips such a threat (test_coincident_threat_is_skipped)
         with pytest.raises(ValueError):
-            repulsive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 15.0)
+            _repulsive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 15.0)
 
 
 class TestTotalForce:
@@ -83,12 +129,12 @@ class TestTotalForce:
     def test_threat_between_uav_and_waypoint(self):
         # attraction +8, repulsion -15 along the same line: net backward 7
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
-        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "o")]
         assert apf_step(state, threats, Params()) == Vec2(-7.0, 0.0)
 
     def test_threat_behind(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
-        threats = [Threat(Vec2(-2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        threats = [Threat(Vec2(-2.0, 0.0), Vec2(0.0, 0.0), 24.0, "o")]
         v = apf_step(state, threats, Params())
         assert v == Vec2(23.0, 0.0)
         assert v.norm() == 23.0
@@ -98,12 +144,9 @@ class TestTotalForce:
         params = Params()
         pos, wp = Vec2(0.0, 0.0), Vec2(50.0, 20.0)
         points = [Vec2(rng.uniform(-30, 30), rng.uniform(-30, 30)) for _ in range(4)]
-        threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, "obstacle", f"o{k}")
+        threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, f"o{k}")
                    for k, tp in enumerate(points)]
-        expected = attractive_force(pos, wp, params.k_att)
-        for tp in points:
-            expected = expected + repulsive_force(pos, tp, params.k_rep)
-        assert apf_step(make_state(pos, wp), threats, params) == expected
+        assert apf_step(make_state(pos, wp), threats, params) == _total_force(pos, wp, points, params)
 
 
 class TestApfStep:
@@ -115,17 +158,18 @@ class TestApfStep:
     def test_step_with_blocking_threat(self):
         # the net force (-7, 0) moves the UAV dt * 7 backward in one step
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
-        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")]
+        threats = [Threat(Vec2(2.0, 0.0), Vec2(0.0, 0.0), 24.0, "o")]
         params = Params()
         v = apf_step(state, threats, params)
-        assert state.position + v * params.dt == Vec2(0.1 * -7.0, 0.0)
+        p = state.position
+        assert Vec2(p.x + v.x * params.dt, p.y + v.y * params.dt) == Vec2(0.1 * -7.0, 0.0)
 
     def test_coincident_threat_is_skipped(self):
         # as in vo_core.avoid: a threat at the UAV's own position is ignored,
-        # while repulsive_force itself still raises there
+        # while the reference law raises there
         state = make_state(Vec2(3.0, 4.0), Vec2(100.0, 4.0))
-        here = Threat(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
-        other = Threat(Vec2(5.0, 4.0), Vec2(0.0, 0.0), 24.0, "obstacle", "o")
+        here = Threat(Vec2(3.0, 4.0), Vec2(0.0, 0.0), 24.0, "b")
+        other = Threat(Vec2(5.0, 4.0), Vec2(0.0, 0.0), 24.0, "o")
         params = Params()
         assert apf_step(state, [here], params) == apf_step(state, [], params)
         assert apf_step(state, [here, other], params) == apf_step(state, [other], params)
@@ -133,8 +177,8 @@ class TestApfStep:
 
     def test_only_threat_positions_matter(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(10.0, 0.0))
-        t1 = [Threat(Vec2(2.0, 3.0), Vec2(5.0, 5.0), 24.0, "uav", "x")]
-        t2 = [Threat(Vec2(2.0, 3.0), Vec2(-5.0, 0.0), 12.0, "obstacle", "y")]
+        t1 = [Threat(Vec2(2.0, 3.0), Vec2(5.0, 5.0), 24.0, "x")]
+        t2 = [Threat(Vec2(2.0, 3.0), Vec2(-5.0, 0.0), 12.0, "y")]
         assert apf_step(state, t1, Params()) == apf_step(state, t2, Params())
 
 
@@ -169,13 +213,9 @@ def _apf_cases(draw):
 @given(_apf_cases())
 def test_apf_step_is_the_vec2_sum_of_the_forces(case):
     state, points, params = case
-    threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, "obstacle", f"o{k}")
+    threats = [Threat(tp, Vec2(0.0, 0.0), 24.0, f"o{k}")
                for k, tp in enumerate(points)]
-    pos = state.position
-    expected = attractive_force(pos, state.current_waypoint(), params.k_att)
-    for tp in points:
-        if tp != pos:
-            expected = expected + repulsive_force(pos, tp, params.k_rep)
+    expected = _total_force(state.position, state.current_waypoint(), points, params)
     v = apf_step(state, threats, params)
     assert (v.x.hex(), v.y.hex()) == (expected.x.hex(), expected.y.hex())
 
@@ -183,19 +223,19 @@ def test_apf_step_is_the_vec2_sum_of_the_forces(case):
 @pytest.mark.parametrize("pos, wp", [((-1e308, 0.0), (1e308, 0.0)),
                                      ((0.0, 1.5e308), (3.0, -1.5e308))])
 def test_overflowing_waypoint_offset_raises(pos, wp):
-    # waypoint - pos is not finite: the force functions raise there, and so
+    # waypoint - pos is not finite: the reference law raises there, and so
     # must apf_step, rather than return an inf or nan velocity
     state = make_state(Vec2(*pos), Vec2(*wp))
     with pytest.raises(ValueError):
-        attractive_force(state.position, state.current_waypoint(), 8.0)
+        _attractive_force(state.position, state.current_waypoint(), 8.0)
     with pytest.raises(ValueError):
         apf_step(state, [], Params())
 
 
 def test_overflowing_threat_offset_raises():
     state = make_state(Vec2(1e308, 0.0), Vec2(0.0, 0.0))
-    threat = Threat(Vec2(-1e308, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
+    threat = Threat(Vec2(-1e308, 0.0), Vec2(0.0, 0.0), 24.0, "b")
     with pytest.raises(ValueError):
-        repulsive_force(state.position, threat.position, 15.0)
+        _repulsive_force(state.position, threat.position, 15.0)
     with pytest.raises(ValueError):
         apf_step(state, [threat], Params())

@@ -27,19 +27,15 @@ def rect(cx, cy, w, h, rid="r"):
 class TestVec2:
     def test_arithmetic(self):
         a, b = Vec2(1.0, 2.0), Vec2(3.0, -4.0)
-        assert a + b == Vec2(4.0, -2.0)
         assert a - b == Vec2(-2.0, 6.0)
-        assert 2.0 * a == Vec2(2.0, 4.0)
-        assert a * 2.0 == Vec2(2.0, 4.0)
-        assert -a == Vec2(-1.0, -2.0)
+        with pytest.raises(ValueError):
+            Vec2(1e308, 0.0) - Vec2(-1e308, 0.0)  # the difference overflows
 
-    def test_norm_and_unit(self):
+    def test_norm_and_is_zero(self):
         assert Vec2(3.0, 4.0).norm() == 5.0
         assert Vec2(0.0, 0.0).is_zero()
-        u = Vec2(0.0, -2.0).unit()
-        assert u == Vec2(0.0, -1.0)
-        with pytest.raises(ValueError):
-            Vec2(0.0, 0.0).unit()
+        assert Vec2(-0.0, 0.0).is_zero()
+        assert not Vec2(0.0, 5e-324).is_zero()
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ class TestDiscretize:
             (0.0, -7.5), (0.0, 7.5),
         }
         assert len(circles) == 6
-        assert all(c.radius == 12.0 and c.parent == "r" for c in circles)
+        assert all(c.radius == 12.0 for c in circles)
 
     def test_square_exactly_corner_circles(self):
         r = RectObstacle(Vec2(0.0, 0.0), 15.0, 15.0, "sq")
@@ -129,7 +129,8 @@ class TestObstacleField:
         assert len(circles) == 6 + 4
         assert [rect.id for rect, _ in f.rings] == ["a", "b"]
         assert all(isinstance(c, CircleObstacle) for c in circles)
-        assert {c.parent for c in circles} == {"a", "b"}
+        # each ring sits beside its own rectangle: 6 circles for a, 4 for b
+        assert [len(ring) for _, ring in f.rings] == [6, 4]
 
     def test_ring_is_in_x_order_and_keeps_the_perimeter_index(self):
         rects = [RectObstacle(Vec2(0.0, 0.0), 360.0, 30.0, "wall"),

@@ -99,6 +99,12 @@ class TestLoadScenario:
         (lambda d: d["rectangles"][0].pop("width"), "width"),
         (lambda d: d["uavs"][0].update(start=[1.0]), "two-element"),
         (lambda d: d["uavs"][0].update(id="bad id!"), "id"),
+        # "a-b" labels the pair (a, b) in distances.csv and report.json: with
+        # these ids, the pairs (x-y, z) and (x, y-z) would share one label
+        (lambda d: d.update(uavs=[
+            {"id": uid, "start": [20.0 + 60.0 * i, 20.0], "goal": [20.0 + 60.0 * i, 260.0]}
+            for i, uid in enumerate(["x-y", "z", "x", "y-z"])]),
+         r"uavs\[0\]\.id 'x-y' must not contain '-'"),
         (lambda d: d["rectangles"][0].update(width=-5.0), "positive"),
         (lambda d: d.update(params={"max_iters": 10.5}), "integer"),
         (lambda d: d.update(params={"kp": True}), "number"),
@@ -125,6 +131,25 @@ class TestLoadScenario:
         doc["uavs"][1]["id"] = "u1"
         with pytest.raises(ScenarioError, match="unique"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("where", ["uav", "rectangle"])
+    def test_id_with_trailing_newline_rejected(self, tmp_path, capsys, where):
+        # `$` would also match before the final "\n"; the id must end at its last character
+        doc = full_doc()
+        doc["uavs" if where == "uav" else "rectangles"][0]["id"] += "\n"
+        scn = write_scenario(tmp_path, doc)
+        with pytest.raises(ScenarioError, match="id"):
+            load_scenario(scn)
+        code = main(["run", "--scenario", str(scn), "--algo", "vo",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rectangle_id_may_contain_dash(self, tmp_path):
+        doc = full_doc()
+        doc["rectangles"][0]["id"] = "block-1"
+        assert load_scenario(write_scenario(tmp_path, doc)).rectangles[0].id == "block-1"
 
     def test_invalid_json_is_scenario_error(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -72,6 +72,21 @@ def test_params_reject_non_finite(name, value):
         Params(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_iters", 2.5), ("max_steps", 100.0), ("max_iters", True), ("max_steps", False),
+    ("kp", True), ("k_att", False), ("inflation", True), ("dt", "0.1"),
+])
+def test_params_reject_wrong_types(name, value):
+    # as the loader does: ints for int fields, numbers but not bools for floats
+    sc = load_scenario(SCENARIOS / "head_on_duel.json")
+    with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|number), got"):
+        run(sc, replace(sc.sim, **{name: value}), 1)
+
+
+def test_params_accept_ints_for_float_fields():
+    assert Params(kp=1, k_att=8, inflation=0).inflation == 0
+
+
 def test_non_finite_gain_rejected_before_the_run():
     sc = load_scenario(SCENARIOS / "head_on_duel.json")
     with pytest.raises(ValueError, match="k_att must be finite"):
@@ -206,12 +221,12 @@ class TestGatherThreats:
         rect = RectObstacle(Vec2(0.0, 18.0), 15.0, 15.0, "r1")  # corners 10.5 away-ish
         field = ObstacleField([rect])
         threats = gather_threats(a, [a, d, b], field, 50.0, 20.0)
-        kinds = [(t.kind, t.source_id) for t in threats]
+        ids = [t.source_id for t in threats]
         # nearest first: the two bottom rect corners (distance ~12.9), then b/d
         dists = [distance(a.position, t.position) for t in threats]
         assert dists == sorted(dists)
-        assert kinds[-2:] == [("uav", "b"), ("uav", "d")]  # id tie-break at 30.0
-        assert all(k == "obstacle" for k, _ in kinds[:-2])
+        assert ids[-2:] == ["b", "d"]  # id tie-break at 30.0
+        assert all(sid.startswith("r1#") for sid in ids[:-2])  # circle ids carry `#`
 
     def test_uav_before_obstacle_on_distance_tie(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
@@ -222,7 +237,9 @@ class TestGatherThreats:
         threats = gather_threats(a, [a, b], field, 50.0, 20.0)
         tied = [t for t in threats
                 if distance(a.position, t.position) == math.hypot(12.5, 7.5)]
-        assert [t.kind for t in tied] == ["uav", "obstacle", "obstacle"]
+        # a circle's id is "<rect id>#<k>"; a UAV's id has no `#`
+        assert ["#" in t.source_id for t in tied] == [False, True, True]
+        assert tied[0].source_id == "b"
 
     def test_combined_radius_and_self_exclusion(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)], radius=10.0)
@@ -245,7 +262,6 @@ class TestGatherThreats:
         field = ObstacleField([near, far])
         threats = gather_threats(a, [a], field, 50.0, 20.0)
         assert threats  # left corners of `near` are 18.0 away
-        assert {t.kind for t in threats} == {"obstacle"}
         assert all(t.source_id.startswith("near#") for t in threats)
         for t in threats:
             assert distance(a.position, t.position) < 20.0
@@ -304,7 +320,7 @@ def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs,
         d = distance(uav.position, other.position)
         if other.id != uav.id and d < dist_uav:
             keyed.append((d, 0, other.id, Threat(other.position, other.velocity,
-                                                 uav.radius + other.radius, "uav", other.id)))
+                                                 uav.radius + other.radius, other.id)))
     for rect in obstacles.rectangles:
         if point_rect_distance(uav.position, rect) >= dist_obs:
             continue
@@ -313,7 +329,7 @@ def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs,
             if d < dist_obs:
                 sid = f"{rect.id}#{k}"
                 keyed.append((d, 1, sid, Threat(c.center, Vec2(0.0, 0.0),
-                                                uav.radius + c.radius, "obstacle", sid)))
+                                                uav.radius + c.radius, sid)))
     keyed.sort(key=lambda item: item[:3])
     return [item[3] for item in keyed]
 

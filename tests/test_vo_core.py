@@ -50,7 +50,6 @@ class TestCollisionCone:
         assert abs(c.half_angle - math.pi / 6) < 1e-12
         assert abs(normalize_angle(c.center_angle + c.half_angle) - math.pi / 6) < 1e-12
         assert abs(normalize_angle(c.center_angle - c.half_angle) + math.pi / 6) < 1e-12
-        assert not c.already_violating
 
     def test_5_12_13_geometry(self):
         c = collision_cone(Vec2(0.0, 0.0), Vec2(12.0, 5.0), 3.0, 3.5)
@@ -61,10 +60,8 @@ class TestCollisionCone:
         # hypot(12, 5) == 13 exactly: contact distance clamps to a half-plane
         c = collision_cone(Vec2(0.0, 0.0), Vec2(12.0, 5.0), 6.0, 7.0)
         assert c.half_angle == math.pi / 2
-        assert c.already_violating
         c2 = collision_cone(Vec2(0.0, 0.0), Vec2(1.0, 0.0), 12.0, 12.0)
         assert c2.half_angle == math.pi / 2
-        assert c2.already_violating
 
     def test_edge_angles_wrap(self):
         c = collision_cone(Vec2(0.0, 0.0), Vec2(-10.0, 0.0), 2.0, 3.0)
@@ -126,7 +123,7 @@ class TestInCone:
             cone = collision_cone(p_a, p_b, r_a, r_b)
             # closest approach of the ray p_a + v t, t >= 0, to p_b
             rel = p_b - p_a
-            t_star = max(0.0, rel.dot(v) / v.dot(v))
+            t_star = max(0.0, (rel.x * v.x + rel.y * v.y) / (v.x * v.x + v.y * v.y))
             closest = math.hypot(rel.x - v.x * t_star, rel.y - v.y * t_star)
             if abs(closest - (r_a + r_b)) < 1e-6:
                 continue  # threshold band: both answers defensible
@@ -138,17 +135,16 @@ class TestInCone:
 def grid_candidates(speeds, v_b, blocked=frozenset()):
     """Expected search output: every heading k*0.2 < 2*pi in order, each with its
     speeds in order, or only the zero-speed entry when heading index k is blocked.
-    Built with Vec2 arithmetic so the float pairs must equal the vector sums."""
+    Each entry is the relative velocity plus v_b; the blocked zero-speed entry
+    is (0.0 + v_b.x, 0.0 + v_b.y), which folds a -0.0 component to 0.0."""
     out = []
     k = 0
     while (theta := k * 0.2) < math.tau:
         if k in blocked:
-            s = Vec2(0.0, 0.0) + v_b
-            out.append((s.x, s.y))
+            out.append((0.0 + v_b.x, 0.0 + v_b.y))
         else:
             for m in speeds:
-                s = Vec2(m * math.cos(theta), m * math.sin(theta)) + v_b
-                out.append((s.x, s.y))
+                out.append((m * math.cos(theta) + v_b.x, m * math.sin(theta) + v_b.y))
         k += 1
     return out
 
@@ -199,8 +195,8 @@ class TestSearchFeasible:
             assert not in_cone(Vec2(*cand), cone)  # v_b is zero here
 
     def test_blocked_heading_zero_entry_folds_negative_zero(self):
-        # Vec2(0, 0) + Vec2(-0.0, -0.0) is (0.0, 0.0): a -0.0 here would
-        # print as -0.000000 if hover won, changing the exported bytes
+        # 0.0 + -0.0 is 0.0: a -0.0 here would print as -0.000000 if hover
+        # won, changing the exported bytes
         cone = collision_cone(Vec2(0.0, 0.0), Vec2(10.0, 0.0), 2.0, 3.0)
         fset = search_feasible(Vec2(1.0, 0.0), Vec2(-0.0, -0.0), cone, Params())
         for x, y in fset.candidates[:3]:
@@ -283,8 +279,8 @@ def oracle_avoid(pos, wp, threats, params):
     k = 0
     while (theta := k * params.theta_step) < math.tau:
         for m in mags:
-            rel = Vec2(m * math.cos(theta), m * math.sin(theta))
-            vel = rel + first_threat.velocity
+            vel = Vec2(m * math.cos(theta) + first_threat.velocity.x,
+                       m * math.sin(theta) + first_threat.velocity.y)
             ok = True
             for th, cone in engaged:
                 if in_cone(vel - th.velocity, cone):
@@ -312,7 +308,7 @@ class TestAvoid:
     def test_non_conflicting_threat_passes_through(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         # threat well off to the side, moving away
-        th = Threat(Vec2(0.0, 45.0), Vec2(0.0, 5.0), 24.0, "uav", "b")
+        th = Threat(Vec2(0.0, 45.0), Vec2(0.0, 5.0), 24.0, "b")
         res = avoid(state, [th], Params())
         assert res.velocity == Vec2(20.0, 0.0)
         assert not res.engaged
@@ -321,7 +317,7 @@ class TestAvoid:
         # threat inside the combined radius dead ahead: every forward heading
         # is blocked, and the zero-speed candidate is the closest survivor
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        th = Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b")
+        th = Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "b")
         res = avoid(state, [th], Params())
         assert res.engaged
         assert not res.empty_set  # the set is not empty, hover simply wins
@@ -329,7 +325,7 @@ class TestAvoid:
 
     def test_head_on_conflict_matches_oracle(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "uav", "b")
+        th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "b")
         params = Params()
         res = avoid(state, [th], params)
         want, engaged, empty = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0), [th], params)
@@ -343,8 +339,8 @@ class TestAvoid:
     def test_multi_threat_prune_matches_oracle(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         threats = [
-            Threat(Vec2(50.0, 5.0), Vec2(-15.0, 0.0), 24.0, "uav", "b"),
-            Threat(Vec2(40.0, -30.0), Vec2(0.0, 8.0), 24.0, "uav", "c"),
+            Threat(Vec2(50.0, 5.0), Vec2(-15.0, 0.0), 24.0, "b"),
+            Threat(Vec2(40.0, -30.0), Vec2(0.0, 8.0), 24.0, "c"),
         ]
         params = Params()
         res = avoid(state, threats, params)
@@ -365,8 +361,8 @@ class TestAvoid:
         # candidate, including the zero-speed ones
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         threats = [
-            Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "uav", "b"),
-            Threat(Vec2(-10.0, 0.0), Vec2(30.0, 0.0), 24.0, "uav", "c"),
+            Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "b"),
+            Threat(Vec2(-10.0, 0.0), Vec2(30.0, 0.0), 24.0, "c"),
         ]
         res = avoid(state, threats, Params())
         assert res.engaged
@@ -392,7 +388,7 @@ class TestAvoid:
                 threats.append(Threat(
                     Vec2(pos.x + d * math.cos(ang), pos.y + d * math.sin(ang)),
                     Vec2(rng.uniform(-6, 6), rng.uniform(-6, 6)),
-                    24.0, "uav", f"t{t}"))
+                    24.0, f"t{t}"))
             res = avoid(make_state(pos, wp), threats, params)
             want, engaged, empty = oracle_avoid(pos, wp, threats, params)
             assert res.velocity == want
@@ -403,7 +399,7 @@ class TestAvoid:
 
     def test_threat_at_own_position_is_skipped(self):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        th = Threat(Vec2(0.0, 0.0), Vec2(1.0, 0.0), 24.0, "uav", "ghost")
+        th = Threat(Vec2(0.0, 0.0), Vec2(1.0, 0.0), 24.0, "ghost")
         res = avoid(state, [th], Params())
         assert res.velocity == Vec2(20.0, 0.0)
         assert not res.engaged
@@ -451,7 +447,7 @@ class TestConeRemainder:
     @given(center=st.floats(-math.pi, math.pi), half=st.floats(0.0, math.pi / 2.0),
            theta=_ANGLES.filter(lambda a: abs(a) < 1e300))
     def test_membership_matches_the_normalized_offset(self, center, half, theta):
-        cone = CollisionCone(center, half, False)
+        cone = CollisionCone(center, half)
         inside = abs(normalize_angle(theta - center)) < half
         assert vo_core._open_headings(((theta, 0.0, 0.0),), cone) == [not inside]
         v = Vec2(math.cos(theta), math.sin(theta))
@@ -522,12 +518,12 @@ def _select_cases(draw):
     j = draw(st.integers(0, len(thetas) - 1))
     if kind == "one_open":
         gap = min(theta_step, math.tau - thetas[-1])
-        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), math.pi - gap / 2.0, False)
+        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), math.pi - gap / 2.0)
     elif kind == "half_way":
-        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), 0.3, False)  # j stays open
+        cone = CollisionCone(normalize_angle(thetas[j] + math.pi), 0.3)  # j stays open
     else:
         cone = CollisionCone(draw(st.floats(-math.pi, math.pi)),
-                             draw(st.floats(0.0, math.pi / 2.0)), False)
+                             draw(st.floats(0.0, math.pi / 2.0)))
     c, s = math.cos(thetas[j]), math.sin(thetas[j])
     if kind == "half_way":
         lam = (draw(st.integers(0, max(k, 1) - 1)) + 0.5) * mag_step
@@ -570,7 +566,7 @@ class TestSelectOnGrid:
         # heading 0 has cos 1 and sin 0 exactly: speeds 1.25 and 1.5 are both
         # exactly 0.125 from the nominal 1.375, and the earlier (lower) one wins
         params = Params(mag_step=0.25)
-        cone = CollisionCone(math.pi, 0.3, False)
+        cone = CollisionCone(math.pi, 0.3)
         got = _assert_picks_as_full_scan(Vec2(3.0, 0.0), Vec2(0.0, 0.0), cone, params,
                                          Vec2(1.375, 0.0))
         assert got == Vec2(1.25, 0.0)
@@ -587,20 +583,20 @@ class TestSelectOnGrid:
     @pytest.mark.parametrize("ulps", [-1, 1])
     def test_v_max_one_ulp_off_a_grid_speed(self, ulps):
         v_max = math.nextafter(1.0, ulps * math.inf)
-        cone = CollisionCone(math.pi, 0.3, False)
+        cone = CollisionCone(math.pi, 0.3)
         for n in (Vec2(v_max, 0.0), Vec2(1.0, 0.0), Vec2(2.0, 0.01)):
             _assert_picks_as_full_scan(Vec2(v_max, 0.0), Vec2(0.0, 0.0), cone, Params(), n)
 
     def test_every_heading_blocked_but_one(self):
         # centre opposite heading 5 (theta 1.0), so only heading 5 is open
-        cone = CollisionCone(normalize_angle(1.0 + math.pi), math.pi - 0.04, False)
+        cone = CollisionCone(normalize_angle(1.0 + math.pi), math.pi - 0.04)
         fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params())
         assert fset.grid.open == [k == 5 for k in range(32)]
         for n in (Vec2(0.5, 0.5), Vec2(1.0, 1.5), Vec2(-3.0, 0.0), Vec2(0.7, 0.9)):
             _assert_picks_as_full_scan(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params(), n)
 
     def test_huge_magnitudes_take_the_full_scan(self):
-        cone = CollisionCone(0.0, 0.5, False)
+        cone = CollisionCone(0.0, 0.5)
         big = Vec2(1e150, -1e150)
         fset = search_feasible(Vec2(2.0, 0.0), big, cone, Params())
         assert vo_core._closest_on_grid(fset.grid, 1.5e150, 0.0) is None
@@ -610,7 +606,7 @@ class TestSelectOnGrid:
 
     def test_all_infinite_distances_return_hover(self):
         # every candidate's squared distance overflows, as in the full scan
-        cone = CollisionCone(0.0, 0.5, False)
+        cone = CollisionCone(0.0, 0.5)
         v_b = Vec2(1e300, 1e300)
         fset = search_feasible(Vec2(1.0, 0.0), v_b, cone, Params())
         assert select_velocity(fset, Vec2(-1e300, -1e300)) == Vec2(0.0, 0.0)
@@ -618,7 +614,7 @@ class TestSelectOnGrid:
 
     def test_one_conflicting_threat_never_lists_candidates(self, monkeypatch):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
-        th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "uav", "b")
+        th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "b")
         want, engaged, _ = oracle_avoid(Vec2(0.0, 0.0), Vec2(100.0, 0.0), [th], Params())
         assert engaged
 
