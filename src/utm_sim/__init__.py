@@ -4,8 +4,7 @@ collision avoidance, a potential-field baseline, and scenario tooling."""
 from .apf_core import apf_step
 from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
-from .obstacle_field import (CircleObstacle, ObstacleField, RectObstacle,
-                             discretize_rectangle)
+from .obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
 from .params import Params
 from .rrt_planner import (PlanningError, WaypointPath, check_endpoints, plan_path,
                           steer)
@@ -21,7 +20,7 @@ __all__ = [
     "apf_step",
     "Bounds", "Vec2", "angle_of", "distance", "normalize_angle",
     "RunReport", "build_report", "pairwise_distances", "path_length",
-    "CircleObstacle", "ObstacleField", "RectObstacle", "discretize_rectangle",
+    "ObstacleField", "RectObstacle", "discretize_rectangle",
     "Params",
     "PlanningError", "WaypointPath", "check_endpoints", "plan_path", "steer",
     "Scenario", "ScenarioError", "UavSpec", "export_result", "load_scenario",

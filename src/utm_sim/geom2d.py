@@ -68,11 +68,9 @@ class Bounds:
         if not (self.max_x > self.min_x and self.max_y > self.min_y):
             raise ValueError("bounds must have positive extent")
 
-    def contains(self, p: Vec2) -> bool:
-        return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
 
-def point_in_rect(p: Vec2, rect: "RectObstacle") -> bool:
-    """True when p lies in the closed solid rectangle (boundary counts as inside)."""
+def point_in_rect(p: Vec2, rect: "RectObstacle | Bounds") -> bool:
+    """True when p lies in the closed rectangle, an obstacle or the `Bounds` (boundary counts)."""
     return rect.min_x <= p.x <= rect.max_x and rect.min_y <= p.y <= rect.max_y
 
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .geom2d import Vec2, distance
-from .params import DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING
+from .params import Params
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,68 +50,47 @@ class RectObstacle:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CircleObstacle:
-    """One disc of the boundary approximation of a rectangle."""
-
-    center: Vec2
-    radius: float
-
-
-def discretize_rectangle(rect: RectObstacle, circle_radius: float,
-                         spacing: float) -> list[CircleObstacle]:
-    """Cover the rectangle's perimeter with circles of `circle_radius`.
+def discretize_rectangle(rect: RectObstacle, params: Params) -> list[Vec2]:
+    """Centres of circles of `params.obstacle_circle_radius` covering the perimeter.
 
     Each corner gets a circle; each edge gets interior circles at the largest
-    even subdivision of the edge that keeps consecutive centers <= `spacing`
-    apart. With spacing < 2 * circle_radius, adjacent circles overlap, so every
+    even subdivision that keeps consecutive centers <= `circle_spacing` apart.
+    `Params` keeps spacing < 2 * radius, so adjacent circles overlap and every
     boundary point lies within a circle (worst case spacing/2 from a center).
     """
-    if circle_radius <= 0.0:
-        raise ValueError("circle_radius must be > 0")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be > 0")
-    if spacing >= 2.0 * circle_radius:
-        raise ValueError(
-            f"spacing {spacing} must be < 2 * circle_radius ({2.0 * circle_radius}); "
-            "adjacent circles would leave perimeter gaps"
-        )
     corners = rect.corners()
-    circles: list[CircleObstacle] = []
+    centres: list[Vec2] = []
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        circles.append(CircleObstacle(a, circle_radius))
+        centres.append(a)
         edge_len = distance(a, b)
-        n = math.ceil(edge_len / spacing)
+        n = math.ceil(edge_len / params.circle_spacing)
         for k in range(1, n):
             t = k / n
-            c = Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            circles.append(CircleObstacle(c, circle_radius))
-    return circles
+            centres.append(Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))
+    return centres
 
 
 class ObstacleField:
     """All static obstacles of a scenario plus their circle approximation.
 
-    `rings` holds, for each rectangle in input order, its circles as
-    `(k, circle)` pairs sorted by centre x (ties in perimeter order), where `k`
-    is the circle's index in `discretize_rectangle`'s perimeter order and so
-    names it (`"<rect id>#<k>"`). The x order lets threat gathering find the
-    circles within range along x by bisection. Immutable after construction;
-    the engine shares one instance across steps.
+    `rings` holds, for each rectangle in input order, its circle centres as
+    `(k, centre)` pairs sorted by x (ties in perimeter order), where `k` is the
+    circle's index in `discretize_rectangle`'s perimeter order and so names it
+    (`"<rect id>#<k>"`). The x order lets threat gathering find the circles
+    within range along x by bisection. Immutable after construction; the
+    engine shares one instance across steps.
     """
 
-    def __init__(self, rectangles: list[RectObstacle],
-                 circle_radius: float = DEFAULT_CIRCLE_RADIUS,
-                 spacing: float = DEFAULT_CIRCLE_SPACING):
+    def __init__(self, rectangles: list[RectObstacle], params: Params):
         seen: set[str] = set()
         for r in rectangles:
             if r.id in seen:
                 raise ValueError(f"duplicate rectangle id '{r.id}'")
             seen.add(r.id)
         self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
-        self.rings: tuple[tuple[RectObstacle, tuple[tuple[int, CircleObstacle], ...]], ...] = tuple(
-            (r, tuple(sorted(enumerate(discretize_rectangle(r, circle_radius, spacing)),
-                             key=lambda kc: kc[1].center.x)))
+        self.rings: tuple[tuple[RectObstacle, tuple[tuple[int, Vec2], ...]], ...] = tuple(
+            (r, tuple(sorted(enumerate(discretize_rectangle(r, params)),
+                             key=lambda kc: kc[1].x)))
             for r in self.rectangles
         )

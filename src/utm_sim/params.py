@@ -5,7 +5,8 @@ step loop and the obstacle geometry read the same instance, so a key that
 several of them use (kp, dt, dist_wp, dist_uav, dist_obs) cannot hold two
 values at once. The scenario file's `params` object holds every field except
 `algorithm` and `bounds`, in field order; the loader and the saver derive
-their key sets and integer keys from `dataclasses.fields(Params)`.
+their key set from `dataclasses.fields(Params)`, and the loader hands the
+values to `Params`, which checks them.
 """
 
 import math
@@ -13,9 +14,6 @@ from dataclasses import dataclass, fields
 
 from .geom2d import Bounds
 
-DEFAULT_UAV_RADIUS = 12.0
-DEFAULT_CIRCLE_RADIUS = 12.0
-DEFAULT_CIRCLE_SPACING = 15.0
 DEFAULT_BOUNDS = Bounds(0.0, 0.0, 400.0, 400.0)
 
 ALGORITHMS = ("vo", "apf")
@@ -26,8 +24,9 @@ class Params:
     """All run parameters of one run.
 
     Integer fields take an `int` and float fields an `int` or `float`, never
-    a `bool`. Every numeric field must be finite and > 0, except `goal_bias`
-    in [0, 1] and `inflation` >= 0; `circle_spacing` must stay below
+    a `bool`; an `int` in a float field is stored as its `float`. Every
+    numeric field must be finite and > 0, except `goal_bias` in [0, 1] and
+    `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap, and `kp * dt`
     must stay below 2 so the nominal step converges. `inflation=None`
     takes the value of `uav_radius`.
@@ -54,9 +53,9 @@ class Params:
     goal_radius: float = 10.0
     inflation: float | None = None
     # bodies and the circle approximation of the rectangles
-    uav_radius: float = DEFAULT_UAV_RADIUS
-    obstacle_circle_radius: float = DEFAULT_CIRCLE_RADIUS
-    circle_spacing: float = DEFAULT_CIRCLE_SPACING
+    uav_radius: float = 12.0
+    obstacle_circle_radius: float = 12.0
+    circle_spacing: float = 15.0
     # not in a file's `params`: set by the command line and the top-level bounds
     algorithm: str = "vo"
     bounds: Bounds = DEFAULT_BOUNDS
@@ -68,9 +67,16 @@ class Params:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type in (float, float | None) and value is not None \
-                    and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type is float or f.type == float | None and value is not None:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                if isinstance(value, int):
+                    try:
+                        value = float(value)
+                    except OverflowError:
+                        raise ValueError(f"{f.name} must be finite, got an integer "
+                                         "too large for a float") from None
+                    object.__setattr__(self, f.name, value)  # frozen
             if f.type in (int, float) and f.name != "goal_bias" and not value > 0:
                 raise ValueError(f"{f.name} must be > 0")
         if self.inflation is None:  # after the loop, so errors name uav_radius itself

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .geom2d import Vec2, distance, segment_intersects_rect
+from .geom2d import Vec2, distance, point_in_rect, segment_intersects_rect
 from .obstacle_field import RectObstacle
 from .params import Params
 
@@ -106,7 +106,7 @@ def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     rule, so every endpoint it accepts is one `plan_path` accepts.
     """
     for label, p in (("start", start), ("goal", goal)):
-        if not params.bounds.contains(p):
+        if not point_in_rect(p, params.bounds):
             raise ValueError(f"{label} {p} lies outside the workspace bounds")
         for r in obstacles:
             if segment_intersects_rect(p, p, r, params.inflation):
@@ -135,7 +135,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
         if origin == target:
             continue
         new_point = steer(origin, target, params.step_size)
-        if not params.bounds.contains(new_point):
+        if not point_in_rect(new_point, params.bounds):
             continue
         if any(segment_intersects_rect(origin, new_point, r, params.inflation)
                for r in obstacles):

@@ -36,10 +36,9 @@ _TOP_KEYS = {"name", "bounds", "rectangles", "uavs", "params"}
 _BOUNDS_KEYS = {"min_x", "min_y", "max_x", "max_y"}
 _RECT_KEYS = {"id", "center", "width", "height"}
 _UAV_KEYS = {"id", "start", "goal"}
-# `params` key -> field type, in field order; the algorithm comes from the
-# command line and the bounds from the top-level `bounds` object
-_PARAM_TYPES = {f.name: f.type for f in fields(Params)
-                if f.name not in ("algorithm", "bounds")}
+# `params` keys in field order; the algorithm comes from the command line and
+# the bounds from the top-level `bounds` object
+_PARAM_KEYS = tuple(f.name for f in fields(Params) if f.name not in ("algorithm", "bounds"))
 
 
 @dataclass(frozen=True)
@@ -76,16 +75,14 @@ def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
 def _num(value: Any, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{ctx} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{ctx} must be finite, got an integer too large "
+                            "for a float") from None
     if not math.isfinite(v):
         raise ScenarioError(f"{ctx} must be finite, got {value!r}")
     return v
-
-
-def _int_value(value: Any, ctx: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{ctx} must be an integer, got {value!r}")
-    return value
 
 
 def _vec(value: Any, ctx: str) -> Vec2:
@@ -107,10 +104,9 @@ def load_scenario(path: str | Path) -> Scenario:
     OSError when the file cannot be read.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also non-UTF-8 bytes and over-long integer literals
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), f"{path}: top level must be a JSON object")
     _check_keys(doc, _TOP_KEYS, str(path))
@@ -174,14 +170,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
     pdoc = doc.get("params", {})
     _require(isinstance(pdoc, dict), "params must be an object")
-    _check_keys(pdoc, set(_PARAM_TYPES), "params")
-    validated = {
-        key: (_int_value(raw, f"params.{key}") if _PARAM_TYPES[key] is int
-              else _num(raw, f"params.{key}"))
-        for key, raw in pdoc.items()
-    }
+    _check_keys(pdoc, set(_PARAM_KEYS), "params")
+    for key, raw in pdoc.items():
+        # `Params` reads `inflation=None` as "take uav_radius"; a file gives a number
+        _require(raw is not None, f"params.{key} must be a number, got null")
     try:
-        params = Params(bounds=bounds, **validated)
+        params = Params(bounds=bounds, **pdoc)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
 
@@ -219,7 +213,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
             {"id": u.id, "start": [u.start.x, u.start.y], "goal": [u.goal.x, u.goal.y]}
             for u in scenario.uavs
         ],
-        "params": {key: getattr(scenario.sim, key) for key in _PARAM_TYPES},
+        "params": {key: getattr(scenario.sim, key) for key in _PARAM_KEYS},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 

@@ -30,19 +30,16 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class UavState:
-    """One vehicle's full state; replaced (never mutated) as the sim advances."""
+    """One vehicle's state, a disc of `Params.uav_radius`; replaced, never mutated."""
 
     id: str
     position: Vec2
     velocity: Vec2
-    radius: float
     path: WaypointPath
     waypoint_index: int = 0
     arrived: bool = False
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError("radius must be > 0")
         if not 0 <= self.waypoint_index < len(self.path):
             raise ValueError("waypoint_index out of range")
         if self.arrived and self.velocity != ZERO:
@@ -81,13 +78,14 @@ class SimResult:
     algorithm: str
 
 
-def assign_waypoint(state: UavState, dist_wp: float) -> UavState:
-    """Advance one waypoint when within dist_wp; arriving at the last one parks the UAV.
+def assign_waypoint(state: UavState, params: Params) -> UavState:
+    """Advance one waypoint within `params.dist_wp`; reaching the last one parks the UAV.
 
     At most one advance per call. Already-arrived states pass through.
     """
     if state.arrived:
         return state
+    dist_wp = params.dist_wp
     wp, p = state.current_waypoint(), state.position
     dx, dy = wp.x - p.x, wp.y - p.y
     # one axis gap settles "far" exactly, as in gather_threats
@@ -100,8 +98,8 @@ def assign_waypoint(state: UavState, dist_wp: float) -> UavState:
 
 
 def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: ObstacleField,
-                   dist_uav: float, dist_obs: float) -> list[Threat]:
-    """Threats within activation range, canonically ordered.
+                   params: Params) -> list[Threat]:
+    """Threats within `params.dist_uav` (UAVs) or `dist_obs` (circles), canonically ordered.
 
     Order is (distance, UAVs before obstacle circles, source id), which makes
     the seed-then-prune search independent of input vehicle order. Arrived
@@ -127,6 +125,9 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     because that sum is rounded too. The visiting order does not matter: the
     sort key (distance, UAV before circle, source id) is total.
     """
+    dist_uav, dist_obs = params.dist_uav, params.dist_obs
+    r_uav = params.uav_radius + params.uav_radius
+    r_obs = params.uav_radius + params.obstacle_circle_radius
     px, py = uav.position.x, uav.position.y
     keyed: list[tuple[float, int, str, Threat]] = []
     for other in snapshot:
@@ -141,7 +142,7 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
             keyed.append((d, 0, other.id, Threat(
                 position=q,
                 velocity=other.velocity,
-                combined_radius=uav.radius + other.radius,
+                combined_radius=r_uav,
                 source_id=other.id,
             )))
     for rect, ring in obstacles.rings:
@@ -149,26 +150,26 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
                 or rect.min_y - py >= dist_obs or py - rect.max_y >= dist_obs \
                 or point_rect_distance(uav.position, rect) >= dist_obs:
             continue
-        lo = bisect_left(ring, True, key=lambda kc: px - kc[1].center.x < dist_obs)
-        hi = bisect_left(ring, True, lo, key=lambda kc: kc[1].center.x - px >= dist_obs)
+        lo = bisect_left(ring, True, key=lambda kc: px - kc[1].x < dist_obs)
+        hi = bisect_left(ring, True, lo, key=lambda kc: kc[1].x - px >= dist_obs)
         for k, c in ring[lo:hi]:
-            dx, dy = c.center.x - px, c.center.y - py
+            dx, dy = c.x - px, c.y - py
             if dy >= dist_obs or -dy >= dist_obs:
                 continue
             d = math.hypot(dx, dy)
             if d < dist_obs:
                 sid = f"{rect.id}#{k}"
                 keyed.append((d, 1, sid, Threat(
-                    position=c.center,
+                    position=c,
                     velocity=ZERO,
-                    combined_radius=uav.radius + c.radius,
+                    combined_radius=r_obs,
                     source_id=sid,
                 )))
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))
     return [item[3] for item in keyed]
 
 
-def detect_collisions(world: World, t: float) -> list[SimEvent]:
+def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
     """Ground-truth overlap scan: UAV discs pairwise and against true rectangles.
 
     Strict inequalities: touching exactly is not a collision. Event order is
@@ -180,8 +181,8 @@ def detect_collisions(world: World, t: float) -> list[SimEvent]:
     """
     events: list[SimEvent] = []
     uavs = sorted(world.uavs, key=lambda u: u.id)
+    r = params.uav_radius + params.uav_radius
     for a, b in combinations(uavs, 2):
-        r = a.radius + b.radius
         dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
         if dx >= r or -dx >= r or dy >= r or -dy >= r:
             continue
@@ -189,8 +190,9 @@ def detect_collisions(world: World, t: float) -> list[SimEvent]:
         if d < r:
             events.append(SimEvent(t, "uav_uav_collision",
                                    {"a": a.id, "b": b.id, "distance": d}))
+    r = params.uav_radius
     for u in uavs:
-        p, r = u.position, u.radius
+        p = u.position
         for rect in world.field.rectangles:
             if rect.min_x - p.x >= r or p.x - rect.max_x >= r \
                     or rect.min_y - p.y >= r or p.y - rect.max_y >= r:
@@ -213,7 +215,7 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     """
     events: list[SimEvent] = []
     for i, u in enumerate(world.uavs):
-        nxt = assign_waypoint(u, params.dist_wp)
+        nxt = assign_waypoint(u, params)
         if nxt is not u:
             if nxt.arrived:
                 events.append(SimEvent(t, "arrived", {"uav": u.id}))
@@ -227,7 +229,7 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     for i, u in enumerate(snapshot):
         if u.arrived:
             continue
-        threats = gather_threats(u, snapshot, world.field, params.dist_uav, params.dist_obs)
+        threats = gather_threats(u, snapshot, world.field, params)
         if params.algorithm == "vo":
             res = avoid(u, threats, params)
             if res.empty_set:
@@ -237,9 +239,9 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
             v = apf_step(u, threats, params)
         world.uavs[i] = UavState(u.id, Vec2(u.position.x + params.dt * v.x,
                                             u.position.y + params.dt * v.y),
-                                 v, u.radius, u.path, u.waypoint_index, u.arrived)
+                                 v, u.path, u.waypoint_index, u.arrived)
 
-    events.extend(detect_collisions(world, t))
+    events.extend(detect_collisions(world, params, t))
     return events
 
 
@@ -263,20 +265,17 @@ def plan_paths(scenario: "Scenario", seed: int) -> dict[str, WaypointPath]:
 
 def build_world(scenario: "Scenario", params: Params,
                 paths: Mapping[str, WaypointPath]) -> World:
-    """Vehicles at their starts; body and circle sizes come from `params`."""
+    """Vehicles at their starts and the circle approximation of `params`."""
     uavs = [
         UavState(
             id=u.id,
             position=u.start,
             velocity=ZERO,
-            radius=params.uav_radius,
             path=paths[u.id],
         )
         for u in scenario.uavs
     ]
-    obstacles = ObstacleField(list(scenario.rectangles),
-                              params.obstacle_circle_radius, params.circle_spacing)
-    return World(uavs=uavs, field=obstacles)
+    return World(uavs=uavs, field=ObstacleField(list(scenario.rectangles), params))
 
 
 def run_planned(scenario: "Scenario", params: Params,
@@ -290,7 +289,7 @@ def run_planned(scenario: "Scenario", params: Params,
     trajectories = {
         u.id: [TrajectorySample(0.0, u.position, u.velocity)] for u in world.uavs
     }
-    events = detect_collisions(world, 0.0)
+    events = detect_collisions(world, params, 0.0)
     steps = 0
     while steps < params.max_steps and not all(u.arrived for u in world.uavs):
         steps += 1

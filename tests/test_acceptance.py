@@ -20,8 +20,7 @@ from utm_sim.geom2d import (Vec2, distance, normalize_angle,
                             point_rect_distance, segment_rect_distance)
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import RectObstacle, discretize_rectangle
-from utm_sim.params import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING,
-                            DEFAULT_UAV_RADIUS, Params)
+from utm_sim.params import Params
 from utm_sim.scenario_cli import load_scenario, main
 from utm_sim.sim_engine import plan_paths, run, run_planned
 from utm_sim.vo_core import collision_cone, in_cone
@@ -46,9 +45,9 @@ def test_criterion_01_parameter_defaults():
     p = Params()  # the one table the planner, both controllers and the step loop read
     ok = (
         p.kp == 0.2 and p.dt == 0.1 and p.dist_wp == 10.0
-        and DEFAULT_UAV_RADIUS == 12.0
-        and DEFAULT_CIRCLE_RADIUS == 12.0
-        and DEFAULT_CIRCLE_SPACING == 15.0
+        and p.uav_radius == 12.0
+        and p.obstacle_circle_radius == 12.0
+        and p.circle_spacing == 15.0
         and p.dist_uav == 50.0 and p.dist_obs == 20.0
         and p.theta_step == 0.2 and p.mag_step == 0.2
         and p.k_att == 8.0 and p.k_rep == 15.0
@@ -276,8 +275,9 @@ def test_criterion_10_discretizer_coverage():
         w = rng.uniform(10.0, 200.0)
         h = rng.uniform(10.0, 200.0)
         rect = RectObstacle(Vec2(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)), w, h, "r")
-        circles = discretize_rectangle(rect, r_obs, spacing)
-        centers = [(c.center.x, c.center.y) for c in circles]
+        circles = discretize_rectangle(
+            rect, Params(obstacle_circle_radius=r_obs, circle_spacing=spacing))
+        centers = [(c.x, c.y) for c in circles]
 
         expected = 4 + 2 * (math.ceil(w / spacing) - 1) + 2 * (math.ceil(h / spacing) - 1)
         ok = ok and len(circles) == expected

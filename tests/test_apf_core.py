@@ -15,7 +15,7 @@ from utm_sim.vo_core import Threat
 
 def make_state(pos: Vec2, wp: Vec2) -> UavState:
     return UavState(id="a", position=pos, velocity=Vec2(0.0, 0.0),
-                    radius=12.0, path=WaypointPath((wp,)))
+                    path=WaypointPath((wp,)))
 
 
 # The reference law on `Vec2`: each force is its gain times the unit offset,

@@ -4,19 +4,15 @@ import random
 import pytest
 
 from utm_sim.geom2d import Vec2, distance
-from utm_sim.obstacle_field import (
-    DEFAULT_CIRCLE_RADIUS,
-    DEFAULT_CIRCLE_SPACING,
-    CircleObstacle,
-    ObstacleField,
-    RectObstacle,
-    discretize_rectangle,
-)
+from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
+from utm_sim.params import Params
+
+P = Params()  # circles of radius 12 at spacing 15
 
 
 def test_defaults():
-    assert DEFAULT_CIRCLE_RADIUS == 12.0
-    assert DEFAULT_CIRCLE_SPACING == 15.0
+    assert P.obstacle_circle_radius == 12.0
+    assert P.circle_spacing == 15.0
 
 
 class TestRectObstacle:
@@ -39,20 +35,20 @@ class TestDiscretize:
         # 30 m edges split once (ceil(30/15) = 2), 15 m edges not at all:
         # 4 corner circles plus one midpoint on each long edge.
         r = RectObstacle(Vec2(0.0, 0.0), 30.0, 15.0, "r")
-        circles = discretize_rectangle(r, 12.0, 15.0)
-        centers = {(c.center.x, c.center.y) for c in circles}
+        circles = discretize_rectangle(r, P)
+        centers = {(c.x, c.y) for c in circles}
         assert centers == {
             (-15.0, -7.5), (15.0, -7.5), (15.0, 7.5), (-15.0, 7.5),
             (0.0, -7.5), (0.0, 7.5),
         }
         assert len(circles) == 6
-        assert all(c.radius == 12.0 for c in circles)
+        assert all(isinstance(c, Vec2) for c in circles)
 
     def test_square_exactly_corner_circles(self):
         r = RectObstacle(Vec2(0.0, 0.0), 15.0, 15.0, "sq")
-        circles = discretize_rectangle(r, 12.0, 15.0)
+        circles = discretize_rectangle(r, P)
         assert len(circles) == 4
-        assert {(c.center.x, c.center.y) for c in circles} == {
+        assert {(c.x, c.y) for c in circles} == {
             (-7.5, -7.5), (7.5, -7.5), (7.5, 7.5), (-7.5, 7.5),
         }
 
@@ -63,17 +59,18 @@ class TestDiscretize:
             w = rng.uniform(1.0, 300.0)
             h = rng.uniform(1.0, 300.0)
             r = RectObstacle(Vec2(0, 0), w, h, "x")
-            got = len(discretize_rectangle(r, 12.0, 15.0))
+            got = len(discretize_rectangle(r, P))
             want = 4 + 2 * (math.ceil(w / 15.0) - 1) + 2 * (math.ceil(h / 15.0) - 1)
             assert got == want
 
     def test_spacing_must_allow_overlap(self):
         r = RectObstacle(Vec2(0, 0), 30.0, 15.0, "r")
-        with pytest.raises(ValueError):
-            discretize_rectangle(r, 12.0, 24.0)  # spacing == 2r: tangent, gap at the seam
-        with pytest.raises(ValueError):
-            discretize_rectangle(r, 12.0, 30.0)
-        discretize_rectangle(r, 12.0, 23.999)  # just under the limit is fine
+        with pytest.raises(ValueError, match="circle_spacing must be < 2"):
+            Params(obstacle_circle_radius=12.0, circle_spacing=24.0)  # tangent: a gap at the seam
+        with pytest.raises(ValueError, match="circle_spacing must be < 2"):
+            Params(obstacle_circle_radius=12.0, circle_spacing=30.0)
+        # just under the limit is fine
+        discretize_rectangle(r, Params(obstacle_circle_radius=12.0, circle_spacing=23.999))
 
     def test_walk_spacing_and_uniqueness(self):
         rng = random.Random(17)
@@ -82,8 +79,7 @@ class TestDiscretize:
             h = rng.uniform(2.0, 250.0)
             spacing = rng.uniform(3.0, 23.9)
             r = RectObstacle(Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50)), w, h, "x")
-            circles = discretize_rectangle(r, 12.0, spacing)
-            pts = [c.center for c in circles]
+            pts = discretize_rectangle(r, Params(circle_spacing=spacing))
             assert len({(p.x, p.y) for p in pts}) == len(pts)  # no duplicates
             # generation order is the perimeter walk; closing the loop included
             for a, b in zip(pts, pts[1:] + pts[:1]):
@@ -94,20 +90,20 @@ class TestDiscretize:
         rng = random.Random(23)
         r = RectObstacle(Vec2(7.0, -3.0), 83.0, 41.0, "x")
         spacing = 15.0
-        circles = discretize_rectangle(r, 12.0, spacing)
+        circles = discretize_rectangle(r, Params(circle_spacing=spacing))
         corners = list(r.corners())
         for c in circles:
             on_edge = any(
-                _on_segment(c.center, corners[i], corners[(i + 1) % 4])
+                _on_segment(c, corners[i], corners[(i + 1) % 4])
                 for i in range(4)
             )
-            assert on_edge, f"center {c.center} not on the boundary"
+            assert on_edge, f"center {c} not on the boundary"
         for _ in range(2000):
             edge = rng.randrange(4)
             a, b = corners[edge], corners[(edge + 1) % 4]
             t = rng.random()
             p = Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-            nearest = min(distance(p, c.center) for c in circles)
+            nearest = min(distance(p, c) for c in circles)
             assert nearest <= spacing / 2.0 + 1e-9
 
 
@@ -123,35 +119,35 @@ class TestObstacleField:
     def test_groups_and_flat_list(self):
         r1 = RectObstacle(Vec2(0, 0), 30.0, 15.0, "a")
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
-        f = ObstacleField([r1, r2])
+        f = ObstacleField([r1, r2], P)
         assert f.rectangles == (r1, r2)
         circles = [c for _, ring in f.rings for _, c in ring]
         assert len(circles) == 6 + 4
         assert [rect.id for rect, _ in f.rings] == ["a", "b"]
-        assert all(isinstance(c, CircleObstacle) for c in circles)
+        assert all(isinstance(c, Vec2) for c in circles)
         # each ring sits beside its own rectangle: 6 circles for a, 4 for b
         assert [len(ring) for _, ring in f.rings] == [6, 4]
 
     def test_ring_is_in_x_order_and_keeps_the_perimeter_index(self):
         rects = [RectObstacle(Vec2(0.0, 0.0), 360.0, 30.0, "wall"),
                  RectObstacle(Vec2(-7.3, 41.9), 23.7, 88.1, "post")]
-        f = ObstacleField(rects, 12.0, 15.0)
+        f = ObstacleField(rects, P)
         for rect, ring in f.rings:
-            xs = [c.center.x for _, c in ring]
+            xs = [c.x for _, c in ring]
             assert xs == sorted(xs)
             # ties in x keep perimeter order
             assert all(a[0] < b[0] for a, b in zip(ring, ring[1:])
-                       if a[1].center.x == b[1].center.x)
+                       if a[1].x == b[1].x)
             assert sorted(ring, key=lambda kc: kc[0]) == list(
-                enumerate(discretize_rectangle(rect, 12.0, 15.0)))
+                enumerate(discretize_rectangle(rect, P)))
 
     def test_duplicate_ids_rejected(self):
         r1 = RectObstacle(Vec2(0, 0), 10.0, 10.0, "a")
         r2 = RectObstacle(Vec2(50, 50), 10.0, 10.0, "a")
         with pytest.raises(ValueError):
-            ObstacleField([r1, r2])
+            ObstacleField([r1, r2], P)
 
     def test_empty_field(self):
-        f = ObstacleField([])
+        f = ObstacleField([], P)
         assert f.rectangles == ()
         assert f.rings == ()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utm_sim import rrt_planner
-from utm_sim.geom2d import Bounds, Vec2, distance, segment_rect_distance
+from utm_sim.geom2d import Bounds, Vec2, distance, point_in_rect, segment_rect_distance
 from utm_sim.obstacle_field import RectObstacle
 from utm_sim.params import Params
 from utm_sim.rrt_planner import (
@@ -141,7 +141,7 @@ class TestSampleConfig:
         hits = 0
         for _ in range(500):
             s = sample_config(params, goal, rng)
-            assert params.bounds.contains(s)
+            assert point_in_rect(s, params.bounds)
             hits += s == goal
         assert hits == 0
 
@@ -156,7 +156,7 @@ def _clear_plan_invariants(path: WaypointPath, start, goal, rects, params):
         for r in rects:
             assert segment_rect_distance(a, b, r) > params.inflation
     for w in wps:
-        assert params.bounds.contains(w)
+        assert point_in_rect(w, params.bounds)
 
 
 class TestPlanPath:

@@ -119,6 +119,13 @@ class TestLoadScenario:
         (lambda d: d["rectangles"][0].update(center=[900.0, 900.0]), "inside the workspace"),
         (lambda d: d["rectangles"][0].update(center=[290.0, 150.0]), "inside the workspace"),
         (lambda d: d["rectangles"][0].update(center=[150.0, 5.0]), "inside the workspace"),
+        # `Params` reads inflation=None as "take uav_radius"; a file may not
+        (lambda d: d["params"].update(inflation=None), r"params\.inflation must be a number"),
+        # integers too large for a float
+        (lambda d: d["params"].update(kp=10**400), r"params: kp must be finite"),
+        (lambda d: d["bounds"].update(max_x=10**400), r"bounds\.max_x must be finite"),
+        (lambda d: d["rectangles"][0].update(width=10**400), r"\.width must be finite"),
+        (lambda d: d["uavs"][0].update(start=[-10**400, 20.0]), r"\.start\[0\] must be finite"),
     ])
     def test_invalid_documents_rejected(self, tmp_path, mutate, fragment):
         doc = full_doc()
@@ -155,6 +162,22 @@ class TestLoadScenario:
         p = tmp_path / "broken.json"
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="JSON"):
+            load_scenario(p)
+
+    def test_integer_literal_over_the_digit_limit_is_invalid_json(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than Python's int-string conversion limit
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(MINIMAL)[:-1] + ', "params": {"kp": 1' + "0" * 5000 + "}}",
+                     encoding="utf-8")
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load_scenario(p)
+
+    def test_non_utf8_file_is_invalid_json(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(json.dumps({**MINIMAL, "name": "caf\u00e9"}, ensure_ascii=False)
+                      .encode("latin-1"))
+        with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(p)
 
     def test_endpoint_feasibility_checked(self, tmp_path):
@@ -454,6 +477,18 @@ class TestCliMain:
                      "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", ['{"inflation": null}', '{"kp": 1' + "0" * 400 + "}",
+                                        '{"kp": 1' + "0" * 5000 + "}"],
+                             ids=["null", "400_digits", "5000_digits"])
+    def test_unloadable_params_exit_2(self, tmp_path, capsys, params):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps(MINIMAL)[:-1] + f', "params": {params}}}', encoding="utf-8")
+        code = main(["run", "--scenario", str(scn), "--algo", "vo",
+                     "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_planning_failure_exit_3(self, tmp_path, capsys):
         doc = {

@@ -13,8 +13,7 @@ import utm_sim
 from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
-from utm_sim.params import (DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING, DEFAULT_UAV_RADIUS,
-                            Params)
+from utm_sim.params import Params
 from utm_sim.rrt_planner import PlanningError, WaypointPath
 from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, load_scenario
 from utm_sim.sim_engine import (
@@ -35,15 +34,16 @@ from utm_sim.vo_core import Threat
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-
-def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), radius=12.0, wp_index=0, arrived=False):
-    return UavState(id=uid, position=pos, velocity=vel, radius=radius,
-                    path=WaypointPath(tuple(wps)), waypoint_index=wp_index,
-                    arrived=arrived)
+P = Params()  # dist_wp 10, dist_uav 50, dist_obs 20, every radius 12
 
 
-def make_world(uavs, rects=()):
-    return World(uavs=list(uavs), field=ObstacleField(list(rects)))
+def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), wp_index=0, arrived=False):
+    return UavState(id=uid, position=pos, velocity=vel, path=WaypointPath(tuple(wps)),
+                    waypoint_index=wp_index, arrived=arrived)
+
+
+def make_world(uavs, rects=(), params=P):
+    return World(uavs=list(uavs), field=ObstacleField(list(rects), params))
 
 
 def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **params_kw):
@@ -84,7 +84,21 @@ def test_params_reject_wrong_types(name, value):
 
 
 def test_params_accept_ints_for_float_fields():
-    assert Params(kp=1, k_att=8, inflation=0).inflation == 0
+    p = Params(kp=1, k_att=8, inflation=0)
+    assert (p.kp, p.k_att, p.inflation) == (1.0, 8.0, 0.0)
+    assert type(p.kp) is type(p.k_att) is type(p.inflation) is float
+
+
+@pytest.mark.parametrize("name", ["kp", "inflation", "uav_radius"])
+def test_params_reject_an_int_too_large_for_a_float(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        Params(**{name: 10**400})
+
+
+def test_params_take_none_only_for_inflation():
+    assert Params(inflation=None).inflation == Params().uav_radius
+    with pytest.raises(ValueError, match="^kp must be a number, got None"):
+        Params(kp=None)
 
 
 def test_non_finite_gain_rejected_before_the_run():
@@ -94,7 +108,7 @@ def test_non_finite_gain_rejected_before_the_run():
 
 
 def test_default_uav_radius():
-    assert DEFAULT_UAV_RADIUS == 12.0
+    assert Params().uav_radius == 12.0
 
 
 class TestOneTable:
@@ -108,6 +122,11 @@ class TestOneTable:
         assert [f.name for f in fields(World)] == ["uavs", "field"]
         assert [f.name for f in fields(Scenario)] == ["name", "rectangles", "uavs", "sim"]
         assert not [name for name, v in vars(Scenario).items() if isinstance(v, property)]
+        # no body radius per vehicle and no circle object with its own radius
+        assert [f.name for f in fields(UavState)] == [
+            "id", "position", "velocity", "path", "waypoint_index", "arrived"]
+        field = ObstacleField([RectObstacle(Vec2(0.0, 0.0), 30.0, 15.0, "r")], P)
+        assert all(type(c) is Vec2 for _, ring in field.rings for _, c in ring)
 
     def test_inflation_defaults_to_uav_radius(self):
         assert Params().inflation == 12.0
@@ -122,11 +141,15 @@ class TestOneTable:
         params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
                          circle_spacing=8.0)
         world = build_world(sc, params, plan_paths(sc, 1))
-        assert [u.radius for u in world.uavs] == [9.0]
         circles = [c for _, ring in world.field.rings for _, c in ring]
-        assert {c.radius for c in circles} == {5.0}
         # 30 m edges at spacing 8: four circles per edge
         assert len(circles) == 16
+        # a UAV between the body of another and the rectangle's left edge
+        u = replace(world.uavs[0], position=Vec2(175.0, 100.0))
+        other = replace(world.uavs[0], id="u2", position=Vec2(165.0, 100.0))
+        threats = gather_threats(u, [u, other], world.field, params)
+        assert {t.source_id: t.combined_radius for t in threats
+                if t.source_id in ("u2", "r#0")} == {"u2": 18.0, "r#0": 14.0}
 
     def test_kp_on_the_run_table_steers_vo(self):
         sc = load_scenario(SCENARIOS / "head_on_duel.json")
@@ -164,7 +187,7 @@ class TestOneTable:
 class TestUavState:
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_uav("a", Vec2(0, 0), [Vec2(1, 1)], radius=0.0)
+            Params(uav_radius=0.0)
         with pytest.raises(ValueError):
             make_uav("a", Vec2(0, 0), [Vec2(1, 1)], wp_index=1)
         with pytest.raises(ValueError):  # step passes parked states through as they are
@@ -178,11 +201,11 @@ class TestUavState:
 class TestAssignWaypoint:
     def test_far_from_waypoint_unchanged(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(15.0, 0.0), Vec2(30.0, 0.0)])
-        assert assign_waypoint(u, 10.0) is u
+        assert assign_waypoint(u, P) is u
 
     def test_advances_one_waypoint(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(5.0, 0.0), Vec2(6.0, 0.0), Vec2(30.0, 0.0)])
-        nxt = assign_waypoint(u, 10.0)
+        nxt = assign_waypoint(u, P)
         assert nxt.waypoint_index == 1  # exactly one advance per call
         assert not nxt.arrived
         assert nxt.position == u.position
@@ -190,18 +213,18 @@ class TestAssignWaypoint:
     def test_arrival_at_last_waypoint_parks(self):
         u = make_uav("a", Vec2(29.0, 0.0), [Vec2(5.0, 0.0), Vec2(30.0, 0.0)],
                      vel=Vec2(3.0, 0.0), wp_index=1)
-        nxt = assign_waypoint(u, 10.0)
+        nxt = assign_waypoint(u, P)
         assert nxt.arrived
         assert nxt.velocity == Vec2(0.0, 0.0)
         assert nxt.waypoint_index == 1
 
     def test_threshold_is_strict(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(10.0, 0.0), Vec2(30.0, 0.0)])
-        assert assign_waypoint(u, 10.0) is u  # exactly dist_wp away: no advance
+        assert assign_waypoint(u, P) is u  # exactly dist_wp away: no advance
 
     def test_arrived_passthrough(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(0.0, 1.0)], arrived=True)
-        assert assign_waypoint(u, 10.0) is u
+        assert assign_waypoint(u, P) is u
 
 
 class TestGatherThreats:
@@ -209,8 +232,8 @@ class TestGatherThreats:
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         b = make_uav("b", Vec2(50.0, 0.0), [Vec2(0.0, 0.0)])
         c = make_uav("c", Vec2(49.0, 0.0), [Vec2(0.0, 0.0)])
-        field = ObstacleField([])
-        threats = gather_threats(a, [a, b, c], field, 50.0, 20.0)
+        field = ObstacleField([], P)
+        threats = gather_threats(a, [a, b, c], field, P)
         assert [t.source_id for t in threats] == ["c"]  # b at exactly 50 is out
 
     def test_canonical_order_distance_kind_id(self):
@@ -219,8 +242,8 @@ class TestGatherThreats:
         b = make_uav("b", Vec2(30.0, 0.0), [Vec2(0.0, 0.0)])
         d = make_uav("d", Vec2(-30.0, 0.0), [Vec2(0.0, 0.0)])
         rect = RectObstacle(Vec2(0.0, 18.0), 15.0, 15.0, "r1")  # corners 10.5 away-ish
-        field = ObstacleField([rect])
-        threats = gather_threats(a, [a, d, b], field, 50.0, 20.0)
+        field = ObstacleField([rect], P)
+        threats = gather_threats(a, [a, d, b], field, P)
         ids = [t.source_id for t in threats]
         # nearest first: the two bottom rect corners (distance ~12.9), then b/d
         dists = [distance(a.position, t.position) for t in threats]
@@ -232,9 +255,9 @@ class TestGatherThreats:
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         # obstacle circle corner exactly at (12.5, 0): put a uav at same distance
         rect = RectObstacle(Vec2(20.0, 0.0), 15.0, 15.0, "r1")
-        field = ObstacleField([rect])
+        field = ObstacleField([rect], P)
         b = make_uav("b", Vec2(0.0, math.hypot(12.5, 7.5)), [Vec2(0.0, 0.0)])
-        threats = gather_threats(a, [a, b], field, 50.0, 20.0)
+        threats = gather_threats(a, [a, b], field, P)
         tied = [t for t in threats
                 if distance(a.position, t.position) == math.hypot(12.5, 7.5)]
         # a circle's id is "<rect id>#<k>"; a UAV's id has no `#`
@@ -242,9 +265,10 @@ class TestGatherThreats:
         assert tied[0].source_id == "b"
 
     def test_combined_radius_and_self_exclusion(self):
-        a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)], radius=10.0)
-        b = make_uav("b", Vec2(20.0, 0.0), [Vec2(0.0, 0.0)], radius=7.0)
-        threats = gather_threats(a, [a, b], ObstacleField([]), 50.0, 20.0)
+        a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
+        b = make_uav("b", Vec2(20.0, 0.0), [Vec2(0.0, 0.0)])
+        params = Params(uav_radius=8.5)
+        threats = gather_threats(a, [a, b], ObstacleField([], params), params)
         assert len(threats) == 1
         assert threats[0].combined_radius == 17.0
         assert threats[0].velocity == b.velocity
@@ -252,15 +276,15 @@ class TestGatherThreats:
     def test_arrived_uavs_still_threats(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         b = make_uav("b", Vec2(20.0, 0.0), [Vec2(20.0, 0.0)], arrived=True)
-        threats = gather_threats(a, [a, b], ObstacleField([]), 50.0, 20.0)
+        threats = gather_threats(a, [a, b], ObstacleField([], P), P)
         assert [t.source_id for t in threats] == ["b"]
 
     def test_rect_prefilter_does_not_hide_circles(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         near = RectObstacle(Vec2(25.0, 0.0), 20.0, 20.0, "near")  # face at x=15
         far = RectObstacle(Vec2(200.0, 0.0), 20.0, 20.0, "far")
-        field = ObstacleField([near, far])
-        threats = gather_threats(a, [a], field, 50.0, 20.0)
+        field = ObstacleField([near, far], P)
+        threats = gather_threats(a, [a], field, P)
         assert threats  # left corners of `near` are 18.0 away
         assert all(t.source_id.startswith("near#") for t in threats)
         for t in threats:
@@ -271,9 +295,9 @@ class TestDetectCollisions:
     def test_uav_uav_strict_inequality(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(1.0, 1.0)])
         b = make_uav("b", Vec2(24.0, 0.0), [Vec2(1.0, 1.0)])
-        assert detect_collisions(make_world([a, b]), 0.0) == []
+        assert detect_collisions(make_world([a, b]), P, 0.0) == []
         c = make_uav("c", Vec2(23.999, 0.0), [Vec2(1.0, 1.0)])
-        events = detect_collisions(make_world([a, c]), 1.5)
+        events = detect_collisions(make_world([a, c]), P, 1.5)
         assert len(events) == 1
         ev = events[0]
         assert ev.kind == "uav_uav_collision"
@@ -283,69 +307,69 @@ class TestDetectCollisions:
     def test_uav_rect_ground_truth(self):
         rect = RectObstacle(Vec2(50.0, 50.0), 20.0, 20.0, "r")
         inside = make_uav("a", Vec2(50.0, 50.0), [Vec2(1.0, 1.0)])
-        events = detect_collisions(make_world([inside], [rect]), 0.0)
+        events = detect_collisions(make_world([inside], [rect]), P, 0.0)
         assert [e.kind for e in events] == ["uav_obstacle_collision"]
         near = make_uav("a", Vec2(72.5, 50.0), [Vec2(1.0, 1.0)])  # 12.5 > 12 clear
-        assert detect_collisions(make_world([near], [rect]), 0.0) == []
+        assert detect_collisions(make_world([near], [rect]), P, 0.0) == []
         grazing = make_uav("a", Vec2(71.9, 50.0), [Vec2(1.0, 1.0)])  # 11.9 < 12
-        assert len(detect_collisions(make_world([grazing], [rect]), 0.0)) == 1
+        assert len(detect_collisions(make_world([grazing], [rect]), P, 0.0)) == 1
 
     def test_event_order_independent_of_world_order(self):
         rect = RectObstacle(Vec2(0.0, 40.0), 30.0, 30.0, "r")
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(1.0, 1.0)])
         b = make_uav("b", Vec2(10.0, 0.0), [Vec2(1.0, 1.0)])
         c = make_uav("c", Vec2(0.0, 20.0), [Vec2(1.0, 1.0)])
-        ev1 = detect_collisions(make_world([a, b, c], [rect]), 0.0)
-        ev2 = detect_collisions(make_world([c, b, a], [rect]), 0.0)
+        ev1 = detect_collisions(make_world([a, b, c], [rect]), P, 0.0)
+        ev2 = detect_collisions(make_world([c, b, a], [rect]), P, 0.0)
         assert ev1 == ev2
         assert len(ev1) >= 2  # a-b overlap plus c against the rect
 
 
-def oracle_assign_waypoint(state, dist_wp):
+def oracle_assign_waypoint(state, params):
     """assign_waypoint without the axis-gap exit."""
-    if state.arrived or distance(state.position, state.current_waypoint()) >= dist_wp:
+    if state.arrived or distance(state.position, state.current_waypoint()) >= params.dist_wp:
         return state
     if state.waypoint_index + 1 < len(state.path):
         return replace(state, waypoint_index=state.waypoint_index + 1)
     return replace(state, arrived=True, velocity=Vec2(0.0, 0.0))
 
 
-def oracle_gather_threats(uav, snapshot, obstacles, dist_uav, dist_obs,
-                          circle_radius=DEFAULT_CIRCLE_RADIUS, spacing=DEFAULT_CIRCLE_SPACING):
+def oracle_gather_threats(uav, snapshot, obstacles, params):
     """gather_threats without the axis-gap exits or the x-window: every circle
     of every rectangle near enough, numbered in `discretize_rectangle`'s
-    perimeter order (`obstacles` must use the same circle sizes)."""
+    perimeter order (`obstacles` must be built from the same `params`)."""
     keyed = []
     for other in snapshot:
         d = distance(uav.position, other.position)
-        if other.id != uav.id and d < dist_uav:
+        if other.id != uav.id and d < params.dist_uav:
             keyed.append((d, 0, other.id, Threat(other.position, other.velocity,
-                                                 uav.radius + other.radius, other.id)))
+                                                 params.uav_radius + params.uav_radius,
+                                                 other.id)))
     for rect in obstacles.rectangles:
-        if point_rect_distance(uav.position, rect) >= dist_obs:
+        if point_rect_distance(uav.position, rect) >= params.dist_obs:
             continue
-        for k, c in enumerate(discretize_rectangle(rect, circle_radius, spacing)):
-            d = distance(uav.position, c.center)
-            if d < dist_obs:
+        for k, c in enumerate(discretize_rectangle(rect, params)):
+            d = distance(uav.position, c)
+            if d < params.dist_obs:
                 sid = f"{rect.id}#{k}"
-                keyed.append((d, 1, sid, Threat(c.center, Vec2(0.0, 0.0),
-                                                uav.radius + c.radius, sid)))
+                keyed.append((d, 1, sid, Threat(
+                    c, Vec2(0.0, 0.0), params.uav_radius + params.obstacle_circle_radius, sid)))
     keyed.sort(key=lambda item: item[:3])
     return [item[3] for item in keyed]
 
 
-def oracle_detect_collisions(world, t):
+def oracle_detect_collisions(world, params, t):
     """detect_collisions without the axis-gap exits."""
     events = []
     uavs = sorted(world.uavs, key=lambda u: u.id)
     for a, b in combinations(uavs, 2):
         d = distance(a.position, b.position)
-        if d < a.radius + b.radius:
+        if d < params.uav_radius + params.uav_radius:
             events.append(SimEvent(t, "uav_uav_collision", {"a": a.id, "b": b.id, "distance": d}))
     for u in uavs:
         for rect in world.field.rectangles:
             d = point_rect_distance(u.position, rect)
-            if d < u.radius:
+            if d < params.uav_radius:
                 events.append(SimEvent(t, "uav_obstacle_collision",
                                        {"uav": u.id, "rect": rect.id, "distance": d}))
     return events
@@ -406,6 +430,7 @@ def _rect_and_edge_points(draw, index, gaps):
 def _scenes(draw):
     dist_uav, dist_obs, dist_wp = draw(_range), draw(_range), draw(_range)
     radius = draw(st.sampled_from([12.0, 0.5, 7.25]))
+    params = Params(dist_uav=dist_uav, dist_obs=dist_obs, dist_wp=dist_wp, uav_radius=radius)
     gaps = [dist_uav, dist_obs, dist_wp, radius, 2.0 * radius]
     me = Vec2(draw(_coord), draw(_coord))
     rects, points = [], [me]
@@ -421,18 +446,17 @@ def _scenes(draw):
                                  | st.floats(100.0, 400.0)),
                             draw(st.integers(1, 80).map(lambda k: k / 2)), "wall")
         rects.append(wall)
-        circles = discretize_rectangle(wall, DEFAULT_CIRCLE_RADIUS, DEFAULT_CIRCLE_SPACING)
+        circles = discretize_rectangle(wall, params)
         for _ in range(2):
-            c = draw(st.sampled_from(circles)).center
+            c = draw(st.sampled_from(circles))
             points.append(Vec2(draw(_offset(c.x, [dist_obs])), c.y + draw(_across)))
     points.extend(draw(st.lists(_near_point(me, gaps), max_size=5)))
     uavs = []
     for i, pos in enumerate(points):
         wp = draw(_near_point(pos, gaps))
         wps = [wp, Vec2(wp.x + 1.0, wp.y)] if draw(st.booleans()) else [wp]
-        uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord)),
-                             radius=radius))
-    return uavs, ObstacleField(rects), dist_uav, dist_obs, dist_wp
+        uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord))))
+    return uavs, ObstacleField(rects, params), params
 
 
 class TestAxisGapExitsMatchOracle:
@@ -441,14 +465,14 @@ class TestAxisGapExitsMatchOracle:
     @settings(max_examples=400, deadline=None)
     @given(scene=_scenes())
     def test_engine_equals_plain_oracle(self, scene):
-        uavs, field, dist_uav, dist_obs, dist_wp = scene
+        uavs, field, params = scene
         for u in uavs:
-            got, want = assign_waypoint(u, dist_wp), oracle_assign_waypoint(u, dist_wp)
+            got, want = assign_waypoint(u, params), oracle_assign_waypoint(u, params)
             assert got == want and (got is u) == (want is u)
-            assert (gather_threats(u, uavs, field, dist_uav, dist_obs)
-                    == oracle_gather_threats(u, uavs, field, dist_uav, dist_obs))
-        world = make_world(uavs, field.rectangles)
-        assert detect_collisions(world, 1.0) == oracle_detect_collisions(world, 1.0)
+            assert (gather_threats(u, uavs, field, params)
+                    == oracle_gather_threats(u, uavs, field, params))
+        world = make_world(uavs, field.rectangles, params)
+        assert detect_collisions(world, params, 1.0) == oracle_detect_collisions(world, params, 1.0)
 
     def test_gap_equal_to_range_is_out_and_just_inside_is_in(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
@@ -457,10 +481,11 @@ class TestAxisGapExitsMatchOracle:
         rect = RectObstacle(Vec2(-30.0, 0.0), 12.0, 12.0, "r")  # max_x = -24
         # b and the rect sit exactly 24 away along one axis, c just inside 24
         world = make_world([a, on, inside], [rect])
-        threats = gather_threats(a, [a, on, inside], ObstacleField([rect]), 24.0, 24.0)
+        params = Params(dist_uav=24.0, dist_obs=24.0)
+        threats = gather_threats(a, [a, on, inside], ObstacleField([rect], params), params)
         assert [t.source_id for t in threats] == ["c"]
-        assert detect_collisions(world, 0.0) == oracle_detect_collisions(world, 0.0)
-        assert [e.details["b"] for e in detect_collisions(world, 0.0)] == ["c"]
+        assert detect_collisions(world, P, 0.0) == oracle_detect_collisions(world, P, 0.0)
+        assert [e.details["b"] for e in detect_collisions(world, P, 0.0)] == ["c"]
 
 
 class TestCircleWindow:
@@ -473,9 +498,9 @@ class TestCircleWindow:
 
     def _ids(self, px):
         uav = make_uav("a", Vec2(px, -15.0), [Vec2(0.0, -100.0)])
-        field = ObstacleField([self.WALL])
-        got = gather_threats(uav, [uav], field, 50.0, 20.0)
-        assert got == oracle_gather_threats(uav, [uav], field, 50.0, 20.0)
+        field = ObstacleField([self.WALL], P)
+        got = gather_threats(uav, [uav], field, P)
+        assert got == oracle_gather_threats(uav, [uav], field, P)
         return [t.source_id for t in got]
 
     @pytest.mark.parametrize("cx, far, near", [(135.0, "w#21", ["w#20", "w#19"]),
@@ -491,10 +516,10 @@ class TestCircleWindow:
         assert self._ids(math.nextafter(px, -cx)) == near
 
     def test_every_bottom_circle_at_either_window_edge(self):
-        ring = dict(ObstacleField([self.WALL]).rings[0][1])
+        ring = dict(ObstacleField([self.WALL], P).rings[0][1])
         assert len(ring) == 52
         for k in range(25):
-            cx = ring[k].center.x
+            cx = ring[k].x
             for side in (1.0, -1.0):
                 # px with the computed gap side * (cx - px) at 20, then the
                 # nearest floats that put it below and above 20
@@ -605,7 +630,7 @@ class TestStep:
         before = tuple(world.uavs)
         step(world, params, t=params.dt)
         for u, moved in zip(before, world.uavs):
-            threats = gather_threats(u, before, world.field, params.dist_uav, params.dist_obs)
+            threats = gather_threats(u, before, world.field, params)
             assert threats  # a and b repel each other
             v = apf_step(u, threats, params)
             assert moved.velocity == v

@@ -24,9 +24,9 @@ from utm_sim.vo_core import (
 )
 
 
-def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a", radius: float = 12.0) -> UavState:
+def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a") -> UavState:
     return UavState(id=uav_id, position=pos, velocity=Vec2(0.0, 0.0),
-                    radius=radius, path=WaypointPath((wp,)))
+                    path=WaypointPath((wp,)))
 
 
 def test_default_params():
