@@ -17,8 +17,13 @@ class Vec2:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
+        try:
+            if math.isfinite(self.x) and math.isfinite(self.y):
+                return
+        except OverflowError:  # an int too large for a float
+            raise ValueError("vector components must be finite, got an integer "
+                             "too large for a float") from None
+        raise ValueError(f"non-finite vector components ({self.x}, {self.y})")
 
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
@@ -63,10 +68,17 @@ class Bounds:
     max_y: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.min_x, self.min_y, self.max_x, self.max_y))):
+        try:
+            finite = all(map(math.isfinite, (self.min_x, self.min_y, self.max_x, self.max_y)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ValueError("bounds must be finite")
         if not (self.max_x > self.min_x and self.max_y > self.min_y):
             raise ValueError("bounds must have positive extent")
+        # sampling draws min + (max - min) * u, so the extent must be a float too
+        if not (math.isfinite(self.max_x - self.min_x) and math.isfinite(self.max_y - self.min_y)):
+            raise ValueError("bounds extent must be finite")
 
 
 def point_in_rect(p: Vec2, rect: "RectObstacle | Bounds") -> bool:
@@ -123,56 +135,30 @@ def segments_intersect(p1: Vec2, q1: Vec2, p2: Vec2, q2: Vec2) -> bool:
     return False
 
 
-def segment_rect_distance(p: Vec2, q: Vec2, rect: "RectObstacle") -> float:
-    """Distance from the closed segment pq to the closed solid rectangle; 0 on overlap."""
-    if point_in_rect(p, rect) or point_in_rect(q, rect):
-        return 0.0
-    corners = rect.corners()
-    best = math.inf
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        if segments_intersect(p, q, a, b):
-            return 0.0
-        best = min(
-            best,
-            point_segment_distance(a, p, q),
-            point_segment_distance(b, p, q),
-            point_segment_distance(p, a, b),
-            point_segment_distance(q, a, b),
-        )
-    return best
-
-
 def segment_intersects_rect(p: Vec2, q: Vec2, rect: "RectObstacle", inflation: float) -> bool:
-    """True when segment pq comes within `inflation` of the solid rectangle.
+    """True when the closed segment pq comes within `inflation` of the solid rectangle.
 
     Used for edge feasibility: a disc of radius `inflation` swept along pq must
-    stay clear of the true rectangle, so the test is distance <= inflation.
-
-    A rectangle whose gap to the segment's bounding box along one axis exceeds
-    `inflation` by more than a slack is settled False without the exact
-    distance; every other case returns `segment_rect_distance(...) <= inflation`.
-    The answer is the exact test's in every case. Let u = 2**-53 and M the
-    largest |coordinate| of p, q and the rectangle extents, and take the gap
-    g > 0 along x with the rectangle to the right (the other sides are
-    symmetric). Both endpoints then lie outside the rectangle. On each edge,
-    the signs of p and q against the edge's line are exact (one factor of the
-    cross product is exactly 0), so a crossing needs a horizontal edge whose
-    line the segment straddles. Its two corners lie on the same side of line
-    pq, at |orient| >= |q.y - p.y| * g, against a rounding error below
-    13 u M |q.y - p.y|, so no crossing is reported. Each of the 16 point-segment
-    distances has an x component of at least g in exact arithmetic; the
-    rounding of `w - t * v` and of g itself costs at most 13 u M, and
-    `math.hypot` never falls below that component. So every computed
-    distance exceeds g - 13 u M. The slack 1e-9 * (1 + M) covers both bounds
-    with six orders of magnitude to spare.
+    stay clear of the true rectangle. The distance from pq to the rectangle is 0
+    when an endpoint lies in it or pq crosses one of its edges, and otherwise
+    the least of the point-segment distances from each corner to pq and from
+    each endpoint to each edge. That least distance is <= inflation exactly
+    when one of them is, so the test returns True at the first such witness.
+    No candidate raises, and a NaN candidate is never a witness, just as it
+    would never be the least. q is tried against the edges first: the
+    planner's p is a tree vertex, already clear of every rectangle.
     """
     if inflation < 0.0:
         raise ValueError("inflation must be >= 0")
-    lo_x, hi_x = (p.x, q.x) if p.x <= q.x else (q.x, p.x)
-    lo_y, hi_y = (p.y, q.y) if p.y <= q.y else (q.y, p.y)
-    gap = max(rect.min_x - hi_x, lo_x - rect.max_x, rect.min_y - hi_y, lo_y - rect.max_y)
-    m = max(hi_x, -lo_x, hi_y, -lo_y, rect.max_x, -rect.min_x, rect.max_y, -rect.min_y)
-    if gap > inflation + 1e-9 * (1.0 + m):
-        return False
-    return segment_rect_distance(p, q, rect) <= inflation
+    if point_in_rect(q, rect) or point_in_rect(p, rect):
+        return True
+    c0, c1, c2, c3 = rect.corners()
+    edges = ((c0, c1), (c1, c2), (c2, c3), (c3, c0))
+    for a, b in edges:
+        if point_segment_distance(q, a, b) <= inflation:
+            return True
+    for a, b in edges:
+        if (segments_intersect(p, q, a, b) or point_segment_distance(a, p, q) <= inflation
+                or point_segment_distance(p, a, b) <= inflation):
+            return True
+    return False

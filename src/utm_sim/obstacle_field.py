@@ -34,11 +34,15 @@ class RectObstacle:
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(f"rectangle '{self.id}' must have positive width and height")
+        try:
+            half_w, half_h = self.width / 2.0, self.height / 2.0
+        except OverflowError:  # an int too large for a float
+            raise ValueError(f"rectangle '{self.id}' width and height must be finite") from None
         set_extent = object.__setattr__  # the dataclass is frozen
-        set_extent(self, "min_x", self.center.x - self.width / 2.0)
-        set_extent(self, "max_x", self.center.x + self.width / 2.0)
-        set_extent(self, "min_y", self.center.y - self.height / 2.0)
-        set_extent(self, "max_y", self.center.y + self.height / 2.0)
+        set_extent(self, "min_x", self.center.x - half_w)
+        set_extent(self, "max_x", self.center.x + half_w)
+        set_extent(self, "min_y", self.center.y - half_h)
+        set_extent(self, "max_y", self.center.y + half_h)
 
     def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
         """Corners in counter-clockwise perimeter order, starting at (min_x, min_y)."""

@@ -96,6 +96,55 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
     return Vec2(origin.x + (toward.x - origin.x) * t, origin.y + (toward.y - origin.y) * t)
 
 
+# (min_x, max_x, min_y, max_y, largest |coordinate|, the rectangle)
+_ObstacleRow = tuple[float, float, float, float, float, RectObstacle]
+
+
+def _obstacle_table(obstacles: Sequence[RectObstacle]) -> list[_ObstacleRow]:
+    """One row per rectangle, in input order: what `_first_blocker` reads of it per edge."""
+    return [(r.min_x, r.max_x, r.min_y, r.max_y, max(r.max_x, -r.min_x, r.max_y, -r.min_y), r)
+            for r in obstacles]
+
+
+def _first_blocker(table: list[_ObstacleRow], p: Vec2, q: Vec2,
+                   inflation: float) -> RectObstacle | None:
+    """The first rectangle of `table` that segment pq comes within `inflation` of, or None.
+
+    A rectangle is settled clear, with no exact test, when one of its four
+    gaps to the bounding box of pq exceeds `inflation + 1e-9 * (1 + M)`, M the
+    largest |coordinate| of p, q and the rectangle; every other rectangle goes
+    to `segment_intersects_rect`. The answer is the exact test's in every case.
+    Let u = 2**-53, and take the gap g > 0 along x with the rectangle to the
+    right (the other sides are symmetric). Both endpoints then lie outside
+    the rectangle. On each edge, the signs of p and q against the edge's line
+    are exact (one factor of the cross product is exactly 0), so a crossing
+    needs a horizontal edge whose line the segment straddles. Its two corners
+    lie on the same side of line pq, at |orient| >= |q.y - p.y| * g, against a
+    rounding error below 13 u M |q.y - p.y|, so no crossing is reported. Each
+    point-segment distance has an x component of at least g in exact
+    arithmetic; the rounding of `w - t * v` and of g itself costs at most
+    13 u M, and `math.hypot` never falls below that component. So every
+    computed distance exceeds g - 13 u M. The slack 1e-9 * (1 + M) covers both
+    bounds with six orders of magnitude to spare.
+
+    `max` is exact, so M is the larger of the edge's and the row's largest
+    |coordinate|, and the chain of `>` tests is true exactly when the largest
+    of the four gaps exceeds the limit.
+    """
+    px, py, qx, qy = p.x, p.y, q.x, q.y
+    lo_x, hi_x = (px, qx) if px <= qx else (qx, px)
+    lo_y, hi_y = (py, qy) if py <= qy else (qy, py)
+    edge_m = max(hi_x, -lo_x, hi_y, -lo_y)
+    for min_x, max_x, min_y, max_y, rect_m, rect in table:
+        lim = inflation + 1e-9 * (1.0 + (rect_m if rect_m > edge_m else edge_m))
+        if (min_x - hi_x > lim or lo_x - max_x > lim or min_y - hi_y > lim
+                or lo_y - max_y > lim):
+            continue
+        if segment_intersects_rect(p, q, rect, inflation):
+            return rect
+    return None
+
+
 def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
                     params: Params) -> None:
     """Raise ValueError unless start and goal are usable tree vertices.
@@ -105,12 +154,13 @@ def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     within `params.inflation` of it. The scenario loader applies this same
     rule, so every endpoint it accepts is one `plan_path` accepts.
     """
+    table = _obstacle_table(obstacles)
     for label, p in (("start", start), ("goal", goal)):
         if not point_in_rect(p, params.bounds):
             raise ValueError(f"{label} {p} lies outside the workspace bounds")
-        for r in obstacles:
-            if segment_intersects_rect(p, p, r, params.inflation):
-                raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
+        r = _first_blocker(table, p, p, params.inflation)
+        if r is not None:
+            raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
 
 
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
@@ -126,6 +176,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     if distance(start, goal) < params.goal_radius:
         return WaypointPath((start,))
 
+    table = _obstacle_table(obstacles)
     rng = random.Random(seed)
     tree = RrtTree(start)
     for _ in range(params.max_iters):
@@ -137,8 +188,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
         new_point = steer(origin, target, params.step_size)
         if not point_in_rect(new_point, params.bounds):
             continue
-        if any(segment_intersects_rect(origin, new_point, r, params.inflation)
-               for r in obstacles):
+        if _first_blocker(table, origin, new_point, params.inflation) is not None:
             continue
         new_idx = tree.add(new_point, near_idx)
         if distance(new_point, goal) < params.goal_radius:

@@ -16,14 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from utm_sim.geom2d import (Vec2, distance, normalize_angle,
-                            point_rect_distance, segment_rect_distance)
+from utm_sim.geom2d import Vec2, distance, normalize_angle, point_rect_distance
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import RectObstacle, discretize_rectangle
 from utm_sim.params import Params
 from utm_sim.scenario_cli import load_scenario, main
 from utm_sim.sim_engine import plan_paths, run, run_planned
 from utm_sim.vo_core import collision_cone, in_cone
+
+from rect_oracle import oracle_segment_rect_distance
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -255,7 +256,7 @@ def test_criterion_09_planner_output_validity():
             for a, b in zip(wps, wps[1:]):
                 if distance(a, b) > p.step_size + 1e-9:
                     violations.append((seed, uid, "step length"))
-                if any(segment_rect_distance(a, b, r) <= p.inflation
+                if any(oracle_segment_rect_distance(a, b, r) <= p.inflation
                        for r in sc.rectangles):
                     violations.append((seed, uid, "edge clearance"))
             if any(point_rect_distance(w, r) <= p.inflation

@@ -3,7 +3,6 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from utm_sim.geom2d import (
     Bounds,
@@ -15,10 +14,12 @@ from utm_sim.geom2d import (
     point_rect_distance,
     point_segment_distance,
     segment_intersects_rect,
-    segment_rect_distance,
     segments_intersect,
 )
 from utm_sim.obstacle_field import RectObstacle
+from utm_sim.rrt_planner import _first_blocker, _obstacle_table
+
+from rect_oracle import axis_gap, oracle_segment_rect_distance, segment_rect_cases
 
 
 def rect(cx, cy, w, h, rid="r"):
@@ -43,6 +44,12 @@ class TestVec2:
             Vec2(math.nan, 0.0)
         with pytest.raises(ValueError):
             Vec2(0.0, math.inf)
+
+    def test_integer_too_large_for_a_float_is_value_error(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Vec2(10**400, 0)
+        with pytest.raises(ValueError, match="must be finite"):
+            Vec2(0.0, -10**400)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -130,6 +137,18 @@ class TestBounds:
         with pytest.raises(ValueError, match="finite"):
             Bounds(*corners)
 
+    def test_rejects_integer_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            Bounds(0, 0, 10**400, 1)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_extent_that_overflows(self, axis):
+        # each corner is finite, but max - min is not: sampling would draw inf
+        lo, hi = (-1e308, -1e308, 1e308, 1e308), (0.0, 0.0, 10.0, 10.0)
+        corners = [lo[i] if (i % 2 == 0) == (axis == "x") else hi[i] for i in range(4)]
+        with pytest.raises(ValueError, match="bounds extent must be finite"):
+            Bounds(*corners)
+
 
 class TestPointRectDistance:
     def test_regions(self):
@@ -163,22 +182,22 @@ class TestSegmentRect:
         self.r = rect(50.0, 50.0, 20.0, 20.0)  # x,y in [40, 60]
 
     def test_crossing_segment(self):
-        assert segment_rect_distance(Vec2(0, 50), Vec2(100, 50), self.r) == 0.0
+        assert oracle_segment_rect_distance(Vec2(0, 50), Vec2(100, 50), self.r) == 0.0
         assert segment_intersects_rect(Vec2(0, 50), Vec2(100, 50), self.r, 0.0)
 
     def test_endpoint_inside(self):
-        assert segment_rect_distance(Vec2(50, 50), Vec2(200, 200), self.r) == 0.0
+        assert oracle_segment_rect_distance(Vec2(50, 50), Vec2(200, 200), self.r) == 0.0
 
     def test_clear_segment_distance(self):
         # horizontal segment passing 10 above the rect
-        d = segment_rect_distance(Vec2(0, 70), Vec2(100, 70), self.r)
+        d = oracle_segment_rect_distance(Vec2(0, 70), Vec2(100, 70), self.r)
         assert d == pytest.approx(10.0)
         assert not segment_intersects_rect(Vec2(0, 70), Vec2(100, 70), self.r, 9.999)
         assert segment_intersects_rect(Vec2(0, 70), Vec2(100, 70), self.r, 10.0)
 
     def test_degenerate_point_segment(self):
         p = Vec2(70.0, 50.0)
-        assert segment_rect_distance(p, p, self.r) == pytest.approx(10.0)
+        assert oracle_segment_rect_distance(p, p, self.r) == pytest.approx(10.0)
 
     def test_inflation_must_be_non_negative(self):
         with pytest.raises(ValueError):
@@ -213,73 +232,31 @@ class TestSegmentRect:
         assert checked > 800  # the band must not eat the test
 
 
-def _axis_gap(p, q, r):
-    """The bounding-box gap exactly as `segment_intersects_rect` computes it."""
-    return max(r.min_x - max(p.x, q.x), min(p.x, q.x) - r.max_x,
-               r.min_y - max(p.y, q.y), min(p.y, q.y) - r.max_y)
-
-
-def _slack(p, q, r):
-    m = max(abs(v) for v in (p.x, p.y, q.x, q.y, r.min_x, r.max_x, r.min_y, r.max_y))
-    return 1e-9 * (1.0 + m)
-
-
-_coord = st.floats(-500.0, 500.0)
-
-
-@st.composite
-def _segment_rect_cases(draw):
-    """(p, q, rect, inflation): free, point, side-gap and corner segments.
-
-    Side cases put the near end `near` outside one side of the rectangle and
-    the far end `far` beyond it (0 gives a segment parallel to that side).
-    Inflation is free, or the computed gap, 1 ulp either side of it, the gap
-    plus or minus the slack, or 1 ulp either side of gap minus slack (where
-    the early exit starts).
-    """
-    r = rect(draw(_coord), draw(_coord), draw(st.floats(0.01, 200.0)),
-             draw(st.floats(0.01, 200.0)))
-    kind = draw(st.sampled_from(("free", "point", "side", "corner")))
-    if kind == "side":
-        side = draw(st.integers(0, 3))
-        near, far = draw(st.floats(0.0, 50.0)), draw(st.sampled_from((0.0, 1.0, 37.5)))
-        a, b = (draw(st.floats(-60.0, 60.0)) for _ in range(2))
-        if side == 0:
-            pts = ((r.min_x - near, r.min_y + a), (r.min_x - near - far, r.max_y + b))
-        elif side == 1:
-            pts = ((r.max_x + near, r.min_y + a), (r.max_x + near + far, r.max_y + b))
-        elif side == 2:
-            pts = ((r.min_x + a, r.min_y - near), (r.max_x + b, r.min_y - near - far))
-        else:
-            pts = ((r.min_x + a, r.max_y + near), (r.max_x + b, r.max_y + near + far))
-        p, q = (Vec2(*xy) for xy in draw(st.permutations(pts)))
-    elif kind == "corner":
-        p, q = draw(st.sampled_from(r.corners())), Vec2(draw(_coord), draw(_coord))
-    else:
-        p = Vec2(draw(_coord), draw(_coord))
-        q = p if kind == "point" else Vec2(draw(_coord), draw(_coord))
-    g, slack = _axis_gap(p, q, r), _slack(p, q, r)
-    near_gap = (g, math.nextafter(g, math.inf), math.nextafter(g, -math.inf),
-                g + slack, g - slack, math.nextafter(g - slack, math.inf),
-                math.nextafter(g - slack, -math.inf))
-    inflation = draw(st.one_of(st.floats(0.0, 60.0), st.sampled_from(near_gap)))
-    return p, q, r, max(inflation, 0.0)
+class TestExactTest:
+    @settings(max_examples=500, deadline=None)
+    @given(case=segment_rect_cases())
+    def test_equals_oracle(self, case):
+        # the first-witness test decides the oracle's `<=` on random segments and
+        # on points, touching corners, edge-collinear and inside endpoints
+        p, q, r, inflation = case
+        assert (segment_intersects_rect(p, q, r, inflation)
+                == (oracle_segment_rect_distance(p, q, r) <= inflation))
 
 
 class TestAxisGapExit:
-    """`segment_intersects_rect` settles far rectangles early, with the exact answer."""
+    """The planner's obstacle table settles far rectangles early, with the exact answer."""
 
     @settings(max_examples=500, deadline=None)
-    @given(case=_segment_rect_cases())
+    @given(case=segment_rect_cases())
     def test_equals_exact_test(self, case):
         p, q, r, inflation = case
-        assert (segment_intersects_rect(p, q, r, inflation)
-                == (segment_rect_distance(p, q, r) <= inflation))
+        blocked = oracle_segment_rect_distance(p, q, r) <= inflation
+        assert _first_blocker(_obstacle_table([r]), p, q, inflation) is (r if blocked else None)
 
     def test_slack_covers_distance_rounded_below_gap(self):
-        # the computed distance lands below the computed gap, so an exit on
-        # `gap > inflation` alone would answer False where the exact test says True
+        # the computed distance lands below the computed gap, so a rule on
+        # `gap > inflation` alone would settle a rectangle the exact test blocks
         p, q, r = Vec2(8.2, 7.9), Vec2(2.4, -2.0), rect(4.5, -8.7, 4.2, 3.4)
-        d = segment_rect_distance(p, q, r)
-        assert d < _axis_gap(p, q, r)
-        assert segment_intersects_rect(p, q, r, d)
+        d = oracle_segment_rect_distance(p, q, r)
+        assert d < axis_gap(p, q, r)
+        assert _first_blocker(_obstacle_table([r]), p, q, d) is r

@@ -11,7 +11,9 @@ tests/golden_digests.json holds sha256 digests of:
 - the stdout of each of those commands, with its output directory replaced by
   `<out>` (the command's key plus `/stdout`).
 A change that moves any of them changes what the simulator does and must say
-why.
+why. The benchmark's own record, bench/digests.json, is read (never written)
+for one more gate: its waypoints.csv digests of `plan` on paper_like_5uav and
+paper_like_7uav at seeds 1-32.
 
 Re-record (only when an output change is intended):
     PYTHONPATH=src python3 tests/test_golden_digests.py
@@ -30,6 +32,7 @@ from utm_sim.scenario_cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
+BENCH_DIGESTS = ROOT / "bench" / "digests.json"
 SCENARIOS = ("head_on_duel", "paper_like_5uav", "paper_like_7uav", "corner_corridor")
 ALGOS = ("vo", "apf")
 SEED = 1
@@ -133,6 +136,21 @@ def test_compare_outputs_match_golden_digests(tmp_path, golden):
     # stdout, compare.csv, and four files per seed and controller
     assert len(expected) == 2 + 2 * 2 * 4
     assert compare_digests(tmp_path) == expected
+
+
+def test_plan_waypoints_match_bench_digests(tmp_path):
+    bench = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+    plans = {key: files["waypoints.csv"] for key, files in bench.items()
+             if key.startswith("plan/")}
+    assert len(plans) == 64  # two scenarios at seeds 1-32
+    mismatched = []
+    for key, want in sorted(plans.items()):
+        _, scenario, seed = key.split("/")
+        seed = int(seed.removeprefix("seed="))
+        got = plan_digest(scenario, seed, tmp_path / scenario / str(seed))
+        if got[f"{key}/waypoints.csv"] != want:
+            mismatched.append(key)
+    assert mismatched == []
 
 
 if __name__ == "__main__":

@@ -29,6 +29,12 @@ class TestRectObstacle:
         with pytest.raises(ValueError):
             RectObstacle(Vec2(0, 0), 5.0, -1.0, "bad")
 
+    def test_integer_side_too_large_for_a_float_is_value_error(self):
+        with pytest.raises(ValueError, match="'r' width and height must be finite"):
+            RectObstacle(Vec2(0.0, 0.0), 10**400, 1.0, "r")
+        with pytest.raises(ValueError, match="must be finite"):
+            RectObstacle(Vec2(0.0, 0.0), 1.0, 10**400, "r")
+
 
 class TestDiscretize:
     def test_30x15_rect_frozen_layout(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utm_sim import rrt_planner
-from utm_sim.geom2d import Bounds, Vec2, distance, point_in_rect, segment_rect_distance
+from utm_sim.geom2d import Bounds, Vec2, distance, point_in_rect, segment_intersects_rect
 from utm_sim.obstacle_field import RectObstacle
 from utm_sim.params import Params
 from utm_sim.rrt_planner import (
@@ -17,6 +17,8 @@ from utm_sim.rrt_planner import (
     sample_config,
     steer,
 )
+
+from rect_oracle import oracle_segment_rect_distance
 
 
 class TestParams:
@@ -154,7 +156,7 @@ def _clear_plan_invariants(path: WaypointPath, start, goal, rects, params):
         assert distance(a, b) <= params.step_size + 1e-9
         assert a != b
         for r in rects:
-            assert segment_rect_distance(a, b, r) > params.inflation
+            assert oracle_segment_rect_distance(a, b, r) > params.inflation
     for w in wps:
         assert point_in_rect(w, params.bounds)
 
@@ -215,40 +217,87 @@ class TestPlanPath:
             WaypointPath(())
 
 
-def _plain_edge_test(p, q, rect, inflation):
-    return segment_rect_distance(p, q, rect) <= inflation
+def _reference_plan(start, goal, rects, params, seed):
+    """`plan_path` as a plain loop: every rectangle goes through the oracle distance."""
+    def blocked(p, q, r):
+        return oracle_segment_rect_distance(p, q, r) <= params.inflation
+
+    for label, p in (("start", start), ("goal", goal)):
+        if not point_in_rect(p, params.bounds):
+            raise ValueError(f"{label} {p} lies outside the workspace bounds")
+        for r in rects:
+            if blocked(p, p, r):
+                raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
+    if distance(start, goal) < params.goal_radius:
+        return WaypointPath((start,))
+    rng = random.Random(seed)
+    tree = RrtTree(start)
+    for _ in range(params.max_iters):
+        target = sample_config(params, goal, rng)
+        near_idx = tree.nearest(target)
+        origin = tree.vertices[near_idx]
+        if origin == target:
+            continue
+        new_point = steer(origin, target, params.step_size)
+        if not point_in_rect(new_point, params.bounds):
+            continue
+        if any(blocked(origin, new_point, r) for r in rects):
+            continue
+        new_idx = tree.add(new_point, near_idx)
+        if distance(new_point, goal) < params.goal_radius:
+            return WaypointPath(tuple(tree.branch_to(new_idx)))
+    raise PlanningError(f"no path from {start} to {goal} within {params.max_iters} iterations")
 
 
-def _outcome(start, goal, rects, params, seed):
+def _outcome(plan, start, goal, rects, params, seed):
     try:
-        return plan_path(start, goal, rects, params, seed)
+        return plan(start, goal, rects, params, seed)
     except (ValueError, PlanningError) as exc:
         return type(exc), str(exc)
 
 
-_xy = st.builds(Vec2, st.floats(0.0, 400.0), st.floats(0.0, 400.0))
-
-
 @st.composite
 def _planning_problems(draw):
-    rects = [RectObstacle(Vec2(draw(st.floats(40.0, 360.0)), draw(st.floats(40.0, 360.0))),
-                          draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)), f"r{i}")
+    """Random maps in a 400 m square at the origin, or in a 3 km one near +-1e12.
+
+    Near 1e12 the rounding slack of the far-rectangle rule is about 1 km, so
+    that rule settles some rectangles of the map and sends others, hundreds
+    of metres clear, to the exact test.
+    """
+    origin = draw(st.sampled_from((0.0, 0.0, 1e12, -1e12)))
+    span = 400.0 if origin == 0.0 else 3000.0
+
+    def xy(lo, hi):
+        return Vec2(origin + draw(st.floats(lo, hi)) * span, origin + draw(st.floats(lo, hi)) * span)
+
+    rects = [RectObstacle(xy(0.1, 0.9), draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)),
+                          f"r{i}")
              for i in range(draw(st.integers(0, 5)))]
     params = Params(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
-                           goal_bias=draw(st.sampled_from((0.05, 0.4))),
-                           inflation=draw(st.sampled_from((0.0, 2.5, 5.0, 12.0))),
-                           max_iters=300)
-    return draw(_xy), draw(_xy), rects, params, draw(st.integers(0, 2**32 - 1))
+                    goal_bias=draw(st.sampled_from((0.05, 0.4))),
+                    inflation=draw(st.sampled_from((0.0, 2.5, 5.0, 12.0))),
+                    max_iters=300, bounds=Bounds(origin, origin, origin + span, origin + span))
+    return xy(0.0, 1.0), xy(0.0, 1.0), rects, params, draw(st.integers(0, 2**32 - 1))
 
 
 class TestEdgeCheckEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(problem=_planning_problems())
     def test_plan_equals_plain_distance_test(self, problem):
-        # same path, or the same error, as a planner whose edge test is the
-        # plain distance comparison with no early exit
-        fast = _outcome(*problem)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rrt_planner, "segment_intersects_rect", _plain_edge_test)
-            plain = _outcome(*problem)
-        assert fast == plain
+        # same path, or the same error, as the plain loop over every rectangle
+        assert _outcome(plan_path, *problem) == _outcome(_reference_plan, *problem)
+
+    def test_far_rectangles_skip_the_exact_test(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].id)
+            return segment_intersects_rect(*args)
+
+        monkeypatch.setattr(rrt_planner, "segment_intersects_rect", counted)
+        far = RectObstacle(Vec2(380.0, 20.0), 10.0, 10.0, "far")
+        near = RectObstacle(Vec2(200.0, 30.0), 40.0, 20.0, "near")
+        plan_path(Vec2(20.0, 20.0), Vec2(100.0, 20.0), [far], Params(), seed=1)
+        assert calls == []
+        plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), [far, near], Params(), seed=1)
+        assert calls and set(calls) == {"near"}

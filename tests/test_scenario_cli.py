@@ -126,6 +126,9 @@ class TestLoadScenario:
         (lambda d: d["bounds"].update(max_x=10**400), r"bounds\.max_x must be finite"),
         (lambda d: d["rectangles"][0].update(width=10**400), r"\.width must be finite"),
         (lambda d: d["uavs"][0].update(start=[-10**400, 20.0]), r"\.start\[0\] must be finite"),
+        # finite corners whose extent is not: the planner samples min + (max - min) * u
+        (lambda d: d.update(bounds={"min_x": -1e308, "min_y": 0.0, "max_x": 1e308,
+                                    "max_y": 300.0}), r"bounds: bounds extent must be finite"),
     ])
     def test_invalid_documents_rejected(self, tmp_path, mutate, fragment):
         doc = full_doc()
@@ -488,6 +491,16 @@ class TestCliMain:
                      "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_bounds_extent_exit_2(self, tmp_path, capsys):
+        doc = {**MINIMAL, "bounds": {"min_x": -1e308, "min_y": -1e308,
+                                     "max_x": 1e308, "max_y": 1e308}}
+        scn = write_scenario(tmp_path, doc)
+        code = main(["plan", "--scenario", str(scn), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and "extent must be finite" in err
         assert not (tmp_path / "o").exists()
 
     def test_planning_failure_exit_3(self, tmp_path, capsys):
