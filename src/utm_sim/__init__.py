@@ -6,8 +6,7 @@ from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
 from .obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
 from .params import Params
-from .rrt_planner import (PlanningError, WaypointPath, check_endpoints, plan_path,
-                          steer)
+from .rrt_planner import PlanningError, check_endpoints, plan_path, steer
 from .scenario_cli import (Scenario, ScenarioError, UavSpec, export_result,
                            load_scenario, main, save_scenario)
 from .sim_engine import (SimResult, UavState, World, assign_waypoint,
@@ -22,7 +21,7 @@ __all__ = [
     "RunReport", "build_report", "pairwise_distances", "path_length",
     "ObstacleField", "RectObstacle", "discretize_rectangle",
     "Params",
-    "PlanningError", "WaypointPath", "check_endpoints", "plan_path", "steer",
+    "PlanningError", "check_endpoints", "plan_path", "steer",
     "Scenario", "ScenarioError", "UavSpec", "export_result", "load_scenario",
     "main", "save_scenario",
     "SimResult", "UavState", "World", "assign_waypoint",

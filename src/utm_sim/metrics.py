@@ -52,22 +52,18 @@ def pairwise_distances(
 
 @dataclass
 class RunReport:
-    """Summary of one simulation run.
+    """What `build_report` measures of one run.
 
     path_lengths maps a collided UAV to None (rendered as the '--' marker on
     export); the number is never replaced by a sentinel value. pair_distances
     holds the per-sample series whose minima are pair_min_distances, in the
-    same pair order.
+    same pair order. event_counts tallies the run's events by kind, with
+    every kind of EVENT_KINDS present.
     """
 
-    algorithm: str
-    completed: bool
-    steps: int
     path_lengths: dict[str, float | None]
     pair_min_distances: dict[tuple[str, str], float]
     pair_distances: dict[tuple[str, str], list[float]]
-    collision_counts: dict[str, int]
-    empty_feasible_set_events: int
     event_counts: dict[str, int]
 
 
@@ -96,16 +92,8 @@ def build_report(result: SimResult) -> RunReport:
     }
     series, minima = pairwise_distances(positions)
     return RunReport(
-        algorithm=result.algorithm,
-        completed=result.completed,
-        steps=result.steps,
         path_lengths=path_lengths,
         pair_min_distances=minima,
         pair_distances=series,
-        collision_counts={
-            "uav_uav_collision": event_counts["uav_uav_collision"],
-            "uav_obstacle_collision": event_counts["uav_obstacle_collision"],
-        },
-        empty_feasible_set_events=event_counts["empty_feasible_set"],
         event_counts=event_counts,
     )

@@ -10,7 +10,6 @@ vertex, unsmoothed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .geom2d import Vec2, distance, point_in_rect, segment_intersects_rect
@@ -20,20 +19,6 @@ from .params import Params
 
 class PlanningError(Exception):
     """Planner exhausted its iteration budget without reaching the goal region."""
-
-
-@dataclass(frozen=True)
-class WaypointPath:
-    """Ordered waypoints from start to goal region, consecutive pairs <= step_size apart."""
-
-    waypoints: tuple[Vec2, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.waypoints) == 0:
-            raise ValueError("a path needs at least one waypoint")
-
-    def __len__(self) -> int:
-        return len(self.waypoints)
 
 
 class RrtTree:
@@ -146,13 +131,14 @@ def _first_blocker(table: list[_ObstacleRow], p: Vec2, q: Vec2,
 
 
 def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
-                    params: Params) -> None:
+                    params: Params) -> list[_ObstacleRow]:
     """Raise ValueError unless start and goal are usable tree vertices.
 
     Each must lie inside the workspace bounds and be clear of every rectangle
     by the planner's own edge test: the zero-length edge (p, p) must not come
     within `params.inflation` of it. The scenario loader applies this same
-    rule, so every endpoint it accepts is one `plan_path` accepts.
+    rule, so every endpoint it accepts is one `plan_path` accepts. Returns the
+    obstacle table it checked against, which `plan_path` plans with.
     """
     table = _obstacle_table(obstacles)
     for label, p in (("start", start), ("goal", goal)):
@@ -161,22 +147,22 @@ def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
         r = _first_blocker(table, p, p, params.inflation)
         if r is not None:
             raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
+    return table
 
 
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
-              params: Params, seed: int) -> WaypointPath:
+              params: Params, seed: int) -> tuple[Vec2, ...]:
     """Plan a waypoint path from start to the goal region.
 
-    Deterministic for a given (start, goal, obstacles, params, seed). Raises
-    ValueError when `check_endpoints` rejects an endpoint, and PlanningError
-    when max_iters runs out; PlanningError is recoverable (retry with another
-    seed or budget).
+    Consecutive waypoints are at most `params.step_size` apart. Deterministic
+    for a given (start, goal, obstacles, params, seed). Raises ValueError when
+    `check_endpoints` rejects an endpoint, and PlanningError when max_iters
+    runs out; PlanningError is recoverable (retry with another seed or budget).
     """
-    check_endpoints(start, goal, obstacles, params)
+    table = check_endpoints(start, goal, obstacles, params)
     if distance(start, goal) < params.goal_radius:
-        return WaypointPath((start,))
+        return (start,)
 
-    table = _obstacle_table(obstacles)
     rng = random.Random(seed)
     tree = RrtTree(start)
     for _ in range(params.max_iters):
@@ -192,7 +178,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
             continue
         new_idx = tree.add(new_point, near_idx)
         if distance(new_point, goal) < params.goal_radius:
-            return WaypointPath(tuple(tree.branch_to(new_idx)))
+            return tuple(tree.branch_to(new_idx))
     raise PlanningError(
         f"no path from {start} to {goal} within {params.max_iters} iterations"
     )

@@ -254,10 +254,11 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     (out / "events.json").write_text(
         json.dumps(events, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
+    counts = report.event_counts
     rep = {
-        "algorithm": report.algorithm,
-        "completed": report.completed,
-        "steps": report.steps,
+        "algorithm": result.algorithm,
+        "completed": result.completed,
+        "steps": result.steps,
         "path_lengths": {
             uid: ("collision" if length is None else length)
             for uid, length in report.path_lengths.items()
@@ -265,9 +266,10 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
         "pair_min_distances": {
             f"{a}-{b}": d for (a, b), d in report.pair_min_distances.items()
         },
-        "collision_counts": report.collision_counts,
-        "empty_feasible_set_events": report.empty_feasible_set_events,
-        "event_counts": report.event_counts,
+        "collision_counts": {kind: counts[kind]
+                             for kind in ("uav_uav_collision", "uav_obstacle_collision")},
+        "empty_feasible_set_events": counts["empty_feasible_set"],
+        "event_counts": counts,
     }
     (out / "report.json").write_text(
         json.dumps(rep, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -302,9 +304,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     status = "completed" if result.completed else "max-steps cutoff"
     print(f"scenario '{scenario.name}' algo={args.algo} seed={args.seed}: "
           f"{status} after {result.steps} steps (t={result.steps * sim.dt:.1f} s)")
-    print(f"collisions: uav-uav {report.collision_counts['uav_uav_collision']}, "
-          f"uav-obstacle {report.collision_counts['uav_obstacle_collision']}; "
-          f"empty feasible sets: {report.empty_feasible_set_events}")
+    counts = report.event_counts
+    print(f"collisions: uav-uav {counts['uav_uav_collision']}, "
+          f"uav-obstacle {counts['uav_obstacle_collision']}; "
+          f"empty feasible sets: {counts['empty_feasible_set']}")
     for uid, length in report.path_lengths.items():
         print(f"  {uid}: path {_path_cell(length)} m")
     print(f"wrote {out}/{{trajectories.csv,distances.csv,events.json,report.json,scenario.json}}")
@@ -318,11 +321,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["uav_id,waypoint_index,x,y"]
     for uid, path in paths.items():
-        for i, wp in enumerate(path.waypoints):
+        for i, wp in enumerate(path):
             lines.append("%s,%d,%.6f,%.6f" % (uid, i, wp.x, wp.y))
     (out / "waypoints.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for uid, path in paths.items():
-        print(f"{uid}: {len(path)} waypoints, {path_length(path.waypoints):.2f} m")
+        print(f"{uid}: {len(path)} waypoints, {path_length(path):.2f} m")
     print(f"wrote {out}/waypoints.csv")
     return 0
 

@@ -21,7 +21,7 @@ from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
 from .obstacle_field import ObstacleField
 from .params import Params
-from .rrt_planner import PlanningError, WaypointPath, plan_path
+from .rrt_planner import PlanningError, plan_path
 from .vo_core import Threat, avoid
 
 if TYPE_CHECKING:
@@ -35,7 +35,7 @@ class UavState:
     id: str
     position: Vec2
     velocity: Vec2
-    path: WaypointPath
+    path: tuple[Vec2, ...]
     waypoint_index: int = 0
     arrived: bool = False
 
@@ -46,7 +46,7 @@ class UavState:
             raise ValueError("an arrived UAV is parked: its velocity must be zero")
 
     def current_waypoint(self) -> Vec2:
-        return self.path.waypoints[self.waypoint_index]
+        return self.path[self.waypoint_index]
 
 
 class SimEvent(NamedTuple):
@@ -251,9 +251,9 @@ def derive_uav_seed(run_seed: int, uav_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def plan_paths(scenario: "Scenario", seed: int) -> dict[str, WaypointPath]:
+def plan_paths(scenario: "Scenario", seed: int) -> dict[str, tuple[Vec2, ...]]:
     """Plan every UAV's waypoint path; deterministic in (scenario, seed)."""
-    paths: dict[str, WaypointPath] = {}
+    paths: dict[str, tuple[Vec2, ...]] = {}
     for uav in scenario.uavs:
         try:
             paths[uav.id] = plan_path(uav.start, uav.goal, scenario.rectangles,
@@ -264,7 +264,7 @@ def plan_paths(scenario: "Scenario", seed: int) -> dict[str, WaypointPath]:
 
 
 def build_world(scenario: "Scenario", params: Params,
-                paths: Mapping[str, WaypointPath]) -> World:
+                paths: Mapping[str, tuple[Vec2, ...]]) -> World:
     """Vehicles at their starts and the circle approximation of `params`."""
     uavs = [
         UavState(
@@ -279,7 +279,7 @@ def build_world(scenario: "Scenario", params: Params,
 
 
 def run_planned(scenario: "Scenario", params: Params,
-                paths: Mapping[str, WaypointPath]) -> SimResult:
+                paths: Mapping[str, tuple[Vec2, ...]]) -> SimResult:
     """Simulate over pre-planned paths (lets both algorithms share one plan).
 
     `params` is the run's whole table: it replaces `scenario.sim` for the

@@ -153,7 +153,7 @@ def test_criterion_05_five_uav_scenario_clean_under_vo():
     for seed in range(1, 21):
         res = run(sc, _vo_sim(sc), seed)
         rep = build_report(res)
-        cc = rep.collision_counts
+        cc = rep.event_counts
         if not (res.completed and cc["uav_uav_collision"] == 0
                 and cc["uav_obstacle_collision"] == 0):
             bad.append(seed)
@@ -171,8 +171,8 @@ def test_criterion_06_apf_corner_failure_vo_clean():
         paths = plan_paths(sc, seed)
         apf = build_report(run_planned(sc, _apf_sim(sc), paths))
         vo = build_report(run_planned(sc, _vo_sim(sc), paths))
-        apf_uo = apf.collision_counts["uav_obstacle_collision"]
-        vo_uo = vo.collision_counts["uav_obstacle_collision"]
+        apf_uo = apf.event_counts["uav_obstacle_collision"]
+        vo_uo = vo.event_counts["uav_obstacle_collision"]
         if apf_uo >= 1 and vo_uo == 0:
             hits += 1
         else:
@@ -247,8 +247,7 @@ def test_criterion_09_planner_output_validity():
     p = sc.sim
     violations = []
     for seed in range(1, 51):
-        for uid, path in plan_paths(sc, seed).items():
-            wps = path.waypoints
+        for uid, wps in plan_paths(sc, seed).items():
             if wps[0] != starts[uid]:
                 violations.append((seed, uid, "start"))
             if distance(wps[-1], goals[uid]) >= p.goal_radius:

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Vec2
 from utm_sim.params import Params
-from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import Threat
 
 
 def make_state(pos: Vec2, wp: Vec2) -> UavState:
     return UavState(id="a", position=pos, velocity=Vec2(0.0, 0.0),
-                    path=WaypointPath((wp,)))
+                    path=(wp,))
 
 
 # The reference law on `Vec2`: each force is its gain times the unit offset,

@@ -89,14 +89,15 @@ def make_result(events):
 
 class TestBuildReport:
     def test_clean_run(self):
-        rep = build_report(make_result([SimEvent(0.1, "arrived", {"uav": "u1"})]))
-        assert rep.completed and rep.steps == 1 and rep.algorithm == "vo"
+        result = make_result([SimEvent(0.1, "arrived", {"uav": "u1"})])
+        rep = build_report(result)
+        assert result.completed and result.steps == 1 and result.algorithm == "vo"
         assert rep.path_lengths["u1"] == 5.0
         assert rep.path_lengths["u2"] == 3.0
         assert rep.path_lengths["u3"] == 5.0
-        assert rep.collision_counts == {"uav_uav_collision": 0,
-                                        "uav_obstacle_collision": 0}
-        assert rep.empty_feasible_set_events == 0
+        assert rep.event_counts["uav_uav_collision"] == 0
+        assert rep.event_counts["uav_obstacle_collision"] == 0
+        assert rep.event_counts["empty_feasible_set"] == 0
         assert rep.event_counts["arrived"] == 1
         assert ("u1", "u2") in rep.pair_min_distances
 
@@ -115,7 +116,7 @@ class TestBuildReport:
         assert rep.path_lengths["u1"] is None
         assert rep.path_lengths["u2"] is None
         assert rep.path_lengths["u3"] == 5.0
-        assert rep.collision_counts["uav_uav_collision"] == 1
+        assert rep.event_counts["uav_uav_collision"] == 1
         # the marker is not any numeric sentinel
         assert not isinstance(rep.path_lengths["u1"], float)
         assert COLLISION_MARKER == "--"
@@ -129,8 +130,8 @@ class TestBuildReport:
         rep = build_report(make_result(events))
         assert rep.path_lengths["u3"] is None
         assert rep.path_lengths["u1"] == 5.0
-        assert rep.collision_counts["uav_obstacle_collision"] == 1
-        assert rep.empty_feasible_set_events == 1
+        assert rep.event_counts["uav_obstacle_collision"] == 1
+        assert rep.event_counts["empty_feasible_set"] == 1
 
     def test_empty_trajectories_rejected(self):
         result = SimResult(trajectories={}, events=[], completed=False,

@@ -12,11 +12,12 @@ from utm_sim.params import Params
 from utm_sim.rrt_planner import (
     PlanningError,
     RrtTree,
-    WaypointPath,
+    _obstacle_table,
     plan_path,
     sample_config,
     steer,
 )
+from utm_sim.sim_engine import UavState
 
 from rect_oracle import oracle_segment_rect_distance
 
@@ -148,8 +149,7 @@ class TestSampleConfig:
         assert hits == 0
 
 
-def _clear_plan_invariants(path: WaypointPath, start, goal, rects, params):
-    wps = path.waypoints
+def _clear_plan_invariants(wps, start, goal, rects, params):
     assert wps[0] == start
     assert distance(wps[-1], goal) < params.goal_radius
     for a, b in zip(wps, wps[1:]):
@@ -165,7 +165,7 @@ class TestPlanPath:
     def test_trivial_when_start_in_goal_region(self):
         params = Params()
         p = plan_path(Vec2(5.0, 5.0), Vec2(9.0, 5.0), [], params, seed=1)
-        assert p.waypoints == (Vec2(5.0, 5.0),)
+        assert p == (Vec2(5.0, 5.0),)
 
     def test_deterministic_per_seed(self):
         params = Params()
@@ -213,8 +213,21 @@ class TestPlanPath:
             plan_path(Vec2(20.0, 20.0), Vec2(200.0, 200.0), walls, params, seed=3)
 
     def test_path_requires_at_least_one_waypoint(self):
-        with pytest.raises(ValueError):
-            WaypointPath(())
+        with pytest.raises(ValueError, match="waypoint_index out of range"):
+            UavState(id="a", position=Vec2(0.0, 0.0), velocity=Vec2(0.0, 0.0), path=())
+
+    def test_one_obstacle_table_per_call(self, monkeypatch):
+        # the endpoint check builds the table and the tree search plans with it
+        calls = []
+
+        def counted(obstacles):
+            calls.append(obstacles)
+            return _obstacle_table(obstacles)
+
+        monkeypatch.setattr(rrt_planner, "_obstacle_table", counted)
+        rects = [RectObstacle(Vec2(200.0, 200.0), 80.0, 80.0, "mid")]
+        path = plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), rects, Params(), seed=1)
+        assert len(path) > 1 and len(calls) == 1
 
 
 def _reference_plan(start, goal, rects, params, seed):
@@ -229,7 +242,7 @@ def _reference_plan(start, goal, rects, params, seed):
             if blocked(p, p, r):
                 raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
     if distance(start, goal) < params.goal_radius:
-        return WaypointPath((start,))
+        return (start,)
     rng = random.Random(seed)
     tree = RrtTree(start)
     for _ in range(params.max_iters):
@@ -245,7 +258,7 @@ def _reference_plan(start, goal, rects, params, seed):
             continue
         new_idx = tree.add(new_point, near_idx)
         if distance(new_point, goal) < params.goal_radius:
-            return WaypointPath(tuple(tree.branch_to(new_idx)))
+            return tuple(tree.branch_to(new_idx))
     raise PlanningError(f"no path from {start} to {goal} within {params.max_iters} iterations")
 
 

@@ -346,6 +346,64 @@ class TestParamsProperties:
                 load_scenario(src)
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _documents(draw):
+    """Whole documents the loader accepts: random name, bounds, rectangles, UAVs and params.
+
+    UAV i starts and ends in the row y0 + 3 * uav_radius * i, moved up by less
+    than uav_radius / 2, so no two starts or goals come within 2 * uav_radius.
+    Every rectangle lies more than 500 m plus the inflation to the right of
+    every endpoint, and the bounds enclose all of them with a margin of 1 m or more.
+    """
+    params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
+    table = Params(**params)
+    r = table.uav_radius
+    x0, y0 = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    span = draw(st.floats(0.0, 1e4))
+
+    def endpoint(i):
+        return [x0 + draw(_UNIT) * span, y0 + 3.0 * r * i + draw(_UNIT) * r / 2.0]
+
+    uav_ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True),
+                            min_size=1, max_size=4, unique=True))
+    uavs = [{"id": uid, "start": endpoint(i), "goal": endpoint(i)}
+            for i, uid in enumerate(uav_ids)]
+    x_rect = x0 + span + table.inflation + 1e3
+    rect_ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True),
+                             max_size=4, unique=True))
+    rects = [{"id": rid,
+              "center": [x_rect + draw(_UNIT) * 1e3, y0 + draw(st.floats(-1e3, 1e3))],
+              "width": draw(st.floats(1e-3, 1e3)), "height": draw(st.floats(1e-3, 1e3))}
+             for rid in rect_ids]
+    margin = st.floats(1.0, 1e3)
+    bounds = {"min_x": x0 - draw(margin), "min_y": y0 - 1.5e3 - draw(margin),
+              "max_x": x_rect + 1.5e3 + draw(margin),
+              "max_y": y0 + max(1.5e3, 3.0 * r * len(uavs)) + draw(margin)}
+    doc = {"bounds": bounds, "rectangles": rects, "uavs": uavs, "params": params}
+    name = draw(st.none() | st.text(min_size=1))
+    if name is not None:  # otherwise the loader takes the file stem
+        doc["name"] = name
+    return doc
+
+
+class TestDocumentRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents())
+    def test_random_documents_round_trip(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            first = load_scenario(write_scenario(tmp, doc))
+            assert first.name == doc.get("name", "scn")
+            save_scenario(first, tmp / "echo.json")
+            again = load_scenario(tmp / "echo.json")
+            assert again == first
+            save_scenario(again, tmp / "echo2.json")
+            assert (tmp / "echo2.json").read_bytes() == (tmp / "echo.json").read_bytes()
+
+
 class TestExportResult:
     def test_files_and_formats(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, {

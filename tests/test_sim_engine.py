@@ -14,7 +14,8 @@ from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
 from utm_sim.params import Params
-from utm_sim.rrt_planner import PlanningError, WaypointPath
+from utm_sim.metrics import RunReport
+from utm_sim.rrt_planner import PlanningError
 from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, load_scenario
 from utm_sim.sim_engine import (
     SimEvent,
@@ -38,7 +39,7 @@ P = Params()  # dist_wp 10, dist_uav 50, dist_obs 20, every radius 12
 
 
 def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), wp_index=0, arrived=False):
-    return UavState(id=uid, position=pos, velocity=vel, path=WaypointPath(tuple(wps)),
+    return UavState(id=uid, position=pos, velocity=vel, path=tuple(wps),
                     waypoint_index=wp_index, arrived=arrived)
 
 
@@ -128,6 +129,12 @@ class TestOneTable:
         field = ObstacleField([RectObstacle(Vec2(0.0, 0.0), 30.0, 15.0, "r")], P)
         assert all(type(c) is Vec2 for _, ring in field.rings for _, c in ring)
 
+    def test_run_report_holds_only_what_build_report_measures(self):
+        # algorithm, completed and steps are read from the SimResult, and the
+        # collision and empty-set counts from event_counts
+        assert [f.name for f in fields(RunReport)] == [
+            "path_lengths", "pair_min_distances", "pair_distances", "event_counts"]
+
     def test_inflation_defaults_to_uav_radius(self):
         assert Params().inflation == 12.0
         assert Params(uav_radius=9.0).inflation == 9.0
@@ -157,7 +164,7 @@ class TestOneTable:
         fast = run(sc, replace(sc.sim, algorithm="vo", kp=0.6), seed=1)
         for res, kp in ((slow, 0.2), (fast, 0.6)):
             a0, a1 = res.trajectories["a"][:2]
-            wp = plan_paths(sc, 1)["a"].waypoints[1]
+            wp = plan_paths(sc, 1)["a"][1]
             assert a1.velocity == Vec2(kp * (wp.x - a0.position.x), kp * (wp.y - a0.position.y))
         assert slow.completed and fast.completed
         assert fast.steps < slow.steps

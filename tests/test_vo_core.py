@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from utm_sim import vo_core
 from utm_sim.geom2d import Vec2, distance, normalize_angle
 from utm_sim.params import Params
-from utm_sim.rrt_planner import WaypointPath
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import (
     CollisionCone,
@@ -26,7 +25,7 @@ from utm_sim.vo_core import (
 
 def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a") -> UavState:
     return UavState(id=uav_id, position=pos, velocity=Vec2(0.0, 0.0),
-                    path=WaypointPath((wp,)))
+                    path=(wp,))
 
 
 def test_default_params():
