@@ -32,6 +32,7 @@ def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> 
     threat order. `threats` must already be filtered to activation range; only
     their positions matter here. A threat at the vehicle's own position is
     skipped, as `vo_core.avoid` skips it: it has no direction to repel along.
+    By the same rule there is no attraction at the vehicle's own waypoint.
 
     Each term is `dx / n * k`: the offset `dx` over its `math.hypot` length
     `n`, times the gain. An offset that overflows turns into nan here instead
@@ -41,10 +42,8 @@ def apf_step(state: "UavState", threats: Sequence["Threat"], params: Params) -> 
     px, py = state.position.x, state.position.y
     wp = state.current_waypoint()
     dx, dy = wp.x - px, wp.y - py
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("attractive force undefined at the waypoint itself")
-    n = math.hypot(dx, dy)
-    fx, fy = dx / n * params.k_att, dy / n * params.k_att
+    n = math.hypot(dx, dy)  # 0 exactly when the UAV sits on its waypoint
+    fx, fy = (dx / n * params.k_att, dy / n * params.k_att) if n else (0.0, 0.0)
     k_rep = params.k_rep
     for t in threats:
         # finite floats differ by exactly 0 only when they are equal, so this

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geom2d import Vec2, distance
+from .geom2d import ZERO, Vec2, distance
 from .params import Params
+from .vo_core import Threat
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,12 +79,13 @@ def discretize_rectangle(rect: RectObstacle, params: Params) -> list[Vec2]:
 class ObstacleField:
     """All static obstacles of a scenario plus their circle approximation.
 
-    `rings` holds, for each rectangle in input order, its circle centres as
-    `(k, centre)` pairs sorted by x (ties in perimeter order), where `k` is the
-    circle's index in `discretize_rectangle`'s perimeter order and so names it
-    (`"<rect id>#<k>"`). The x order lets threat gathering find the circles
-    within range along x by bisection. Immutable after construction; the
-    engine shares one instance across steps.
+    `rings` holds, for each rectangle in input order, its circles sorted by
+    centre x (ties in perimeter order), so threat gathering finds those in
+    range along x by bisection. Each circle is built once, as the `Threat`
+    that both controllers read: its centre, zero velocity, the combined radius
+    `uav_radius + obstacle_circle_radius` and the id `"<rect id>#<k>"`, `k` its
+    index in `discretize_rectangle`'s perimeter order. Immutable; the engine
+    shares one instance across steps.
     """
 
     def __init__(self, rectangles: list[RectObstacle], params: Params):
@@ -93,8 +95,10 @@ class ObstacleField:
                 raise ValueError(f"duplicate rectangle id '{r.id}'")
             seen.add(r.id)
         self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
-        self.rings: tuple[tuple[RectObstacle, tuple[tuple[int, Vec2], ...]], ...] = tuple(
-            (r, tuple(sorted(enumerate(discretize_rectangle(r, params)),
-                             key=lambda kc: kc[1].x)))
+        r_obs = params.uav_radius + params.obstacle_circle_radius
+        self.rings: tuple[tuple[RectObstacle, tuple[Threat, ...]], ...] = tuple(
+            (r, tuple(sorted((Threat(c, ZERO, r_obs, f"{r.id}#{k}")
+                              for k, c in enumerate(discretize_rectangle(r, params))),
+                             key=lambda t: t.position.x)))
             for r in self.rectangles
         )

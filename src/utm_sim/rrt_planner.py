@@ -81,49 +81,50 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
     return Vec2(origin.x + (toward.x - origin.x) * t, origin.y + (toward.y - origin.y) * t)
 
 
-# (min_x, max_x, min_y, max_y, largest |coordinate|, the rectangle)
-_ObstacleRow = tuple[float, float, float, float, float, RectObstacle]
+def _clearance_limit(obstacles: Sequence[RectObstacle], params: Params) -> float:
+    """One plan's `_first_blocker` limit, `params.inflation + 1e-9 * (1 + M)`, M the
+    largest |coordinate| of `params.bounds` and of every rectangle (`max` is exact)."""
+    b = params.bounds
+    m = max(b.max_x, -b.min_x, b.max_y, -b.min_y)
+    for r in obstacles:
+        m = max(m, r.max_x, -r.min_x, r.max_y, -r.min_y)
+    return params.inflation + 1e-9 * (1.0 + m)
 
 
-def _obstacle_table(obstacles: Sequence[RectObstacle]) -> list[_ObstacleRow]:
-    """One row per rectangle, in input order: what `_first_blocker` reads of it per edge."""
-    return [(r.min_x, r.max_x, r.min_y, r.max_y, max(r.max_x, -r.min_x, r.max_y, -r.min_y), r)
-            for r in obstacles]
-
-
-def _first_blocker(table: list[_ObstacleRow], p: Vec2, q: Vec2,
-                   inflation: float) -> RectObstacle | None:
-    """The first rectangle of `table` that segment pq comes within `inflation` of, or None.
+def _first_blocker(obstacles: Sequence[RectObstacle], p: Vec2, q: Vec2, inflation: float,
+                   limit: float) -> RectObstacle | None:
+    """The first rectangle that segment pq comes within `inflation` of, or None.
 
     A rectangle is settled clear, with no exact test, when one of its four
-    gaps to the bounding box of pq exceeds `inflation + 1e-9 * (1 + M)`, M the
-    largest |coordinate| of p, q and the rectangle; every other rectangle goes
-    to `segment_intersects_rect`. The answer is the exact test's in every case.
-    Let u = 2**-53, and take the gap g > 0 along x with the rectangle to the
-    right (the other sides are symmetric). Both endpoints then lie outside
-    the rectangle. On each edge, the signs of p and q against the edge's line
-    are exact (one factor of the cross product is exactly 0), so a crossing
-    needs a horizontal edge whose line the segment straddles. Its two corners
-    lie on the same side of line pq, at |orient| >= |q.y - p.y| * g, against a
+    gaps to the bounding box of pq exceeds `limit`, `_clearance_limit`'s
+    `inflation + 1e-9 * (1 + M)`; every other rectangle goes to
+    `segment_intersects_rect`. The answer is the exact test's in every case.
+    M bounds every coordinate of p, q and the rectangle, because p and q lie
+    in `params.bounds`: `check_endpoints` tests its endpoints against them
+    first, and `plan_path` each steered vertex before its edge. Let u = 2**-53,
+    and take the gap g > 0 along x with the rectangle to the right (the other
+    sides are symmetric). Both endpoints then lie outside the rectangle. On
+    each edge, the signs of p and q against the edge's line are exact (one
+    factor of the cross product is exactly 0), so a crossing needs a
+    horizontal edge whose line the segment straddles. Its two corners lie on
+    the same side of line pq, at |orient| >= |q.y - p.y| * g, against a
     rounding error below 13 u M |q.y - p.y|, so no crossing is reported. Each
     point-segment distance has an x component of at least g in exact
     arithmetic; the rounding of `w - t * v` and of g itself costs at most
     13 u M, and `math.hypot` never falls below that component. So every
     computed distance exceeds g - 13 u M. The slack 1e-9 * (1 + M) covers both
-    bounds with six orders of magnitude to spare.
+    bounds with six orders of magnitude to spare. A larger M only sends more
+    rectangles to the exact test.
 
-    `max` is exact, so M is the larger of the edge's and the row's largest
-    |coordinate|, and the chain of `>` tests is true exactly when the largest
-    of the four gaps exceeds the limit.
+    The chain of `>` tests is true exactly when the largest of the four gaps
+    exceeds the limit.
     """
     px, py, qx, qy = p.x, p.y, q.x, q.y
     lo_x, hi_x = (px, qx) if px <= qx else (qx, px)
     lo_y, hi_y = (py, qy) if py <= qy else (qy, py)
-    edge_m = max(hi_x, -lo_x, hi_y, -lo_y)
-    for min_x, max_x, min_y, max_y, rect_m, rect in table:
-        lim = inflation + 1e-9 * (1.0 + (rect_m if rect_m > edge_m else edge_m))
-        if (min_x - hi_x > lim or lo_x - max_x > lim or min_y - hi_y > lim
-                or lo_y - max_y > lim):
+    for rect in obstacles:
+        if (rect.min_x - hi_x > limit or lo_x - rect.max_x > limit
+                or rect.min_y - hi_y > limit or lo_y - rect.max_y > limit):
             continue
         if segment_intersects_rect(p, q, rect, inflation):
             return rect
@@ -131,23 +132,23 @@ def _first_blocker(table: list[_ObstacleRow], p: Vec2, q: Vec2,
 
 
 def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
-                    params: Params) -> list[_ObstacleRow]:
+                    params: Params) -> float:
     """Raise ValueError unless start and goal are usable tree vertices.
 
     Each must lie inside the workspace bounds and be clear of every rectangle
     by the planner's own edge test: the zero-length edge (p, p) must not come
     within `params.inflation` of it. The scenario loader applies this same
     rule, so every endpoint it accepts is one `plan_path` accepts. Returns the
-    obstacle table it checked against, which `plan_path` plans with.
+    plan's clearance limit (`_clearance_limit`), which `plan_path` plans with.
     """
-    table = _obstacle_table(obstacles)
+    limit = _clearance_limit(obstacles, params)
     for label, p in (("start", start), ("goal", goal)):
         if not point_in_rect(p, params.bounds):
             raise ValueError(f"{label} {p} lies outside the workspace bounds")
-        r = _first_blocker(table, p, p, params.inflation)
+        r = _first_blocker(obstacles, p, p, params.inflation, limit)
         if r is not None:
             raise ValueError(f"{label} {p} lies within the inflated obstacle '{r.id}'")
-    return table
+    return limit
 
 
 def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
@@ -159,7 +160,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     `check_endpoints` rejects an endpoint, and PlanningError when max_iters
     runs out; PlanningError is recoverable (retry with another seed or budget).
     """
-    table = check_endpoints(start, goal, obstacles, params)
+    limit = check_endpoints(start, goal, obstacles, params)
     if distance(start, goal) < params.goal_radius:
         return (start,)
 
@@ -174,7 +175,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
         new_point = steer(origin, target, params.step_size)
         if not point_in_rect(new_point, params.bounds):
             continue
-        if _first_blocker(table, origin, new_point, params.inflation) is not None:
+        if _first_blocker(obstacles, origin, new_point, params.inflation, limit) is not None:
             continue
         new_idx = tree.add(new_point, near_idx)
         if distance(new_point, goal) < params.goal_radius:

@@ -103,9 +103,11 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
 
     Order is (distance, UAVs before obstacle circles, source id), which makes
     the seed-then-prune search independent of input vehicle order. Arrived
-    UAVs still count: they are parked bodies. The per-rectangle distance
-    prefilter is sound because every circle center lies on its rectangle's
-    boundary, so rect distance <= any center distance.
+    UAVs still count: they are parked bodies. A UAV threat is built here from
+    the snapshot; a circle threat is the one `ObstacleField` built for the
+    run, appended as it is. The per-rectangle distance prefilter is sound
+    because every circle center lies on its rectangle's boundary, so rect
+    distance <= any center distance.
 
     Far pairs are settled by one axis gap before any `hypot`: a source is out
     of range when `|dx| >= range` or `|dy| >= range` for the same `dx`, `dy`
@@ -127,7 +129,6 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     """
     dist_uav, dist_obs = params.dist_uav, params.dist_obs
     r_uav = params.uav_radius + params.uav_radius
-    r_obs = params.uav_radius + params.obstacle_circle_radius
     px, py = uav.position.x, uav.position.y
     keyed: list[tuple[float, int, str, Threat]] = []
     for other in snapshot:
@@ -139,32 +140,22 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
             continue
         d = math.hypot(dx, dy)
         if d < dist_uav:
-            keyed.append((d, 0, other.id, Threat(
-                position=q,
-                velocity=other.velocity,
-                combined_radius=r_uav,
-                source_id=other.id,
-            )))
+            keyed.append((d, 0, other.id, Threat(q, other.velocity, r_uav, other.id)))
     for rect, ring in obstacles.rings:
         if rect.min_x - px >= dist_obs or px - rect.max_x >= dist_obs \
                 or rect.min_y - py >= dist_obs or py - rect.max_y >= dist_obs \
                 or point_rect_distance(uav.position, rect) >= dist_obs:
             continue
-        lo = bisect_left(ring, True, key=lambda kc: px - kc[1].x < dist_obs)
-        hi = bisect_left(ring, True, lo, key=lambda kc: kc[1].x - px >= dist_obs)
-        for k, c in ring[lo:hi]:
+        lo = bisect_left(ring, True, key=lambda t: px - t.position.x < dist_obs)
+        hi = bisect_left(ring, True, lo, key=lambda t: t.position.x - px >= dist_obs)
+        for threat in ring[lo:hi]:
+            c = threat.position
             dx, dy = c.x - px, c.y - py
             if dy >= dist_obs or -dy >= dist_obs:
                 continue
             d = math.hypot(dx, dy)
             if d < dist_obs:
-                sid = f"{rect.id}#{k}"
-                keyed.append((d, 1, sid, Threat(
-                    position=c,
-                    velocity=ZERO,
-                    combined_radius=r_obs,
-                    source_id=sid,
-                )))
+                keyed.append((d, 1, threat.source_id, threat))
     keyed.sort(key=lambda item: (item[0], item[1], item[2]))
     return [item[3] for item in keyed]
 

@@ -2,8 +2,8 @@
 
 The program never computes the distance from a segment to a rectangle; it
 decides only whether that distance is <= an inflation, stopping at the first
-witness (`geom2d.segment_intersects_rect`) or settling far rectangles from a
-per-plan table (`rrt_planner._first_blocker`). Both must answer
+witness (`geom2d.segment_intersects_rect`) or settling far rectangles by one
+clearance limit per plan (`rrt_planner._first_blocker`). Both must answer
 `oracle_segment_rect_distance(p, q, rect) <= inflation` on every input.
 """
 

@@ -40,8 +40,9 @@ def _repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
 
 
 def _total_force(pos: Vec2, waypoint: Vec2, points, params: Params) -> Vec2:
-    """Attraction plus the repulsion of every point other than pos, in order."""
-    total = _attractive_force(pos, waypoint, params.k_att)
+    """Attraction, unless pos is the waypoint, plus the repulsion of every point
+    other than pos, in order."""
+    total = Vec2(0.0, 0.0) if waypoint == pos else _attractive_force(pos, waypoint, params.k_att)
     for tp in points:
         if tp != pos:
             f = _repulsive_force(pos, tp, params.k_rep)
@@ -113,12 +114,17 @@ class TestForces:
             assert (f.x, f.y) == (-g.x, -g.y)
 
     def test_degenerate_positions_raise(self):
+        # the law has no direction at the waypoint itself or at a threat's own
+        # position, which is why apf_step takes no attraction at its waypoint
+        # and skips such a threat (test_coincident_threat_is_skipped)
         with pytest.raises(ValueError):
-            apf_step(make_state(Vec2(1.0, 1.0), Vec2(1.0, 1.0)), [], Params())
-        # the law has no direction at a threat's own position, which is why
-        # apf_step skips such a threat (test_coincident_threat_is_skipped)
+            _attractive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 8.0)
         with pytest.raises(ValueError):
             _repulsive_force(Vec2(1.0, 1.0), Vec2(1.0, 1.0), 15.0)
+        at_waypoint = make_state(Vec2(1.0, 1.0), Vec2(1.0, 1.0))
+        assert apf_step(at_waypoint, [], Params()) == Vec2(0.0, 0.0)
+        threat = Threat(Vec2(4.0, 5.0), Vec2(0.0, 0.0), 24.0, "o")
+        assert apf_step(at_waypoint, [threat], Params(k_rep=15.0)) == Vec2(-9.0, -12.0)
 
 
 class TestTotalForce:
@@ -197,11 +203,12 @@ def _next_to(draw, p):
 
 @st.composite
 def _apf_cases(draw):
-    """A state and a threat list of mixed magnitudes (coordinates up to 1e150)
-    that may be empty, hold the UAV's own position or a point 1 ulp from it,
-    and repeat a threat."""
+    """A state, whose waypoint may be its own position or 1 ulp from it, and a
+    threat list of mixed magnitudes (coordinates up to 1e150) that may be
+    empty, hold the UAV's own position or a point 1 ulp from it, and repeat a
+    threat."""
     pos = draw(_points)
-    wp = draw(st.one_of(_points, _next_to(pos)).filter(lambda p: p != pos))
+    wp = draw(st.one_of(_points, st.just(pos), _next_to(pos)))
     points = draw(st.lists(st.one_of(_points, st.just(pos), _next_to(pos)), max_size=6))
     if points and draw(st.booleans()):
         points.append(draw(st.sampled_from(points)))

@@ -17,7 +17,8 @@ from utm_sim.geom2d import (
     segments_intersect,
 )
 from utm_sim.obstacle_field import RectObstacle
-from utm_sim.rrt_planner import _first_blocker, _obstacle_table
+from utm_sim.params import Params
+from utm_sim.rrt_planner import _clearance_limit, _first_blocker
 
 from rect_oracle import axis_gap, oracle_segment_rect_distance, segment_rect_cases
 
@@ -243,15 +244,23 @@ class TestExactTest:
                 == (oracle_segment_rect_distance(p, q, r) <= inflation))
 
 
+def _first_blocker_of_plan(r, p, q, inflation):
+    """`_first_blocker` on one rectangle, with the limit of a plan whose bounds hold p and q."""
+    bounds = Bounds(min(p.x, q.x) - 1.0, min(p.y, q.y) - 1.0,
+                    max(p.x, q.x) + 1.0, max(p.y, q.y) + 1.0)
+    limit = _clearance_limit([r], Params(inflation=inflation, bounds=bounds))
+    return _first_blocker([r], p, q, inflation, limit)
+
+
 class TestAxisGapExit:
-    """The planner's obstacle table settles far rectangles early, with the exact answer."""
+    """The planner's clearance limit settles far rectangles early, with the exact answer."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=segment_rect_cases())
     def test_equals_exact_test(self, case):
         p, q, r, inflation = case
         blocked = oracle_segment_rect_distance(p, q, r) <= inflation
-        assert _first_blocker(_obstacle_table([r]), p, q, inflation) is (r if blocked else None)
+        assert _first_blocker_of_plan(r, p, q, inflation) is (r if blocked else None)
 
     def test_slack_covers_distance_rounded_below_gap(self):
         # the computed distance lands below the computed gap, so a rule on
@@ -259,4 +268,4 @@ class TestAxisGapExit:
         p, q, r = Vec2(8.2, 7.9), Vec2(2.4, -2.0), rect(4.5, -8.7, 4.2, 3.4)
         d = oracle_segment_rect_distance(p, q, r)
         assert d < axis_gap(p, q, r)
-        assert _first_blocker(_obstacle_table([r]), p, q, d) is r
+        assert _first_blocker_of_plan(r, p, q, d) is r

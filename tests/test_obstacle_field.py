@@ -127,7 +127,7 @@ class TestObstacleField:
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
         f = ObstacleField([r1, r2], P)
         assert f.rectangles == (r1, r2)
-        circles = [c for _, ring in f.rings for _, c in ring]
+        circles = [t.position for _, ring in f.rings for t in ring]
         assert len(circles) == 6 + 4
         assert [rect.id for rect, _ in f.rings] == ["a", "b"]
         assert all(isinstance(c, Vec2) for c in circles)
@@ -139,12 +139,14 @@ class TestObstacleField:
                  RectObstacle(Vec2(-7.3, 41.9), 23.7, 88.1, "post")]
         f = ObstacleField(rects, P)
         for rect, ring in f.rings:
-            xs = [c.x for _, c in ring]
+            xs = [t.position.x for t in ring]
             assert xs == sorted(xs)
+            # each circle is named by its perimeter index k as "<rect id>#<k>"
+            index = [int(t.source_id.removeprefix(f"{rect.id}#")) for t in ring]
             # ties in x keep perimeter order
-            assert all(a[0] < b[0] for a, b in zip(ring, ring[1:])
-                       if a[1].x == b[1].x)
-            assert sorted(ring, key=lambda kc: kc[0]) == list(
+            assert all(i < j for i, j, a, b in zip(index, index[1:], ring, ring[1:])
+                       if a.position.x == b.position.x)
+            assert sorted(zip(index, (t.position for t in ring))) == list(
                 enumerate(discretize_rectangle(rect, P)))
 
     def test_duplicate_ids_rejected(self):

@@ -12,7 +12,7 @@ from utm_sim.params import Params
 from utm_sim.rrt_planner import (
     PlanningError,
     RrtTree,
-    _obstacle_table,
+    _clearance_limit,
     plan_path,
     sample_config,
     steer,
@@ -216,19 +216,6 @@ class TestPlanPath:
         with pytest.raises(ValueError, match="waypoint_index out of range"):
             UavState(id="a", position=Vec2(0.0, 0.0), velocity=Vec2(0.0, 0.0), path=())
 
-    def test_one_obstacle_table_per_call(self, monkeypatch):
-        # the endpoint check builds the table and the tree search plans with it
-        calls = []
-
-        def counted(obstacles):
-            calls.append(obstacles)
-            return _obstacle_table(obstacles)
-
-        monkeypatch.setattr(rrt_planner, "_obstacle_table", counted)
-        rects = [RectObstacle(Vec2(200.0, 200.0), 80.0, 80.0, "mid")]
-        path = plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), rects, Params(), seed=1)
-        assert len(path) > 1 and len(calls) == 1
-
 
 def _reference_plan(start, goal, rects, params, seed):
     """`plan_path` as a plain loop: every rectangle goes through the oracle distance."""
@@ -275,7 +262,9 @@ def _planning_problems(draw):
 
     Near 1e12 the rounding slack of the far-rectangle rule is about 1 km, so
     that rule settles some rectangles of the map and sends others, hundreds
-    of metres clear, to the exact test.
+    of metres clear, to the exact test. Rectangles may reach past the bounds,
+    as the library path allows, so the largest |coordinate| of the plan's
+    clearance limit sometimes comes from a rectangle rather than the bounds.
     """
     origin = draw(st.sampled_from((0.0, 0.0, 1e12, -1e12)))
     span = 400.0 if origin == 0.0 else 3000.0
@@ -283,7 +272,7 @@ def _planning_problems(draw):
     def xy(lo, hi):
         return Vec2(origin + draw(st.floats(lo, hi)) * span, origin + draw(st.floats(lo, hi)) * span)
 
-    rects = [RectObstacle(xy(0.1, 0.9), draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)),
+    rects = [RectObstacle(xy(-0.1, 1.1), draw(st.floats(1.0, 80.0)), draw(st.floats(1.0, 80.0)),
                           f"r{i}")
              for i in range(draw(st.integers(0, 5)))]
     params = Params(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
@@ -299,6 +288,14 @@ class TestEdgeCheckEquivalence:
     def test_plan_equals_plain_distance_test(self, problem):
         # same path, or the same error, as the plain loop over every rectangle
         assert _outcome(plan_path, *problem) == _outcome(_reference_plan, *problem)
+
+    def test_clearance_limit_reads_the_bounds_and_every_rectangle(self):
+        params = Params(inflation=2.0)  # bounds 0..400
+        assert _clearance_limit([], params) == 2.0 + 1e-9 * (1.0 + 400.0)
+        inside = RectObstacle(Vec2(200.0, 200.0), 80.0, 80.0, "inside")
+        past = RectObstacle(Vec2(-500.0, 200.0), 200.0, 10.0, "past")  # min_x -600
+        assert _clearance_limit([inside], params) == _clearance_limit([], params)
+        assert _clearance_limit([inside, past], params) == 2.0 + 1e-9 * (1.0 + 600.0)
 
     def test_far_rectangles_skip_the_exact_test(self, monkeypatch):
         calls = []

@@ -404,6 +404,127 @@ class TestDocumentRoundTrip:
             assert (tmp / "echo2.json").read_bytes() == (tmp / "echo.json").read_bytes()
 
 
+_GAIN = st.floats(0.1, 60.0)
+_RUN_FILES = ["distances.csv", "events.json", "report.json", "scenario.json", "trajectories.csv"]
+
+
+def _clear_of(rect, points, r):
+    """True when every point lies more than r (plus a hair) from the solid rectangle."""
+    for x, y in points:
+        dx = max(rect["center"][0] - rect["width"] / 2.0 - x, 0.0,
+                 x - rect["center"][0] - rect["width"] / 2.0)
+        dy = max(rect["center"][1] - rect["height"] / 2.0 - y, 0.0,
+                 y - rect["center"][1] - rect["height"] / 2.0)
+        if math.hypot(dx, dy) <= r + 1e-6:
+            return False
+    return True
+
+
+@st.composite
+def _obstacle_documents(draw):
+    """Documents with rectangles between and around the endpoints, in a 200 m square.
+
+    One to three UAVs cross the square, each in its own row 3 * uav_radius
+    apart and moved by less than uav_radius / 2, so no two starts or goals
+    come within 2 * uav_radius. Each rectangle is a 1-2 m thin wall, up or
+    across, or a block, centred near an endpoint or on the way between a
+    start and its goal. A rectangle is cut to the bounds, and dropped when
+    that leaves it under 1 m across or when it comes within uav_radius (the
+    default inflation) of an endpoint, so the loader accepts most documents.
+    """
+    r, dt = draw(st.floats(0.5, 12.0)), draw(st.floats(0.05, 1.0))
+    params = {"uav_radius": r, "dt": dt, "kp": draw(st.floats(0.01, 0.99)) * 2.0 / dt,
+              "k_att": draw(_GAIN), "k_rep": draw(_GAIN),
+              "dist_wp": draw(st.floats(1.0, 15.0)), "step_size": draw(st.floats(5.0, 20.0)),
+              "goal_bias": draw(st.sampled_from([0.05, 0.5, 1.0])),
+              "max_iters": 300, "max_steps": draw(st.integers(1, 40))}
+    uavs = []
+    for i in range(draw(st.integers(1, 3))):
+        y = 40.0 + 3.0 * r * i
+        ends = [[draw(st.floats(5.0, 60.0)), y + draw(_UNIT) * r / 2.0],
+                [draw(st.floats(140.0, 195.0)), y + draw(_UNIT) * r / 2.0]]
+        if draw(st.booleans()):
+            ends.reverse()
+        uavs.append({"id": f"u{i}", "start": ends[0], "goal": ends[1]})
+    endpoints = [u[k] for u in uavs for k in ("start", "goal")]
+    thin, long, block = st.floats(1.0, 2.0), st.floats(5.0, 80.0), st.floats(1.0, 40.0)
+    rects = []
+    for i in range(draw(st.integers(1, 6))):
+        u = draw(st.sampled_from(uavs))
+        t = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.2, 0.8))
+        cx = u["start"][0] + (u["goal"][0] - u["start"][0]) * t + draw(st.floats(-30.0, 30.0))
+        cy = u["start"][1] + (u["goal"][1] - u["start"][1]) * t + draw(st.floats(-30.0, 30.0))
+        shape = draw(st.sampled_from(["wall_up", "wall_across", "block"]))
+        w, h = {"wall_up": (thin, long), "wall_across": (long, thin),
+                "block": (block, block)}[shape]
+        w, h = draw(w) / 2.0, draw(h) / 2.0
+        # cut to the bounds
+        x0, x1 = max(cx - w, 0.0), min(cx + w, 200.0)
+        y0, y1 = max(cy - h, 0.0), min(cy + h, 200.0)
+        if x1 - x0 < 1.0 or y1 - y0 < 1.0:
+            continue
+        rect = {"id": f"r{i}", "center": [(x0 + x1) / 2.0, (y0 + y1) / 2.0],
+                "width": x1 - x0, "height": y1 - y0}
+        if _clear_of(rect, endpoints, r):
+            rects.append(rect)
+    return {"bounds": {"min_x": 0.0, "min_y": 0.0, "max_x": 200.0, "max_y": 200.0},
+            "rectangles": rects, "uavs": uavs, "params": params}
+
+
+# accepted by the loader, but APF lands exactly on its next waypoint at step 1:
+# goal_bias 1 plans (10, 100), (20, 100), ..., k_att * dt is 20 m, and dist_wp
+# 10.5 then skips the waypoint behind the UAV to the one it sits on
+_ON_WAYPOINT = {"bounds": {"min_x": 0, "min_y": 0, "max_x": 200, "max_y": 200},
+                "uavs": [{"id": "a", "start": [10, 100], "goal": [100, 100]}],
+                "params": {"dt": 0.5, "k_att": 40, "goal_bias": 1.0, "dist_wp": 10.5}}
+
+
+def _cli_codes(scn, tmp, seed, max_steps=40):
+    """Exit codes of `run` under both algorithms and of `compare`, checking what each wrote."""
+    codes = []
+    for algo in ("vo", "apf"):
+        out = tmp / algo
+        codes.append(main(["run", "--scenario", str(scn), "--algo", algo, "--seed", str(seed),
+                           "--max-steps", str(max_steps), "--out", str(out)]))
+        if codes[-1] == 0:
+            assert sorted(p.name for p in out.iterdir()) == _RUN_FILES
+        else:
+            assert not out.exists()
+    out = tmp / "cmp"
+    codes.append(main(["compare", "--scenario", str(scn), "--seeds", str(seed),
+                       "--out", str(out)]))
+    # compare creates --out first; a planning failure writes nothing into it
+    contents = sorted(p.name for p in out.iterdir())
+    assert contents == (["compare.csv", f"seed_{seed}"] if codes[-1] == 0 else [])
+    return codes
+
+
+class TestObstacleDocumentsRun:
+    """Every document the loader accepts runs under both controllers: exit 0,
+    or exit 3 when the planner runs out of iterations."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=_obstacle_documents(), seed=st.integers(1, 2**16))
+    def test_run_and_compare_exit_0_or_3(self, doc, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            scn = write_scenario(tmp, doc)
+            try:
+                load_scenario(scn)
+            except ScenarioError:
+                return  # a file the loader rejects is skipped
+            codes = _cli_codes(scn, tmp, seed)
+            # the three commands plan the same paths from the same seed
+            assert codes in ([0, 0, 0], [3, 3, 3])
+
+    def test_apf_on_its_next_waypoint_completes(self, tmp_path):
+        scn = write_scenario(tmp_path, _ON_WAYPOINT)
+        # VO arrives in 54 steps and APF, which sits on its waypoint at step 2, in 10
+        assert _cli_codes(scn, tmp_path, 1, max_steps=200) == [0, 0, 0]
+        for algo in ("vo", "apf"):
+            assert json.loads((tmp_path / algo / "report.json").read_text())["completed"] is True
+
+
 class TestExportResult:
     def test_files_and_formats(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path, {

@@ -2,6 +2,7 @@ import json
 import math
 import tempfile
 from dataclasses import fields, replace
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -127,7 +128,26 @@ class TestOneTable:
         assert [f.name for f in fields(UavState)] == [
             "id", "position", "velocity", "path", "waypoint_index", "arrived"]
         field = ObstacleField([RectObstacle(Vec2(0.0, 0.0), 30.0, 15.0, "r")], P)
-        assert all(type(c) is Vec2 for _, ring in field.rings for _, c in ring)
+        assert all(type(t.position) is Vec2 for _, ring in field.rings for t in ring)
+
+    def test_circle_threats_are_built_once(self):
+        # two UAVs at two steps get the very same circle threats: each circle's
+        # id and combined radius are formed once, when the field is built
+        rect = RectObstacle(Vec2(200.0, 200.0), 30.0, 30.0, "r")
+        params = Params(uav_radius=9.0, obstacle_circle_radius=5.0, circle_spacing=8.0)
+        world = make_world([make_uav("a", Vec2(180.0, 178.0), [Vec2(100.0, 178.0)]),
+                            make_uav("b", Vec2(178.0, 192.0), [Vec2(100.0, 192.0)])],
+                           [rect], params)
+        first = gather_threats(world.uavs[0], world.uavs, world.field, params)
+        step(world, params, params.dt)
+        second = gather_threats(world.uavs[1], world.uavs, world.field, params)
+        circles = [t for t in first + second if t.source_id.startswith("r#")]
+        shared = ({t.source_id for t in first} & {t.source_id for t in second}) - {"a", "b"}
+        assert shared
+        built = {t.source_id: t for _, ring in world.field.rings for t in ring}
+        assert all(t is built[t.source_id] for t in circles)
+        for k, c in enumerate(discretize_rectangle(rect, params)):
+            assert built[f"r#{k}"] == Threat(c, Vec2(0.0, 0.0), 9.0 + 5.0, f"r#{k}")
 
     def test_run_report_holds_only_what_build_report_measures(self):
         # algorithm, completed and steps are read from the SimResult, and the
@@ -148,9 +168,10 @@ class TestOneTable:
         params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
                          circle_spacing=8.0)
         world = build_world(sc, params, plan_paths(sc, 1))
-        circles = [c for _, ring in world.field.rings for _, c in ring]
-        # 30 m edges at spacing 8: four circles per edge
+        circles = [t for _, ring in world.field.rings for t in ring]
+        # 30 m edges at spacing 8: four circles per edge, each of radius 9 + 5
         assert len(circles) == 16
+        assert {t.combined_radius for t in circles} == {14.0}
         # a UAV between the body of another and the rectangle's left edge
         u = replace(world.uavs[0], position=Vec2(175.0, 100.0))
         other = replace(world.uavs[0], id="u2", position=Vec2(165.0, 100.0))
@@ -389,78 +410,95 @@ _range = (st.integers(1, 12).map(lambda k: 5.0 * k) | st.integers(1, 120).map(la
 _across = st.just(0.0) | st.integers(-20, 20).map(lambda k: k / 4) | st.floats(-5.0, 5.0)
 
 
-@st.composite
+# Every choice below is drawn from a strategy built once, here; the helpers
+# take `draw` and compute the offsets in Python.
+_sign = st.sampled_from([1.0, -1.0])
+_nudge = st.sampled_from(["on", "inside", "outside"])
+_how = st.sampled_from(["tie_x", "tie_y", "diagonal", "free"])
+_triple = st.sampled_from([(3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17)])
+_side = st.integers(1, 80).map(lambda k: k / 2) | st.floats(0.5, 40.0)
+_radius = st.sampled_from([12.0, 0.5, 7.25])
+_wall_width = st.integers(40, 160).map(lambda k: 2.5 * k) | st.floats(100.0, 400.0)
+_wall_height = st.integers(1, 80).map(lambda k: k / 2)
+_n_rects, _n_near = st.integers(0, 3), st.integers(0, 5)
+
+
+@lru_cache(maxsize=None)
+def _index(n):
+    """`st.integers(0, n - 1)`, built once per n: the choice `st.sampled_from` makes among n."""
+    return st.integers(0, n - 1)
+
+
+def _pick(draw, items):
+    return items[draw(_index(len(items)))]
+
+
 def _offset(draw, base, gaps):
     """base +- gap for one gap in `gaps`, or the float just inside or outside it."""
-    sign = draw(st.sampled_from([1.0, -1.0]))
-    target = base + sign * draw(st.sampled_from(gaps))
-    nudge = draw(st.sampled_from(["on", "inside", "outside"]))
+    sign = draw(_sign)
+    target = base + sign * _pick(draw, gaps)
+    nudge = draw(_nudge)
     if nudge == "on":
         return target
     return math.nextafter(target, base if nudge == "inside" else sign * math.inf)
 
 
-@st.composite
 def _near_point(draw, anchor, gaps):
     """A point about a gap from `anchor`: exactly at, just inside or just
     outside +-gap along one axis, on a Pythagorean diagonal (distance exactly
     gap whenever gap / c is exact), or a free point."""
-    how = draw(st.sampled_from(["tie_x", "tie_y", "diagonal", "free"]))
+    how = draw(_how)
     if how == "free":
         return Vec2(draw(_coord), draw(_coord))
     if how == "diagonal":
-        a, b, c = draw(st.sampled_from([(3, 4, 5), (4, 3, 5), (5, 12, 13), (8, 15, 17)]))
-        g = draw(st.sampled_from(gaps)) / c
-        sx, sy = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        a, b, c = draw(_triple)
+        g = _pick(draw, gaps) / c
+        sx, sy = draw(_sign), draw(_sign)
         return Vec2(anchor.x + sx * a * g, anchor.y + sy * b * g)
     if how == "tie_x":
-        return Vec2(draw(_offset(anchor.x, gaps)), anchor.y + draw(_across))
-    return Vec2(anchor.x + draw(_across), draw(_offset(anchor.y, gaps)))
+        return Vec2(_offset(draw, anchor.x, gaps), anchor.y + draw(_across))
+    return Vec2(anchor.x + draw(_across), _offset(draw, anchor.y, gaps))
 
 
-@st.composite
 def _rect_and_edge_points(draw, index, gaps):
     """A rectangle plus points on its edges and about `gap` off its faces."""
-    side = st.integers(1, 80).map(lambda k: k / 2) | st.floats(0.5, 40.0)
-    rect = RectObstacle(Vec2(draw(_lattice), draw(_lattice)), draw(side), draw(side),
+    rect = RectObstacle(Vec2(draw(_lattice), draw(_lattice)), draw(_side), draw(_side),
                         f"r{index}")
-    xs = st.sampled_from([rect.min_x, rect.max_x, rect.center.x])
-    ys = st.sampled_from([rect.min_y, rect.max_y, rect.center.y])
-    return rect, [Vec2(draw(xs), draw(ys))] + [
-        Vec2(draw(_offset(draw(xs), gaps)), draw(ys)) for _ in range(2)
+    xs = (rect.min_x, rect.max_x, rect.center.x)
+    ys = (rect.min_y, rect.max_y, rect.center.y)
+    return rect, [Vec2(_pick(draw, xs), _pick(draw, ys))] + [
+        Vec2(_offset(draw, _pick(draw, xs), gaps), _pick(draw, ys)) for _ in range(2)
     ] + [
-        Vec2(draw(xs), draw(_offset(draw(ys), gaps))) for _ in range(2)
+        Vec2(_pick(draw, xs), _offset(draw, _pick(draw, ys), gaps)) for _ in range(2)
     ]
 
 
 @st.composite
 def _scenes(draw):
     dist_uav, dist_obs, dist_wp = draw(_range), draw(_range), draw(_range)
-    radius = draw(st.sampled_from([12.0, 0.5, 7.25]))
+    radius = draw(_radius)
     params = Params(dist_uav=dist_uav, dist_obs=dist_obs, dist_wp=dist_wp, uav_radius=radius)
     gaps = [dist_uav, dist_obs, dist_wp, radius, 2.0 * radius]
     me = Vec2(draw(_coord), draw(_coord))
     rects, points = [], [me]
-    for i in range(draw(st.integers(0, 3))):
-        rect, edge_points = draw(_rect_and_edge_points(i, [dist_obs, radius]))
+    for i in range(draw(_n_rects)):
+        rect, edge_points = _rect_and_edge_points(draw, i, [dist_obs, radius])
         rects.append(rect)
         points.extend(edge_points)
     if draw(st.booleans()):
         # a wall with dozens of circles, and points dist_obs along x from one
         # circle centre, or the float just inside or outside that
-        wall = RectObstacle(Vec2(draw(_lattice), draw(_lattice)),
-                            draw(st.integers(40, 160).map(lambda k: 2.5 * k)
-                                 | st.floats(100.0, 400.0)),
-                            draw(st.integers(1, 80).map(lambda k: k / 2)), "wall")
+        wall = RectObstacle(Vec2(draw(_lattice), draw(_lattice)), draw(_wall_width),
+                            draw(_wall_height), "wall")
         rects.append(wall)
         circles = discretize_rectangle(wall, params)
         for _ in range(2):
-            c = draw(st.sampled_from(circles))
-            points.append(Vec2(draw(_offset(c.x, [dist_obs])), c.y + draw(_across)))
-    points.extend(draw(st.lists(_near_point(me, gaps), max_size=5)))
+            c = _pick(draw, circles)
+            points.append(Vec2(_offset(draw, c.x, [dist_obs]), c.y + draw(_across)))
+    points.extend(_near_point(draw, me, gaps) for _ in range(draw(_n_near)))
     uavs = []
     for i, pos in enumerate(points):
-        wp = draw(_near_point(pos, gaps))
+        wp = _near_point(draw, pos, gaps)
         wps = [wp, Vec2(wp.x + 1.0, wp.y)] if draw(st.booleans()) else [wp]
         uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord))))
     return uavs, ObstacleField(rects, params), params
@@ -523,10 +561,10 @@ class TestCircleWindow:
         assert self._ids(math.nextafter(px, -cx)) == near
 
     def test_every_bottom_circle_at_either_window_edge(self):
-        ring = dict(ObstacleField([self.WALL], P).rings[0][1])
+        ring = {t.source_id: t.position for t in ObstacleField([self.WALL], P).rings[0][1]}
         assert len(ring) == 52
         for k in range(25):
-            cx = ring[k].x
+            cx = ring[f"w#{k}"].x
             for side in (1.0, -1.0):
                 # px with the computed gap side * (cx - px) at 20, then the
                 # nearest floats that put it below and above 20
