@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -21,10 +22,15 @@ EVENT_KINDS = (
 
 
 def path_length(points: Sequence[Vec2]) -> float:
-    """Total polyline length of a recorded trajectory (0 for a single sample)."""
+    """Total polyline length of a recorded trajectory (0.0 for a single sample).
+
+    A segment whose two samples are the same object is skipped: its length
+    is `hypot(0, 0)`, and adding 0.0 to a sum of non-negative lengths, which
+    starts at 0.0, leaves it unchanged.
+    """
     if len(points) == 0:
         raise ValueError("empty trajectory")
-    return sum(distance(a, b) for a, b in zip(points, points[1:]))
+    return sum((distance(a, b) for a, b in zip(points, points[1:]) if a is not b), 0.0)
 
 
 def pairwise_distances(
@@ -33,7 +39,10 @@ def pairwise_distances(
     """Per-step distance series and minima for every unordered UAV pair.
 
     All trajectories must be time-aligned (equal sample counts). Pair keys
-    follow the mapping's iteration order.
+    follow the mapping's iteration order. A sample whose two positions are
+    the same objects (`is`) as the previous sample's repeats the previous
+    distance, the very float: same objects, same `distance`. So a pair of
+    parked UAVs costs one `hypot` per parking, not one per sample.
     """
     ids = list(trajectories)
     lengths = {len(trajectories[i]) for i in ids}
@@ -44,7 +53,13 @@ def pairwise_distances(
     series: dict[tuple[str, str], list[float]] = {}
     minima: dict[tuple[str, str], float] = {}
     for a, b in combinations(ids, 2):
-        ds = [distance(p, q) for p, q in zip(trajectories[a], trajectories[b])]
+        ds: list[float] = []
+        append = ds.append
+        last_p = last_q = None
+        for p, q in zip(trajectories[a], trajectories[b]):
+            if p is not last_p or q is not last_q:
+                last_p, last_q, d = p, q, math.hypot(q.x - p.x, q.y - p.y)  # distance(p, q)
+            append(d)
         series[(a, b)] = ds
         minima[(a, b)] = min(ds)
     return series, minima

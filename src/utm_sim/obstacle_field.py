@@ -84,8 +84,11 @@ class ObstacleField:
     range along x by bisection. Each circle is built once, as the `Threat`
     that both controllers read: its centre, zero velocity, the combined radius
     `uav_radius + obstacle_circle_radius` and the id `"<rect id>#<k>"`, `k` its
-    index in `discretize_rectangle`'s perimeter order. Immutable; the engine
-    shares one instance across steps.
+    index in `discretize_rectangle`'s perimeter order. The engine shares one
+    instance across steps. Its one mutable member is `parked`: the `Threat`
+    of each parked UAV, by UAV id, which a UAV standing still is to the
+    controllers as a circle is; `sim_engine.gather_threats` fills and reuses
+    it.
     """
 
     def __init__(self, rectangles: list[RectObstacle], params: Params):
@@ -102,3 +105,4 @@ class ObstacleField:
                              key=lambda t: t.position.x)))
             for r in self.rectangles
         )
+        self.parked: dict[str, Threat] = {}

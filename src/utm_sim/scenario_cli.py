@@ -16,14 +16,14 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .geom2d import Bounds, Vec2, distance
 from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
 from .obstacle_field import RectObstacle
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError, check_endpoints
-from .sim_engine import SimResult, plan_paths, run, run_planned
+from .sim_engine import SimResult, TrajectorySample, plan_paths, run, run_planned
 
 
 class ScenarioError(Exception):
@@ -218,27 +218,51 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _trajectory_lines(trajectories: dict[str, list[TrajectorySample]]) -> Iterator[str]:
+    """trajectories.csv's data lines, time-major: every UAV's sample at one step, then the next.
+
+    Same objects, same text: a `t` is formatted once for all the samples
+    that hold that very float, and a UAV's `x,y,vx,vy` again only when its
+    position or velocity object changes (a parked UAV's never does). `is`,
+    not `==`: -0.0 == 0.0, but the two format differently.
+    """
+    ids = list(trajectories)
+    cells: list[tuple[Vec2 | None, Vec2 | None, str]] = [(None, None, "")] * len(ids)
+    t: float | None = None
+    t_text = ""
+    for row in zip(*trajectories.values()):
+        for k, s in enumerate(row):
+            if s.t is not t:
+                t = s.t
+                t_text = "%.6f," % t
+            position, velocity, text = cells[k]
+            if s.position is not position or s.velocity is not velocity:
+                text = "%s,%.6f,%.6f,%.6f,%.6f\n" % (
+                    ids[k], s.position.x, s.position.y, s.velocity.x, s.velocity.y)
+                cells[k] = (s.position, s.velocity, text)
+            yield t_text + text
+
+
 def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> None:
     """Write trajectories.csv, distances.csv, events.json, and report.json.
 
     Output is byte-deterministic for identical results: fixed 6-decimal CSV
     formatting (`%.6f`), sorted JSON keys. distances.csv writes
     `report.pair_distances`, so `report` must be `build_report(result)`. Both
-    CSV files are written line by line rather than joined first, so their full
-    text is never held next to that series.
+    CSV files are streamed line by line rather than joined first, so their
+    full text is never held next to that series. In trajectories.csv a
+    sample's text is formatted once per run of the same objects (see
+    `_trajectory_lines`), which gives the bytes of formatting it on every
+    line. distances.csv formats each row in one `%`: one call on a row of
+    floats costs less than checking each cell for a repeat.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     ids = list(result.trajectories)
-    n_samples = len(result.trajectories[ids[0]]) if ids else 0
     with open(out / "trajectories.csv", "w", encoding="utf-8") as f:
         f.write("t,uav_id,x,y,vx,vy\n")
-        for i in range(n_samples):
-            for uid in ids:
-                s = result.trajectories[uid][i]
-                f.write("%.6f,%s,%.6f,%.6f,%.6f,%.6f\n" % (
-                    s.t, uid, s.position.x, s.position.y, s.velocity.x, s.velocity.y))
+        f.writelines(_trajectory_lines(result.trajectories))
 
     series = report.pair_distances
     times = [s.t for s in result.trajectories[ids[0]]] if ids else []

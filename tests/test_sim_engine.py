@@ -121,7 +121,10 @@ class TestOneTable:
         assert len({id(obj) for obj in objects}) == len(names)  # no second name for one object
 
     def test_no_second_table_in_world_or_scenario(self):
-        assert [f.name for f in fields(World)] == ["uavs", "field"]
+        # the one field past the two a World is built from is the collision
+        # scan's memo of its parked UAVs, which no caller passes in
+        assert [f.name for f in fields(World) if f.init] == ["uavs", "field"]
+        assert [f.name for f in fields(World) if not f.init] == ["parked_hits"]
         assert [f.name for f in fields(Scenario)] == ["name", "rectangles", "uavs", "sim"]
         assert not [name for name, v in vars(Scenario).items() if isinstance(v, property)]
         # no body radius per vehicle and no circle object with its own radius
@@ -148,6 +151,28 @@ class TestOneTable:
         assert all(t is built[t.source_id] for t in circles)
         for k, c in enumerate(discretize_rectangle(rect, params)):
             assert built[f"r#{k}"] == Threat(c, Vec2(0.0, 0.0), 9.0 + 5.0, f"r#{k}")
+
+    def test_parked_uav_threat_is_built_once(self):
+        # two observers at two steps get the very same threat for a parked
+        # UAV, as for a circle: it is formed once, when first seen parked
+        parked = make_uav("p", Vec2(200.0, 200.0), [Vec2(200.0, 200.0)], arrived=True)
+        world = make_world([make_uav("a", Vec2(180.0, 200.0), [Vec2(100.0, 200.0)]),
+                            make_uav("b", Vec2(200.0, 230.0), [Vec2(200.0, 300.0)]),
+                            parked])
+        first = gather_threats(world.uavs[0], world.uavs, world.field, P)
+        step(world, P, P.dt)
+        second = gather_threats(world.uavs[1], world.uavs, world.field, P)
+        (t1,) = [t for t in first if t.source_id == "p"]
+        (t2,) = [t for t in second if t.source_id == "p"]
+        assert world.uavs[2] is parked and t1 is t2 is world.field.parked["p"]
+        assert t1 == Threat(parked.position, Vec2(0.0, 0.0), 24.0, "p")
+        # the threat holds the state's position and velocity objects: a copy
+        # of the state keeps it, a new position object, even an equal one, not
+        a = world.uavs[0]
+        assert gather_threats(a, [a, replace(parked)], world.field, P)[0] is t1
+        third = gather_threats(a, [a, replace(parked, position=Vec2(200.0, 200.0))],
+                               world.field, P)
+        assert third == [t1] and third[0] is not t1
 
     def test_run_report_holds_only_what_build_report_measures(self):
         # algorithm, completed and steps are read from the SimResult, and the
@@ -421,6 +446,7 @@ _radius = st.sampled_from([12.0, 0.5, 7.25])
 _wall_width = st.integers(40, 160).map(lambda k: 2.5 * k) | st.floats(100.0, 400.0)
 _wall_height = st.integers(1, 80).map(lambda k: k / 2)
 _n_rects, _n_near = st.integers(0, 3), st.integers(0, 5)
+_parked = st.sampled_from([False, False, True])
 
 
 @lru_cache(maxsize=None)
@@ -500,7 +526,10 @@ def _scenes(draw):
     for i, pos in enumerate(points):
         wp = _near_point(draw, pos, gaps)
         wps = [wp, Vec2(wp.x + 1.0, wp.y)] if draw(st.booleans()) else [wp]
-        uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord))))
+        if draw(_parked):
+            uavs.append(make_uav(f"u{i}", pos, wps, arrived=True))
+        else:
+            uavs.append(make_uav(f"u{i}", pos, wps, vel=Vec2(draw(_coord), draw(_coord))))
     return uavs, ObstacleField(rects, params), params
 
 
@@ -531,6 +560,67 @@ class TestAxisGapExitsMatchOracle:
         assert [t.source_id for t in threats] == ["c"]
         assert detect_collisions(world, P, 0.0) == oracle_detect_collisions(world, P, 0.0)
         assert [e.details["b"] for e in detect_collisions(world, P, 0.0)] == ["c"]
+
+
+class TestParkedScanMatchesOracle:
+    """The collision scan's parked memo changes nothing, call after call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=_scenes(), data=st.data())
+    def test_repeated_scans_equal_plain_oracle(self, scene, data):
+        # between scans the moving UAVs move and some park, a parked state
+        # may be replaced by one parked elsewhere, and the world's order may
+        # change; every other parked state stays the same object
+        uavs, field, params = scene
+        world = make_world(uavs, field.rectangles, params)
+        for k in range(4):
+            t = float(k)
+            assert detect_collisions(world, params, t) == oracle_detect_collisions(world, params, t)
+            if k % 2:
+                continue
+            for i, u in enumerate(world.uavs):
+                if u.arrived and not data.draw(_parked):
+                    continue
+                pos = data.draw(st.sampled_from(world.uavs)).position if data.draw(
+                    st.booleans()) else Vec2(data.draw(_coord), data.draw(_coord))
+                world.uavs[i] = replace(u, position=pos, velocity=Vec2(0.0, 0.0),
+                                        arrived=u.arrived or data.draw(_parked))
+            world.uavs = data.draw(st.permutations(world.uavs))
+
+    def test_overlapping_parked_uavs_are_reported_every_step(self):
+        # a and c parked on each other, d parked on the rectangle, b and e
+        # moving through them; ids interleave, and the world is not in id order
+        rect = RectObstacle(Vec2(200.0, 100.0), 20.0, 20.0, "r")
+        a = make_uav("a", Vec2(100.0, 100.0), [Vec2(100.0, 100.0)], arrived=True)
+        c = make_uav("c", Vec2(110.0, 100.0), [Vec2(110.0, 100.0)], arrived=True)
+        d = make_uav("d", Vec2(185.0, 100.0), [Vec2(185.0, 100.0)], arrived=True)
+        b = make_uav("b", Vec2(105.0, 108.0), [Vec2(105.0, 300.0)])
+        e = make_uav("e", Vec2(195.0, 85.0), [Vec2(195.0, -100.0)])
+        params = Params(algorithm="apf")
+        world = make_world([e, c, b, a, d], [rect], params)
+        memo = None
+        for k in range(1, 21):
+            t = k * params.dt
+            events = step(world, params, t)
+            got = [ev for ev in events if ev.kind.endswith("_collision")]
+            assert got == oracle_detect_collisions(world, params, t)
+            assert {"a", "c"} <= {ev.details.get("a") for ev in got} | {
+                ev.details.get("b") for ev in got}
+            assert ("d", "r") in {(ev.details.get("uav"), ev.details.get("rect")) for ev in got}
+            # the parked checks ran once: one memo for the whole stretch
+            memo = memo or world.parked_hits
+            assert world.parked_hits is memo
+        assert [u.arrived for u in world.uavs] == [False, True, False, True, True]
+        assert len(memo.pairs) == 1 and len(memo.rects) == 1
+
+    def test_a_state_listed_twice_is_scanned_as_listed(self):
+        rect = RectObstacle(Vec2(0.0, 0.0), 10.0, 10.0, "r")
+        a = make_uav("a", Vec2(0.0, 8.0), [Vec2(50.0, 8.0)])
+        p = make_uav("a", Vec2(5.0, 0.0), [Vec2(5.0, 0.0)], arrived=True)
+        for uavs in ([a, p, a], [p, a, p], [p, p]):
+            world = make_world(uavs, [rect])
+            for t in (0.0, 1.0):
+                assert detect_collisions(world, P, t) == oracle_detect_collisions(world, P, t)
 
 
 class TestCircleWindow:
