@@ -27,9 +27,11 @@ class Params:
     a `bool`; an `int` in a float field is stored as its `float`. Every
     numeric field must be finite and > 0, except `goal_bias` in [0, 1] and
     `inflation` >= 0; `circle_spacing` must stay below
-    `2 * obstacle_circle_radius` so adjacent circles overlap, and `kp * dt`
-    must stay below 2 so the nominal step converges. `inflation=None`
-    takes the value of `uav_radius`.
+    `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
+    extent over `circle_spacing` must be finite, so that every edge of a
+    rectangle inside the bounds gets a circle count. `kp * dt` must stay
+    below 2 so the nominal step converges. `inflation=None` takes the value
+    of `uav_radius`.
     """
 
     # control loop
@@ -88,6 +90,12 @@ class Params:
         if self.circle_spacing >= 2.0 * self.obstacle_circle_radius:
             raise ValueError("circle_spacing must be < 2 * obstacle_circle_radius; "
                              "adjacent circles would leave perimeter gaps")
+        # an edge inside the bounds is no longer than their extent, so its
+        # circle count `ceil(edge / circle_spacing)` is then finite too
+        b = self.bounds
+        if not math.isfinite(max(b.max_x - b.min_x, b.max_y - b.min_y) / self.circle_spacing):
+            raise ValueError("circle_spacing is too small for the bounds: their extent "
+                             "over it is not finite")
         if self.kp * self.dt >= 2.0:
             raise ValueError(f"kp * dt must be < 2, got kp={self.kp}, dt={self.dt}; "
                              "the nominal step p += dt * kp * (wp - p) would diverge")

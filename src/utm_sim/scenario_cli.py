@@ -299,7 +299,7 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
         json.dumps(rep, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _parse_seed_range(text: str) -> list[int]:
+def _parse_seed_range(text: str) -> range:
     m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
     if m is None:
         raise argparse.ArgumentTypeError(f"bad seed range {text!r}; expected N or N0..N1")
@@ -307,7 +307,7 @@ def _parse_seed_range(text: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) is not None else lo
     if hi < lo:
         raise argparse.ArgumentTypeError(f"bad seed range {text!r}: end below start")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _path_cell(length: float | None) -> str:

@@ -10,18 +10,17 @@ its velocity. Ground-truth collision checks run against the true rectangles
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import combinations
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
-from .obstacle_field import ObstacleField, RectObstacle
+from .obstacle_field import ObstacleField
 from .params import Params
 from .rrt_planner import PlanningError, plan_path
 from .vo_core import Threat, avoid
@@ -66,32 +65,12 @@ class TrajectorySample(NamedTuple):
 _by_id = attrgetter("id")
 
 
-class _ParkedHits(NamedTuple):
-    """What the collision scan found among one set of parked states.
-
-    `pairs` holds (a, b, distance) for each overlapping pair of `states`,
-    `rects` (u, rect, distance) for each state that overlaps a rectangle.
-    """
-
-    states: tuple[UavState, ...]
-    params: Params
-    rectangles: tuple[RectObstacle, ...]
-    pairs: list[tuple[UavState, UavState, float]]
-    rects: list[tuple[UavState, RectObstacle, float]]
-
-
 @dataclass
 class World:
-    """Mutable container the engine advances; the geometry is shared across steps.
-
-    `detect_collisions` keeps in `parked_hits` what it found among the parked
-    UAVs it last saw, and reuses it while they are the very same objects.
-    """
+    """Mutable container the engine advances; the geometry is shared across steps."""
 
     uavs: list[UavState]
     field: ObstacleField
-    parked_hits: _ParkedHits | None = dataclasses.field(default=None, init=False, repr=False,
-                                                         compare=False)
 
 
 @dataclass
@@ -199,107 +178,38 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     return [item[3] for item in keyed]
 
 
-def _scan(uavs: list[UavState], others: list[UavState], rectangles: Sequence[RectObstacle],
-          params: Params) -> tuple[list[tuple[UavState, UavState, float]],
-                                   list[tuple[UavState, RectObstacle, float]]]:
-    """The plain scan's hits that involve a UAV of `uavs`.
+def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
+    """Ground-truth overlap scan: UAV discs pairwise and against true rectangles.
 
-    Returns (a, b, distance) for each overlapping pair of two UAVs of `uavs`,
-    in `combinations` order, then for each of one UAV `a` of `uavs` and one
-    `b` of `others`; and (u, rect, distance) for each UAV of `uavs`, in
-    order, that overlaps a rectangle, in order. The pairs with `others` have
-    a loop of their own rather than a `chain` with `product`: fewer iterator
-    objects alive at the end of `step` put fewer garbage-collector passes
-    inside it (seen at 206 of 321 passes rather than 302, on
-    corner_corridor APF seeds 1-8).
+    Strict inequalities: touching exactly is not a collision. Event order is
+    canonical (sorted ids) regardless of the world's vehicle order. A pair
+    whose gap along one axis is already >= the collision distance is skipped
+    before any `hypot`; as in `gather_threats`, that is exact because
+    `hypot(dx, dy) >= max(|dx|, |dy|)` in floating point, and every pair that
+    is not skipped gets the same `hypot` or `point_rect_distance` as before.
     """
+    events: list[SimEvent] = []
+    uavs = sorted(world.uavs, key=_by_id)
     r = params.uav_radius + params.uav_radius
-    pair_hits = []
     for a, b in combinations(uavs, 2):
         dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
         if dx >= r or -dx >= r or dy >= r or -dy >= r:
             continue
         d = math.hypot(dx, dy)
         if d < r:
-            pair_hits.append((a, b, d))
-    for b in others:
-        q = b.position
-        for a in uavs:
-            dx, dy = q.x - a.position.x, q.y - a.position.y
-            if dx >= r or -dx >= r or dy >= r or -dy >= r:
-                continue
-            d = math.hypot(dx, dy)
-            if d < r:
-                pair_hits.append((a, b, d))
+            events.append(SimEvent(t, "uav_uav_collision",
+                                   {"a": a.id, "b": b.id, "distance": d}))
     r = params.uav_radius
-    rect_hits = []
     for u in uavs:
         p = u.position
-        for rect in rectangles:
+        for rect in world.field.rectangles:
             if rect.min_x - p.x >= r or p.x - rect.max_x >= r \
                     or rect.min_y - p.y >= r or p.y - rect.max_y >= r:
                 continue
             d = point_rect_distance(p, rect)
             if d < r:
-                rect_hits.append((u, rect, d))
-    return pair_hits, rect_hits
-
-
-def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
-    """Ground-truth overlap scan: UAV discs pairwise and against true rectangles.
-
-    Strict inequalities: touching exactly is not a collision. Event order is
-    canonical, that of the plain scan over the UAVs sorted by id, regardless
-    of the world's vehicle order: every UAV-UAV hit by pair, then every
-    UAV-rectangle hit by UAV and rectangle order. A pair whose gap along one
-    axis is already >= the collision distance is skipped before any `hypot`;
-    as in `gather_threats`, that is exact because `hypot(dx, dy) >=
-    max(|dx|, |dy|)` in floating point, and every pair that is not skipped
-    gets the same `hypot` or `point_rect_distance` as before.
-
-    Pairs of parked (arrived) UAVs, and parked UAVs against the rectangles,
-    are checked once per set of parked states. Same objects, same result:
-    while the parked states are the very same objects (`is`), in the same
-    order, under the same `params` object and rectangles tuple, every check
-    among them has the same operands and so the same outcome. The hits kept
-    in `world.parked_hits` are emitted again with this call's `t`, and only
-    the checks that involve a moving UAV are made anew.
-
-    The checks run in world order, and the hits alone, rare, are then sorted
-    by the ranks of their UAVs in the id-sorted list, each pair turned to put
-    the earlier UAV first. Its distance is the same from either end: `hypot`
-    is even in each argument, and a rounded difference is exactly the
-    negation of the reversed one.
-    """
-    rectangles = world.field.rectangles
-    parked = [u for u in world.uavs if u.arrived]
-    memo = world.parked_hits
-    if memo is None or memo.params is not params or memo.rectangles is not rectangles \
-            or len(memo.states) != len(parked) or not all(map(is_, memo.states, parked)):
-        memo = world.parked_hits = _ParkedHits(tuple(parked), params, rectangles,
-                                               *_scan(parked, [], rectangles, params))
-    moving = [u for u in world.uavs if not u.arrived] if parked else world.uavs
-    pair_hits, rect_hits = _scan(moving, parked, rectangles, params)
-    pair_hits += memo.pairs
-    rect_hits += memo.rects
-    if pair_hits or len(rect_hits) > 1:  # put the hits in canonical order
-        uavs = sorted(world.uavs, key=_by_id)
-        rank = {id(u): i for i, u in enumerate(uavs)}
-        if len(rank) < len(uavs):  # one state listed twice: scan plainly
-            pair_hits, rect_hits = _scan(uavs, [], rectangles, params)
-        else:
-            pair_hits = sorted(((a, b, d) if rank[id(a)] < rank[id(b)] else (b, a, d)
-                                for a, b, d in pair_hits),
-                               key=lambda h: (rank[id(h[0])], rank[id(h[1])]))
-            order = {id(rect): k for k, rect in enumerate(rectangles)}
-            rect_hits.sort(key=lambda h: (rank[id(h[0])], order[id(h[1])]))
-    if not (pair_hits or rect_hits):
-        return []
-    events = [SimEvent(t, "uav_uav_collision", {"a": a.id, "b": b.id, "distance": d})
-              for a, b, d in pair_hits]
-    events += [SimEvent(t, "uav_obstacle_collision",
-                        {"uav": u.id, "rect": rect.id, "distance": d})
-               for u, rect, d in rect_hits]
+                events.append(SimEvent(t, "uav_obstacle_collision",
+                                       {"uav": u.id, "rect": rect.id, "distance": d}))
     return events
 
 
@@ -315,9 +225,8 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     A parked UAV keeps its very `UavState` object, with the same position and
     velocity objects, from the step it arrives on: `assign_waypoint` would
     return it unchanged, so the waypoint pass skips it, and no commit replaces
-    it. Same objects, same result: its threat and its collision checks
-    against the other parked UAVs and the rectangles are those of the last
-    step, which `gather_threats` and `detect_collisions` reuse.
+    it. Same objects, same result: its threat is that of the last step, which
+    `gather_threats` reuses.
     """
     events: list[SimEvent] = []
     for i, u in enumerate(world.uavs):

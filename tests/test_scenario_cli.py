@@ -479,6 +479,14 @@ _ON_WAYPOINT = {"bounds": {"min_x": 0, "min_y": 0, "max_x": 200, "max_y": 200},
                 "params": {"dt": 0.5, "k_att": 40, "goal_bias": 1.0, "dist_wp": 10.5}}
 
 
+# rejected by the loader: 200 m over 5e-324 m is inf, and placing the circles
+# along the 10 m edges would take `math.ceil(inf)`
+_TINY_SPACING = {"bounds": {"min_x": 0, "min_y": 0, "max_x": 200, "max_y": 200},
+                 "rectangles": [{"id": "r", "center": [100, 100], "width": 10, "height": 10}],
+                 "uavs": [{"id": "a", "start": [10, 20], "goal": [190, 20]}],
+                 "params": {"obstacle_circle_radius": 5e-324, "circle_spacing": 5e-324}}
+
+
 def _cli_codes(scn, tmp, seed, max_steps=40):
     """Exit codes of `run` under both algorithms and of `compare`, checking what each wrote."""
     codes = []
@@ -523,6 +531,15 @@ class TestObstacleDocumentsRun:
         assert _cli_codes(scn, tmp_path, 1, max_steps=200) == [0, 0, 0]
         for algo in ("vo", "apf"):
             assert json.loads((tmp_path / algo / "report.json").read_text())["completed"] is True
+
+    def test_spacing_with_no_finite_circle_count_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, _TINY_SPACING)
+        with pytest.raises(ScenarioError, match="params: circle_spacing is too small"):
+            load_scenario(scn)
+        assert main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "circle_spacing is too small" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestExportResult:
@@ -587,15 +604,21 @@ class TestExportResult:
 
 class TestSeedRange:
     def test_forms(self):
-        assert _parse_seed_range("5") == [5]
-        assert _parse_seed_range("1..4") == [1, 2, 3, 4]
-        assert _parse_seed_range("-2..1") == [-2, -1, 0, 1]
+        assert list(_parse_seed_range("5")) == [5]
+        assert list(_parse_seed_range("1..4")) == [1, 2, 3, 4]
+        assert list(_parse_seed_range("-2..1")) == [-2, -1, 0, 1]
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_seed_range("4..1")
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_seed_range("1..2..3")
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_seed_range("abc")
+
+    def test_huge_range_is_not_materialised(self):
+        # seeds run one at a time: parsing holds no list of 10**15 + 1 ints
+        seeds = _parse_seed_range("0..1000000000000000")
+        assert len(seeds) == 10**15 + 1
+        assert (seeds[0], seeds[-1]) == (0, 10**15)
 
     def test_bad_range_exits_2_before_the_scenario_is_read(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
