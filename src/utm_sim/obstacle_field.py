@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .geom2d import ZERO, Vec2, distance
 from .params import Params
@@ -55,6 +56,25 @@ class RectObstacle:
         )
 
 
+# The most boundary circles one scenario's rectangles may need. The shipped
+# scenarios need at most a few hundred; the loader rejects a document over the
+# limit before a circle is built, as a tiny `circle_spacing` would exhaust memory.
+MAX_CIRCLES = 100_000
+
+
+def _edges(rect: RectObstacle, params: Params) -> Iterator[tuple[Vec2, Vec2, int]]:
+    """Each perimeter edge a -> b with its subdivision n = ceil(|ab| / circle_spacing)."""
+    corners = rect.corners()
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+        yield a, b, math.ceil(distance(a, b) / params.circle_spacing)
+
+
+def circle_count(rect: RectObstacle, params: Params) -> int:
+    """len(discretize_rectangle(rect, params)), counted without building a circle."""
+    return sum(n for _, _, n in _edges(rect, params))
+
+
 def discretize_rectangle(rect: RectObstacle, params: Params) -> list[Vec2]:
     """Centres of circles of `params.obstacle_circle_radius` covering the perimeter.
 
@@ -63,13 +83,9 @@ def discretize_rectangle(rect: RectObstacle, params: Params) -> list[Vec2]:
     `Params` keeps spacing < 2 * radius, so adjacent circles overlap and every
     boundary point lies within a circle (worst case spacing/2 from a center).
     """
-    corners = rect.corners()
     centres: list[Vec2] = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
+    for a, b, n in _edges(rect, params):
         centres.append(a)
-        edge_len = distance(a, b)
-        n = math.ceil(edge_len / params.circle_spacing)
         for k in range(1, n):
             t = k / n
             centres.append(Vec2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))

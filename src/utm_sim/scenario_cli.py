@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -20,7 +21,7 @@ from typing import Any, Iterator, Sequence
 
 from .geom2d import Bounds, Vec2, distance
 from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
-from .obstacle_field import RectObstacle
+from .obstacle_field import MAX_CIRCLES, RectObstacle, circle_count
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError, check_endpoints
 from .sim_engine import SimResult, TrajectorySample, plan_paths, run, run_planned
@@ -178,6 +179,9 @@ def load_scenario(path: str | Path) -> Scenario:
         params = Params(bounds=bounds, **pdoc)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
+    _require(sum(circle_count(r, params) for r in rects) <= MAX_CIRCLES,
+             f"params: circle_spacing {params.circle_spacing} is too small for the "
+             f"rectangles: they would need more than {MAX_CIRCLES} boundary circles")
 
     for u in uavs:
         try:
@@ -354,25 +358,99 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compare_seed(scenario: Scenario, paths: dict[str, tuple[Vec2, ...]], out: Path) -> dict:
+    """Run one seed's plans under VO, then APF, into `out / algo`; return their path lengths."""
+    lengths = {}
+    for algo in ("vo", "apf"):
+        result = run_planned(scenario, replace(scenario.sim, algorithm=algo), paths)
+        report = build_report(result)
+        export_result(result, report, out / algo)
+        lengths[algo] = report.path_lengths
+    return lengths
+
+
+def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -> list:
+    """Each seed's path-length table, or the exception that ended it, in seed order.
+
+    Every plan is made here, before any fork; a seed whose planning fails ends
+    the list. The first seed runs here, into `out`. Each later one runs in a
+    forked child, which exports under `staging`, sends its outcome back over a
+    pipe and leaves by `os._exit`, so it never returns into this stack.
+    """
+    import pickle
+
+    outcomes: list = []  # a seed's plan until it has run
+    for seed in seeds:
+        try:
+            outcomes.append(plan_paths(scenario, seed))
+        except Exception as exc:  # reported after the seeds planned before it
+            outcomes.append(exc)
+            break
+    planned = len(outcomes) - isinstance(outcomes[-1], Exception)
+    children = []  # (index, pid, read end of its pipe)
+    try:
+        for k in range(1, planned):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(r)
+                    try:
+                        outcome = _compare_seed(scenario, outcomes[k], staging / f"seed_{seeds[k]}")
+                    except BaseException as exc:
+                        outcome = exc
+                    with open(w, "wb") as f:
+                        f.write(pickle.dumps(outcome))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((k, pid, r))
+        if planned:
+            outcomes[0] = _compare_seed(scenario, outcomes[0], out / f"seed_{seeds[0]}")
+    finally:
+        for k, pid, r in children:
+            with open(r, "rb") as f:
+                sent = f.read()
+            status = os.waitpid(pid, 0)[1]
+            outcomes[k] = pickle.loads(sent) if sent else RuntimeError(
+                f"seed {seeds[k]}: its worker ended with status {status} and no outcome")
+    return outcomes
+
+
+def _publish(staged: Path, out: Path) -> None:
+    """Move every file under `staged` to the same place under `out`."""
+    for dirpath, _, files in os.walk(staged):
+        target = out / os.path.relpath(dirpath, staged)
+        target.mkdir(parents=True, exist_ok=True)
+        for name in files:
+            os.replace(os.path.join(dirpath, name), target / name)
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
+    import shutil
+
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    jobs = args.jobs or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
+    jobs = jobs if hasattr(os, "fork") else 1
+    staging = out / f".staging-{os.getpid()}"
     csv_lines = ["seed,uav_id,vo_path_length,apf_path_length"]
-    for seed in args.seeds:
-        paths = plan_paths(scenario, seed)
-        reports: dict[str, RunReport] = {}
-        for algo in ("vo", "apf"):
-            result = run_planned(scenario, replace(scenario.sim, algorithm=algo), paths)
-            reports[algo] = build_report(result)
-            export_result(result, reports[algo], out / f"seed_{seed}" / algo)
-        print(f"seed {seed}:")
-        print(f"  {'uav':<12}{'vo_path_m':>12}{'apf_path_m':>12}")
-        for u in scenario.uavs:
-            vo_len = reports["vo"].path_lengths[u.id]
-            apf_len = reports["apf"].path_lengths[u.id]
-            print(f"  {u.id:<12}{_path_cell(vo_len):>12}{_path_cell(apf_len):>12}")
-            csv_lines.append(f"{seed},{u.id},{_path_cell(vo_len)},{_path_cell(apf_len)}")
+    try:
+        for i in range(0, len(args.seeds), jobs):
+            batch = args.seeds[i:i + jobs]
+            for seed, outcome in zip(batch, _compare_batch(scenario, batch, out, staging)):
+                _publish(staging / f"seed_{seed}", out / f"seed_{seed}")
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                print(f"seed {seed}:")
+                print(f"  {'uav':<12}{'vo_path_m':>12}{'apf_path_m':>12}")
+                for u in scenario.uavs:
+                    vo_len, apf_len = outcome["vo"][u.id], outcome["apf"][u.id]
+                    print(f"  {u.id:<12}{_path_cell(vo_len):>12}{_path_cell(apf_len):>12}")
+                    csv_lines.append(f"{seed},{u.id},{_path_cell(vo_len)},{_path_cell(apf_len)}")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     (out / "compare.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
     print(f"wrote {out}/compare.csv")
     return 0
@@ -416,6 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", required=True, type=_parse_seed_range,
                        help="seed range N0..N1 (inclusive) or a single seed")
     p_cmp.add_argument("--out", required=True)
+    p_cmp.add_argument("--jobs", type=_positive_int, default=None,
+                       help="seeds run at once (default: the usable cores)")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
 

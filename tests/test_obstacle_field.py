@@ -4,7 +4,12 @@ import random
 import pytest
 
 from utm_sim.geom2d import Vec2, distance
-from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
+from utm_sim.obstacle_field import (
+    ObstacleField,
+    RectObstacle,
+    circle_count,
+    discretize_rectangle,
+)
 from utm_sim.params import Params
 
 P = Params()  # circles of radius 12 at spacing 15
@@ -68,6 +73,14 @@ class TestDiscretize:
             got = len(discretize_rectangle(r, P))
             want = 4 + 2 * (math.ceil(w / 15.0) - 1) + 2 * (math.ceil(h / 15.0) - 1)
             assert got == want
+
+    def test_circle_count_is_the_length_without_building(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            r = RectObstacle(Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50)),
+                             rng.uniform(0.1, 300.0), rng.uniform(0.1, 300.0), "x")
+            params = Params(circle_spacing=rng.uniform(0.5, 23.9))
+            assert circle_count(r, params) == len(discretize_rectangle(r, params))
 
     def test_spacing_must_allow_overlap(self):
         r = RectObstacle(Vec2(0, 0), 30.0, 15.0, "r")

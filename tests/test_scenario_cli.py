@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
+from utm_sim.obstacle_field import MAX_CIRCLES, circle_count
 from utm_sim.params import Params
+from utm_sim import scenario_cli
 from utm_sim.rrt_planner import PlanningError
 from utm_sim.scenario_cli import (
     ScenarioError,
@@ -357,6 +359,8 @@ def _documents(draw):
     than uav_radius / 2, so no two starts or goals come within 2 * uav_radius.
     Every rectangle lies more than 500 m plus the inflation to the right of
     every endpoint, and the bounds enclose all of them with a margin of 1 m or more.
+    A side is at most 6,000 circle spacings long, so the (at most four)
+    rectangles need under MAX_CIRCLES boundary circles.
     """
     params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
     table = Params(**params)
@@ -372,11 +376,12 @@ def _documents(draw):
     uavs = [{"id": uid, "start": endpoint(i), "goal": endpoint(i)}
             for i, uid in enumerate(uav_ids)]
     x_rect = x0 + span + table.inflation + 1e3
+    side = st.floats(1e-3, min(1e3, 6e3 * table.circle_spacing))
     rect_ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_-]+", fullmatch=True),
                              max_size=4, unique=True))
     rects = [{"id": rid,
               "center": [x_rect + draw(_UNIT) * 1e3, y0 + draw(st.floats(-1e3, 1e3))],
-              "width": draw(st.floats(1e-3, 1e3)), "height": draw(st.floats(1e-3, 1e3))}
+              "width": draw(side), "height": draw(side)}
              for rid in rect_ids]
     margin = st.floats(1.0, 1e3)
     bounds = {"min_x": x0 - draw(margin), "min_y": y0 - 1.5e3 - draw(margin),
@@ -487,6 +492,21 @@ _TINY_SPACING = {"bounds": {"min_x": 0, "min_y": 0, "max_x": 200, "max_y": 200},
                  "params": {"obstacle_circle_radius": 5e-324, "circle_spacing": 5e-324}}
 
 
+# loader-accepted before MAX_CIRCLES: 200 m over 1e-300 m is finite, but the
+# 10 m edges would take 4e301 circles, which exhausts memory long before
+_HUGE_CIRCLE_COUNT = {**_TINY_SPACING,
+                      "params": {"obstacle_circle_radius": 1.0, "circle_spacing": 1e-300}}
+
+
+def _square_needing(side):
+    """A document whose one square rectangle of `side` metres needs 4 * ceil(side) circles."""
+    return {"bounds": {"min_x": 0, "min_y": 0, "max_x": 30000, "max_y": 30000},
+            "rectangles": [{"id": "r", "center": [15000, 15000], "width": side,
+                            "height": side}],
+            "uavs": [{"id": "a", "start": [100, 100], "goal": [200, 100]}],
+            "params": {"circle_spacing": 1.0}}
+
+
 def _cli_codes(scn, tmp, seed, max_steps=40):
     """Exit codes of `run` under both algorithms and of `compare`, checking what each wrote."""
     codes = []
@@ -540,6 +560,21 @@ class TestObstacleDocumentsRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "circle_spacing is too small" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_circle_count_over_the_limit_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, _HUGE_CIRCLE_COUNT)
+        with pytest.raises(ScenarioError, match=f"more than {MAX_CIRCLES} boundary circles"):
+            load_scenario(scn)
+        assert main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"more than {MAX_CIRCLES} boundary circles" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_circle_limit_is_inclusive(self, tmp_path):
+        at_limit = load_scenario(write_scenario(tmp_path, _square_needing(MAX_CIRCLES / 4)))
+        assert circle_count(at_limit.rectangles[0], at_limit.sim) == MAX_CIRCLES
+        with pytest.raises(ScenarioError, match="boundary circles"):
+            load_scenario(write_scenario(tmp_path, _square_needing(MAX_CIRCLES / 4 + 0.5)))
 
 
 class TestExportResult:
@@ -848,3 +883,87 @@ class TestCliMain:
         apf_first = json.loads((out / "seed_4" / "apf" / "trajectories.csv")
                                .read_text().splitlines()[1].split(",")[2])
         assert vo_first == apf_first  # identical start, identical plan
+
+
+def _tree(root):
+    """Every path under `root`, with its bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _compare_in(tmp, monkeypatch, capsys, argv):
+    """Exit code, stdout, stderr and output tree of `compare` run in `tmp` with `--out o`.
+
+    The relative --out keeps the printed paths equal between runs.
+    """
+    tmp.mkdir()
+    monkeypatch.chdir(tmp)
+    code = main(["compare", *argv, "--out", "o"])
+    out, err = capsys.readouterr()
+    return code, out, err, _tree(tmp / "o")
+
+
+def _fail_at(monkeypatch, failing_seed, where):
+    """Make one seed's planning (`where` "plan") or one algorithm's run of it raise.
+
+    The patched functions are inherited by forked children, so the failure
+    happens wherever that seed runs.
+    """
+    seed_of = {}
+    plan_paths_, run_planned_ = scenario_cli.plan_paths, scenario_cli.run_planned
+
+    def plan(scenario, seed):
+        if (seed, where) == (failing_seed, "plan"):
+            raise PlanningError(f"injected at seed {seed}")
+        paths = plan_paths_(scenario, seed)
+        seed_of[id(paths)] = seed
+        return paths
+
+    def run_planned(scenario, params, paths):
+        if (seed_of[id(paths)], params.algorithm) == (failing_seed, where):
+            raise ValueError(f"injected at seed {failing_seed}")
+        return run_planned_(scenario, params, paths)
+
+    monkeypatch.setattr(scenario_cli, "plan_paths", plan)
+    monkeypatch.setattr(scenario_cli, "run_planned", run_planned)
+
+
+class TestCompareJobs:
+    """`compare --jobs N` writes and prints exactly what the serial `--jobs 1` does."""
+
+    def test_same_bytes_for_any_jobs(self, tmp_path, monkeypatch, capsys):
+        argv = ["--scenario", str(SCENARIOS / "paper_like_7uav.json"), "--seeds", "1..3"]
+        serial = _compare_in(tmp_path / "j1", monkeypatch, capsys, [*argv, "--jobs", "1"])
+        assert serial[0] == 0 and "seed_3/apf/trajectories.csv" in serial[3]
+        # in batches of 2 the last batch holds one seed; with 3, two children run
+        # beside the caller; the default takes the usable cores
+        for name, extra in (("j2", ["--jobs", "2"]), ("j3", ["--jobs", "3"]), ("default", [])):
+            assert _compare_in(tmp_path / name, monkeypatch, capsys, argv + extra) == serial
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing_seed,where,code", [
+        (2, "apf", 5),  # in a child, after its VO files are written
+        (2, "vo", 5),
+        (2, "plan", 3),  # made in the caller, after seed 1's plan
+        (1, "apf", 5),  # the caller's own seed, while seed 2 runs in a child
+        (3, "vo", 5),
+    ])
+    def test_stops_at_the_first_failing_seed(self, tmp_path, monkeypatch, capsys,
+                                             failing_seed, where, code):
+        _fail_at(monkeypatch, failing_seed, where)
+        argv = ["--scenario", str(SCENARIOS / "paper_like_5uav.json"), "--seeds", "1..3"]
+        serial = _compare_in(tmp_path / "j1", monkeypatch, capsys, [*argv, "--jobs", "1"])
+        assert serial[0] == code and f"injected at seed {failing_seed}" in serial[2]
+        assert f"seed {failing_seed}:" not in serial[1]
+        assert _compare_in(tmp_path / "j2", monkeypatch, capsys, [*argv, "--jobs", "2"]) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_0_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scenario", str(SCENARIOS / "head_on_duel.json"),
+                  "--seeds", "1", "--jobs", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--jobs: must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
