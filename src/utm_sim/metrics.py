@@ -83,11 +83,8 @@ class RunReport:
 
 
 def build_report(result: SimResult) -> RunReport:
-    if not result.trajectories:
-        raise ValueError("result has no trajectories")
-    for uid, samples in result.trajectories.items():
-        if len(samples) == 0:
-            raise ValueError(f"uav '{uid}' has an empty trajectory")
+    if not result.states or not result.states[0]:
+        raise ValueError("result has no UAV states")
 
     event_counts = {kind: 0 for kind in EVENT_KINDS}
     collided: set[str] = set()
@@ -99,8 +96,8 @@ def build_report(result: SimResult) -> RunReport:
         elif ev.kind == "uav_obstacle_collision":
             collided.add(ev.details["uav"])
 
-    positions = {uid: [s.position for s in samples]
-                 for uid, samples in result.trajectories.items()}
+    positions = {column[0].id: [u.position for u in column]
+                 for column in zip(*result.states)}
     path_lengths: dict[str, float | None] = {
         uid: (None if uid in collided else path_length(pts))
         for uid, pts in positions.items()

@@ -24,7 +24,7 @@ from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
 from .obstacle_field import MAX_CIRCLES, RectObstacle, circle_count
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError, check_endpoints
-from .sim_engine import SimResult, TrajectorySample, plan_paths, run, run_planned
+from .sim_engine import SimResult, UavState, plan_paths, run, run_planned
 
 
 class ScenarioError(Exception):
@@ -222,29 +222,23 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _trajectory_lines(trajectories: dict[str, list[TrajectorySample]]) -> Iterator[str]:
+def _trajectory_lines(states: list[tuple[UavState, ...]], dt: float) -> Iterator[str]:
     """trajectories.csv's data lines, time-major: every UAV's sample at one step, then the next.
 
-    Same objects, same text: a `t` is formatted once for all the samples
-    that hold that very float, and a UAV's `x,y,vx,vy` again only when its
-    position or velocity object changes (a parked UAV's never does). `is`,
-    not `==`: -0.0 == 0.0, but the two format differently.
+    Same object, same text: a UAV's `id,x,y,vx,vy` is formatted again only
+    when its `UavState` object changes (a parked UAV's never does). `is`, not
+    `==`: -0.0 == 0.0, but the two format differently.
     """
-    ids = list(trajectories)
-    cells: list[tuple[Vec2 | None, Vec2 | None, str]] = [(None, None, "")] * len(ids)
-    t: float | None = None
-    t_text = ""
-    for row in zip(*trajectories.values()):
-        for k, s in enumerate(row):
-            if s.t is not t:
-                t = s.t
-                t_text = "%.6f," % t
-            position, velocity, text = cells[k]
-            if s.position is not position or s.velocity is not velocity:
-                text = "%s,%.6f,%.6f,%.6f,%.6f\n" % (
-                    ids[k], s.position.x, s.position.y, s.velocity.x, s.velocity.y)
-                cells[k] = (s.position, s.velocity, text)
-            yield t_text + text
+    cells: list[UavState | None] = [None] * len(states[0])
+    texts = [""] * len(cells)
+    for k, row in enumerate(states):
+        t_text = "%.6f," % (k * dt)
+        for i, u in enumerate(row):
+            if u is not cells[i]:
+                cells[i] = u
+                texts[i] = "%s,%.6f,%.6f,%.6f,%.6f\n" % (
+                    u.id, u.position.x, u.position.y, u.velocity.x, u.velocity.y)
+            yield t_text + texts[i]
 
 
 def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> None:
@@ -254,8 +248,9 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     formatting (`%.6f`), sorted JSON keys. distances.csv writes
     `report.pair_distances`, so `report` must be `build_report(result)`. Both
     CSV files are streamed line by line rather than joined first, so their
-    full text is never held next to that series. In trajectories.csv a
-    sample's text is formatted once per run of the same objects (see
+    full text is never held next to that series. Both write `t` as
+    `k * params.dt` for the `k`th state. In trajectories.csv a UAV's text is
+    formatted once per run of the same `UavState` object (see
     `_trajectory_lines`), which gives the bytes of formatting it on every
     line. distances.csv formats each row in one `%`: one call on a row of
     floats costs less than checking each cell for a repeat.
@@ -263,13 +258,13 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    ids = list(result.trajectories)
+    dt = result.params.dt
     with open(out / "trajectories.csv", "w", encoding="utf-8") as f:
         f.write("t,uav_id,x,y,vx,vy\n")
-        f.writelines(_trajectory_lines(result.trajectories))
+        f.writelines(_trajectory_lines(result.states, dt))
 
     series = report.pair_distances
-    times = [s.t for s in result.trajectories[ids[0]]] if ids else []
+    times = [k * dt for k in range(len(result.states))]
     row_fmt = ",".join(["%.6f"] * (1 + len(series))) + "\n"
     with open(out / "distances.csv", "w", encoding="utf-8") as f:
         f.write(",".join(["t"] + [f"{a}-{b}" for (a, b) in series]) + "\n")
@@ -284,7 +279,7 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
 
     counts = report.event_counts
     rep = {
-        "algorithm": result.algorithm,
+        "algorithm": result.params.algorithm,
         "completed": result.completed,
         "steps": result.steps,
         "path_lengths": {
@@ -375,7 +370,9 @@ def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -
     Every plan is made here, before any fork; a seed whose planning fails ends
     the list. The first seed runs here, into `out`. Each later one runs in a
     forked child, which exports under `staging`, sends its outcome back over a
-    pipe and leaves by `os._exit`, so it never returns into this stack.
+    pipe and leaves by `os._exit`, so it never returns into this stack. A
+    child that ends without sending one (say, killed) gives a
+    `ChildProcessError`, an `OSError`.
     """
     import pickle
 
@@ -411,7 +408,7 @@ def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -
             with open(r, "rb") as f:
                 sent = f.read()
             status = os.waitpid(pid, 0)[1]
-            outcomes[k] = pickle.loads(sent) if sent else RuntimeError(
+            outcomes[k] = pickle.loads(sent) if sent else ChildProcessError(
                 f"seed {seeds[k]}: its worker ended with status {status} and no outcome")
     return outcomes
 
@@ -437,8 +434,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     staging = out / f".staging-{os.getpid()}"
     csv_lines = ["seed,uav_id,vo_path_length,apf_path_length"]
     try:
-        for i in range(0, len(args.seeds), jobs):
-            batch = args.seeds[i:i + jobs]
+        seeds = args.seeds  # may be longer than sys.maxsize: no len()
+        for start in range(seeds.start, seeds.stop, jobs):
+            batch = range(start, min(start + jobs, seeds.stop))
             for seed, outcome in zip(batch, _compare_batch(scenario, batch, out, staging)):
                 _publish(staging / f"seed_{seed}", out / f"seed_{seed}")
                 if isinstance(outcome, BaseException):

@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .scenario_cli import Scenario
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a run's `SimResult.states` keeps every one
 class UavState:
     """One vehicle's state, a disc of `Params.uav_radius`; replaced, never mutated."""
 
@@ -56,12 +56,6 @@ class SimEvent(NamedTuple):
     details: dict
 
 
-class TrajectorySample(NamedTuple):
-    t: float
-    position: Vec2
-    velocity: Vec2
-
-
 _by_id = attrgetter("id")
 
 
@@ -75,11 +69,24 @@ class World:
 
 @dataclass
 class SimResult:
-    trajectories: dict[str, list[TrajectorySample]]
+    """A run: its `Params`, its states and its events.
+
+    `states[k]` is every UAV's state after `k` steps, at `t = k * params.dt`,
+    in the world's order. A state that a step leaves alone (a parked UAV's)
+    is the very object of the step before.
+    """
+
+    params: Params
+    states: list[tuple[UavState, ...]]
     events: list[SimEvent]
-    completed: bool
-    steps: int
-    algorithm: str
+
+    @property
+    def steps(self) -> int:
+        return len(self.states) - 1
+
+    @property
+    def completed(self) -> bool:
+        return all(u.arrived for u in self.states[-1])
 
 
 def assign_waypoint(state: UavState, params: Params) -> UavState:
@@ -303,24 +310,14 @@ def run_planned(scenario: "Scenario", params: Params,
     step loop, both controllers and the body and circle sizes.
     """
     world = build_world(scenario, params, paths)
-    trajectories = {
-        u.id: [TrajectorySample(0.0, u.position, u.velocity)] for u in world.uavs
-    }
+    states = [tuple(world.uavs)]
     events = detect_collisions(world, params, 0.0)
     steps = 0
     while steps < params.max_steps and not all(u.arrived for u in world.uavs):
         steps += 1
-        t = steps * params.dt
-        events.extend(step(world, params, t))
-        for u in world.uavs:
-            trajectories[u.id].append(TrajectorySample(t, u.position, u.velocity))
-    return SimResult(
-        trajectories=trajectories,
-        events=events,
-        completed=all(u.arrived for u in world.uavs),
-        steps=steps,
-        algorithm=params.algorithm,
-    )
+        events.extend(step(world, params, steps * params.dt))
+        states.append(tuple(world.uavs))
+    return SimResult(params, states, events)
 
 
 def run(scenario: "Scenario", params: Params, seed: int) -> SimResult:

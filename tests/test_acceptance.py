@@ -230,8 +230,9 @@ def test_criterion_08_determinism_and_id_permutation(tmp_path):
     res_base = run(sc, _vo_sim(sc), 3)
     res_perm = run(permuted, _vo_sim(permuted), 3)
     same_paths = True
-    for uid, samples in res_base.trajectories.items():
-        other = res_perm.trajectories[uid]
+    perm_columns = {column[0].id: column for column in zip(*res_perm.states)}
+    for samples in zip(*res_base.states):
+        other = perm_columns[samples[0].id]
         same_paths = same_paths and len(samples) == len(other)
         same_paths = same_paths and all(
             s.position == o.position for s, o in zip(samples, other))

@@ -1,10 +1,11 @@
 """The report and the CSV export equal their plain per-sample references.
 
-`pairwise_distances` reuses a distance, and `export_result` a sample's text,
-while the objects behind them are the same (`is`). The results drawn here
-repeat objects, repeat values in new objects, flip the sign of zero
-components (`-0.0 == 0.0`, but the two format differently), mix the time
-objects of one row, and use UAV ids that contain `%`.
+`pairwise_distances` reuses a distance while the position objects behind it
+are the same (`is`), and `export_result` a UAV's text while its `UavState`
+object is. The results drawn here keep state objects, build new states of
+the same position and velocity objects, repeat values in new objects, flip
+the sign of zero components (`-0.0 == 0.0`, but the two format differently),
+draw the step `dt`, and use UAV ids that contain `%`.
 """
 
 import tempfile
@@ -14,18 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from export_oracle import (oracle_distances_csv, oracle_pairwise_series, oracle_path_length,
-                           oracle_trajectories_csv)
+                           oracle_positions, oracle_trajectories_csv)
 from utm_sim.geom2d import Vec2
 from utm_sim.metrics import build_report, pairwise_distances, path_length
+from utm_sim.params import Params
 from utm_sim.scenario_cli import export_result
-from utm_sim.sim_engine import SimResult, TrajectorySample
+from utm_sim.sim_engine import SimResult, UavState
 
 _value = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 2.5, -3.75]) | st.floats(-500.0, 500.0)
 _ids = st.lists(st.sampled_from(["a", "b", "u1", "u%", "%s", "x%%y", "%.6f"]),
                 min_size=1, max_size=4, unique=True)
 _change = st.sampled_from(["same", "same", "equal", "flip_zero", "new"])
-_row_time = st.sampled_from(["next", "next", "same_object", "same_value", "signed_zero"])
-_sample_time = st.sampled_from(["row", "row", "row", "equal_object", "other"])
+_dt = st.sampled_from([0.1, 0.05, 0.5, 1.0, 1 / 3]) | st.floats(1e-3, 5.0)
+
+
+def _state(uid, position, velocity):
+    return UavState(uid, position, velocity, (Vec2(0.0, 0.0),))
 
 
 def _copy(v):
@@ -51,38 +56,23 @@ def _next(draw, v):
 
 @st.composite
 def _results(draw):
-    ids = draw(_ids)
-    n = draw(st.integers(1, 10))
-    state = {uid: (Vec2(draw(_value), draw(_value)), Vec2(draw(_value), draw(_value)))
-             for uid in ids}
-    trajectories = {uid: [] for uid in ids}
-    t = 0.0
-    for i in range(n):
-        how = draw(_row_time)
-        if i > 0 and how == "next":
-            t = i * 0.1
-        elif how == "same_value":
-            t = _copy(t)
-        elif how == "signed_zero":
-            t = -0.0 if draw(st.booleans()) else 0.0
-        for uid in ids:
-            pos, vel = state[uid]
-            if i > 0:
-                pos, vel = _next(draw, pos), _next(draw, vel)
-            state[uid] = (pos, vel)
-            which = draw(_sample_time)
-            ts = t if which == "row" else _copy(t) if which == "equal_object" else draw(_value)
-            trajectories[uid].append(TrajectorySample(ts, pos, vel))
-    return SimResult(trajectories=trajectories, events=[], completed=True, steps=n - 1,
-                     algorithm="vo")
+    row = tuple(_state(uid, Vec2(draw(_value), draw(_value)), Vec2(draw(_value), draw(_value)))
+                for uid in draw(_ids))
+    states = [row]
+    for _ in range(draw(st.integers(0, 9))):
+        # a UAV keeps its state object, or gets a new one
+        row = tuple(u if draw(st.booleans()) else
+                    _state(u.id, _next(draw, u.position), _next(draw, u.velocity))
+                    for u in row)
+        states.append(row)
+    return SimResult(Params(dt=draw(_dt)), states, [])
 
 
 class TestSameObjectsSameResult:
     @settings(max_examples=150, deadline=None)
     @given(result=_results())
     def test_report_and_export_equal_the_plain_references(self, result):
-        positions = {uid: [s.position for s in samples]
-                     for uid, samples in result.trajectories.items()}
+        positions = oracle_positions(result)
         series, minima = pairwise_distances(positions)
         want = oracle_pairwise_series(positions)
         assert list(series) == list(want)
@@ -105,11 +95,8 @@ class TestSameObjectsSameResult:
     def test_a_signed_zero_after_an_equal_zero_is_formatted_anew(self):
         zero, minus_zero = Vec2(0.0, 1.0), Vec2(-0.0, 1.0)
         assert zero == minus_zero
-        t0, t1 = 0.0, 0.1
-        result = SimResult(
-            trajectories={"u%": [TrajectorySample(t0, zero, zero),
-                                 TrajectorySample(t1, minus_zero, minus_zero)]},
-            events=[], completed=True, steps=1, algorithm="apf")
+        result = SimResult(Params(algorithm="apf"), [(_state("u%", zero, zero),),
+                                                     (_state("u%", minus_zero, minus_zero),)], [])
         with tempfile.TemporaryDirectory() as tmp:
             export_result(result, build_report(result), tmp)
             text = (Path(tmp) / "trajectories.csv").read_text(encoding="utf-8")

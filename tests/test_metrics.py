@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,8 @@ from utm_sim.metrics import (
     pairwise_distances,
     path_length,
 )
-from utm_sim.sim_engine import SimEvent, SimResult, TrajectorySample
+from utm_sim.params import Params
+from utm_sim.sim_engine import SimEvent, SimResult, UavState
 
 
 class TestPathLength:
@@ -73,25 +75,25 @@ class TestPairwiseDistances:
         assert series == {} and minima == {}
 
 
-def _sample_row(t, x, y):
-    return TrajectorySample(t, Vec2(x, y), Vec2(0.0, 0.0))
+def _state(uid, x, y, arrived):
+    return UavState(uid, Vec2(x, y), Vec2(0.0, 0.0), (Vec2(x, y),), arrived=arrived)
 
 
 def make_result(events):
-    trajectories = {
-        "u1": [_sample_row(0.0, 0.0, 0.0), _sample_row(0.1, 3.0, 4.0)],
-        "u2": [_sample_row(0.0, 30.0, 0.0), _sample_row(0.1, 27.0, 0.0)],
-        "u3": [_sample_row(0.0, 100.0, 100.0), _sample_row(0.1, 100.0, 95.0)],
-    }
-    return SimResult(trajectories=trajectories, events=events, completed=True,
-                     steps=1, algorithm="vo")
+    states = [
+        (_state("u1", 0.0, 0.0, False), _state("u2", 30.0, 0.0, False),
+         _state("u3", 100.0, 100.0, False)),
+        (_state("u1", 3.0, 4.0, True), _state("u2", 27.0, 0.0, True),
+         _state("u3", 100.0, 95.0, True)),
+    ]
+    return SimResult(Params(), states, events)
 
 
 class TestBuildReport:
     def test_clean_run(self):
         result = make_result([SimEvent(0.1, "arrived", {"uav": "u1"})])
         rep = build_report(result)
-        assert result.completed and result.steps == 1 and result.algorithm == "vo"
+        assert result.completed and result.steps == 1 and result.params.algorithm == "vo"
         assert rep.path_lengths["u1"] == 5.0
         assert rep.path_lengths["u2"] == 3.0
         assert rep.path_lengths["u3"] == 5.0
@@ -104,8 +106,9 @@ class TestBuildReport:
     def test_pair_distances_are_the_series_behind_the_minima(self):
         result = make_result([])
         rep = build_report(result)
-        positions = {uid: [s.position for s in samples]
-                     for uid, samples in result.trajectories.items()}
+        positions = {"u1": [Vec2(0.0, 0.0), Vec2(3.0, 4.0)],
+                     "u2": [Vec2(30.0, 0.0), Vec2(27.0, 0.0)],
+                     "u3": [Vec2(100.0, 100.0), Vec2(100.0, 95.0)]}
         assert (rep.pair_distances, rep.pair_min_distances) == pairwise_distances(positions)
         assert list(rep.pair_distances) == list(rep.pair_min_distances)
 
@@ -134,11 +137,13 @@ class TestBuildReport:
         assert rep.event_counts["empty_feasible_set"] == 1
 
     def test_empty_trajectories_rejected(self):
-        result = SimResult(trajectories={}, events=[], completed=False,
-                           steps=0, algorithm="vo")
         with pytest.raises(ValueError):
-            build_report(result)
-        result2 = SimResult(trajectories={"u1": []}, events=[], completed=False,
-                            steps=0, algorithm="vo")
+            build_report(SimResult(Params(), [], []))
         with pytest.raises(ValueError):
-            build_report(result2)
+            build_report(SimResult(Params(), [()], []))
+
+    def test_steps_and_completed_are_read_off_the_states(self):
+        result = make_result([])
+        moving = replace(result.states[-1][0], arrived=False, velocity=Vec2(1.0, 0.0))
+        result.states.append((moving,) + result.states[-1][1:])
+        assert result.steps == 2 and not result.completed

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -959,6 +960,40 @@ class TestCompareJobs:
         assert _compare_in(tmp_path / "j2", monkeypatch, capsys, [*argv, "--jobs", "2"]) == serial
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_ending_without_an_outcome_exits_4(self, tmp_path, monkeypatch, capsys):
+        caller, compare_seed = os.getpid(), scenario_cli._compare_seed
+
+        def killed_at_seed_2(scenario, paths, out):
+            if out.name == "seed_2" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return compare_seed(scenario, paths, out)
+
+        monkeypatch.setattr(scenario_cli, "_compare_seed", killed_at_seed_2)
+        code, out, err, tree = _compare_in(
+            tmp_path / "k", monkeypatch, capsys,
+            ["--scenario", str(SCENARIOS / "head_on_duel.json"), "--seeds", "1..2", "--jobs", "2"])
+        assert code == 4
+        assert err == (f"i/o error: seed 2: its worker ended with status {signal.SIGKILL} "
+                       "and no outcome\n")
+        assert "seed 1:" in out and "seed 2:" not in out
+        assert "seed_1/vo/report.json" in tree and "seed_1/apf/trajectories.csv" in tree
+        assert not [p for p in tree if p.startswith("seed_2")] and "compare.csv" not in tree
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_seed_range_longer_than_maxsize(self, tmp_path, capsys):
+        # the first seed cannot plan: one RRT iteration cannot reach a far goal
+        doc = {"uavs": [{"id": "u1", "start": [10.0, 10.0], "goal": [390.0, 390.0]}],
+               "params": {"max_iters": 1}}
+        seeds = f"0..{10**20}"
+        with pytest.raises(OverflowError):
+            len(_parse_seed_range(seeds))
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", str(write_scenario(tmp_path, doc)),
+                     "--seeds", seeds, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("planning error: uav 'u1'")
+        assert not (out / "compare.csv").exists()
 
     def test_jobs_0_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

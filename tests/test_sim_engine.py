@@ -15,9 +15,9 @@ from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
 from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
 from utm_sim.params import Params
-from utm_sim.metrics import RunReport
+from utm_sim.metrics import RunReport, build_report
 from utm_sim.rrt_planner import PlanningError
-from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, load_scenario
+from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, export_result, load_scenario
 from utm_sim.sim_engine import (
     SimEvent,
     UavState,
@@ -206,7 +206,8 @@ class TestOneTable:
         slow = run(sc, replace(sc.sim, algorithm="vo"), seed=1)
         fast = run(sc, replace(sc.sim, algorithm="vo", kp=0.6), seed=1)
         for res, kp in ((slow, 0.2), (fast, 0.6)):
-            a0, a1 = res.trajectories["a"][:2]
+            a0, a1 = (row[0] for row in res.states[:2])
+            assert a0.id == a1.id == "a"
             wp = plan_paths(sc, 1)["a"][1]
             assert a1.velocity == Vec2(kp * (wp.x - a0.position.x), kp * (wp.y - a0.position.y))
         assert slow.completed and fast.completed
@@ -215,9 +216,8 @@ class TestOneTable:
     def test_dt_on_the_run_table_sets_the_apf_step(self):
         sc = load_scenario(SCENARIOS / "head_on_duel.json")
         res = run(sc, replace(sc.sim, algorithm="apf", dt=0.05, max_steps=1), seed=1)
-        for samples in res.trajectories.values():
-            first, second = samples
-            assert second.t == 0.05
+        assert res.params.dt == 0.05 and res.steps == 1  # the second state is at t = 0.05
+        for first, second in zip(*res.states):
             assert distance(first.position, second.position) == pytest.approx(0.05 * 8.0)
             assert second.velocity.norm() == pytest.approx(8.0)  # k_att: moved dt * k_att
 
@@ -813,24 +813,45 @@ class TestRun:
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))])
         result = run(scenario, Params(), seed=3)
         assert result.completed
-        assert result.algorithm == "vo"
+        assert result.params == Params()
         assert 0 < result.steps < 2000
-        samples = result.trajectories["u1"]
+        samples = [u for (u,) in result.states]
         assert len(samples) == result.steps + 1
-        assert samples[0].t == 0.0
+        assert samples[0].id == "u1"
         assert samples[0].position == Vec2(20.0, 200.0)
         assert samples[0].velocity == Vec2(0.0, 0.0)
-        assert samples[-1].t == result.steps * 0.1
         # ends within dist_wp of the goal region center it was steering to
         final = samples[-1].position
         assert distance(final, Vec2(120.0, 200.0)) < 10.0 + 10.0  # goal_radius + dist_wp
 
-    def test_time_axis_uniform(self):
+    def test_history_contract(self):
+        """What export and metrics rely on: a parked UAV's state is one object
+        from the step it arrives on, and steps and completed are read off the
+        states."""
+        sc = load_scenario(SCENARIOS / "corner_corridor.json")
+        result = run(sc, replace(sc.sim, algorithm="apf"), seed=1)
+        ids = [u.id for u in sc.uavs]
+        assert all([u.id for u in row] == ids for row in result.states)
+        assert result.steps == len(result.states) - 1
+        assert result.completed == all(u.arrived for u in result.states[-1])
+        arrived_at = {e.details["uav"]: e.t for e in result.events if e.kind == "arrived"}
+        assert arrived_at
+        for column in zip(*result.states):
+            k = next((k for k, u in enumerate(column) if u.arrived), None)
+            if k is None:
+                assert column[0].id not in arrived_at
+                continue
+            assert arrived_at[column[0].id] == k * result.params.dt
+            assert all(u is column[k] for u in column[k:])
+
+    def test_time_axis_uniform(self, tmp_path):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0))])
         result = run(scenario, Params(), seed=3)
-        ts = [s.t for s in result.trajectories["u1"]]
-        for i, t in enumerate(ts):
-            assert t == i * 0.1
+        export_result(result, build_report(result), tmp_path)
+        lines = (tmp_path / "trajectories.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == result.steps + 1
+        for i, line in enumerate(lines):
+            assert line.split(",")[0] == "%.6f" % (i * 0.1)
 
     def test_initial_overlap_detected_at_t0(self):
         scenario = make_scenario([
@@ -846,7 +867,7 @@ class TestRun:
         result = run(scenario, Params(max_steps=7), seed=3)
         assert not result.completed
         assert result.steps == 7
-        assert len(result.trajectories["u1"]) == 8
+        assert len(result.states) == 8
 
     def test_identical_runs_identical_results(self):
         scenario = make_scenario(
@@ -856,7 +877,7 @@ class TestRun:
         )
         r1 = run(scenario, Params(), seed=11)
         r2 = run(scenario, Params(), seed=11)
-        assert r1.trajectories == r2.trajectories
+        assert r1.states == r2.states
         assert r1.events == r2.events
 
     def test_run_planned_shares_paths_between_algorithms(self):
@@ -865,7 +886,9 @@ class TestRun:
         r_vo = run_planned(scenario, Params(algorithm="vo"), paths)
         r_apf = run_planned(scenario, Params(algorithm="apf"), paths)
         assert r_vo.completed and r_apf.completed
-        assert r_vo.algorithm == "vo" and r_apf.algorithm == "apf"
+        assert r_vo.params.algorithm == "vo" and r_apf.params.algorithm == "apf"
+        assert r_vo.states[0] == r_apf.states[0]
+        assert r_vo.states[0][0].path is r_apf.states[0][0].path is paths["u1"]
 
 
 _spot = st.integers(0, 80).map(lambda k: 5.0 * k) | st.floats(0.0, 400.0)
@@ -900,9 +923,9 @@ def _outcome(scenario, seed):
     for algo in ("vo", "apf"):
         res = run_planned(scenario, replace(scenario.sim, algorithm=algo), paths)
         out[algo] = (
-            {uid: [(s.t.hex(), s.position.x.hex(), s.position.y.hex(),
-                    s.velocity.x.hex(), s.velocity.y.hex()) for s in samples]
-             for uid, samples in res.trajectories.items()},
+            {samples[0].id: [(s.position.x.hex(), s.position.y.hex(),
+                              s.velocity.x.hex(), s.velocity.y.hex()) for s in samples]
+             for samples in zip(*res.states)},
             res.steps, res.completed, sorted(map(repr, res.events)),
         )
     return out
