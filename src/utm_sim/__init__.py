@@ -9,8 +9,8 @@ from .params import Params
 from .rrt_planner import PlanningError, check_endpoints, plan_path, steer
 from .scenario_cli import (Scenario, ScenarioError, UavSpec, export_result,
                            load_scenario, main, save_scenario)
-from .sim_engine import (SimResult, UavState, World, assign_waypoint,
-                         detect_collisions, plan_paths, run, run_planned, step)
+from .sim_engine import (SimResult, UavState, assign_waypoint, detect_collisions,
+                         plan_paths, run, run_planned, step)
 from .vo_core import (AvoidResult, CollisionCone, FeasibleSet, Threat, avoid,
                       collision_cone, in_cone, prune_feasible, search_feasible,
                       select_velocity)
@@ -24,8 +24,8 @@ __all__ = [
     "PlanningError", "check_endpoints", "plan_path", "steer",
     "Scenario", "ScenarioError", "UavSpec", "export_result", "load_scenario",
     "main", "save_scenario",
-    "SimResult", "UavState", "World", "assign_waypoint",
-    "detect_collisions", "plan_paths", "run", "run_planned", "step",
+    "SimResult", "UavState", "assign_waypoint", "detect_collisions",
+    "plan_paths", "run", "run_planned", "step",
     "AvoidResult", "CollisionCone", "FeasibleSet", "Threat",
     "avoid", "collision_cone", "in_cone", "prune_feasible", "search_feasible",
     "select_velocity",

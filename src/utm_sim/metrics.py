@@ -24,13 +24,18 @@ EVENT_KINDS = (
 def path_length(points: Sequence[Vec2]) -> float:
     """Total polyline length of a recorded trajectory (0.0 for a single sample).
 
-    A segment whose two samples are the same object is skipped: its length
-    is `hypot(0, 0)`, and adding 0.0 to a sum of non-negative lengths, which
-    starts at 0.0, leaves it unchanged.
+    Lengths are added left to right, not by the built-in `sum`, which Python
+    3.12 made compensated. A segment whose two samples are the same object is
+    skipped: its length is `hypot(0, 0)`, and adding 0.0 to a sum of
+    non-negative lengths, which starts at 0.0, leaves it unchanged.
     """
     if len(points) == 0:
         raise ValueError("empty trajectory")
-    return sum((distance(a, b) for a, b in zip(points, points[1:]) if a is not b), 0.0)
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        if a is not b:
+            total += distance(a, b)
+    return total
 
 
 def pairwise_distances(

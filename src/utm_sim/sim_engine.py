@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
-from .obstacle_field import ObstacleField
+from .obstacle_field import ObstacleField, RectObstacle
 from .params import Params
 from .rrt_planner import PlanningError, plan_path
 from .vo_core import Threat, avoid
@@ -60,19 +60,11 @@ _by_id = attrgetter("id")
 
 
 @dataclass
-class World:
-    """Mutable container the engine advances; the geometry is shared across steps."""
-
-    uavs: list[UavState]
-    field: ObstacleField
-
-
-@dataclass
 class SimResult:
     """A run: its `Params`, its states and its events.
 
     `states[k]` is every UAV's state after `k` steps, at `t = k * params.dt`,
-    in the world's order. A state that a step leaves alone (a parked UAV's)
+    in the scenario's order. A state that a step leaves alone (a parked UAV's)
     is the very object of the step before.
     """
 
@@ -185,18 +177,19 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     return [item[3] for item in keyed]
 
 
-def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
+def detect_collisions(uavs: Sequence[UavState], rectangles: Sequence[RectObstacle],
+                      params: Params, t: float) -> list[SimEvent]:
     """Ground-truth overlap scan: UAV discs pairwise and against true rectangles.
 
     Strict inequalities: touching exactly is not a collision. Event order is
-    canonical (sorted ids) regardless of the world's vehicle order. A pair
-    whose gap along one axis is already >= the collision distance is skipped
+    canonical (sorted ids) regardless of the order of `uavs`. A pair whose
+    gap along one axis is already >= the collision distance is skipped
     before any `hypot`; as in `gather_threats`, that is exact because
     `hypot(dx, dy) >= max(|dx|, |dy|)` in floating point, and every pair that
     is not skipped gets the same `hypot` or `point_rect_distance` as before.
     """
     events: list[SimEvent] = []
-    uavs = sorted(world.uavs, key=_by_id)
+    uavs = sorted(uavs, key=_by_id)
     r = params.uav_radius + params.uav_radius
     for a, b in combinations(uavs, 2):
         dx, dy = b.position.x - a.position.x, b.position.y - a.position.y
@@ -209,7 +202,7 @@ def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
     r = params.uav_radius
     for u in uavs:
         p = u.position
-        for rect in world.field.rectangles:
+        for rect in rectangles:
             if rect.min_x - p.x >= r or p.x - rect.max_x >= r \
                     or rect.min_y - p.y >= r or p.y - rect.max_y >= r:
                 continue
@@ -220,8 +213,8 @@ def detect_collisions(world: World, params: Params, t: float) -> list[SimEvent]:
     return events
 
 
-def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
-    """Advance every UAV one synchronous step; returns this step's events.
+def step(uavs: list[UavState], field: ObstacleField, params: Params, t: float) -> list[SimEvent]:
+    """Advance every UAV of `uavs` one synchronous step, in place; returns this step's events.
 
     Phases: waypoint bookkeeping for each moving UAV, then one pass that
     gathers each moving UAV's threats from the frozen snapshot, takes its
@@ -236,7 +229,7 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
     `gather_threats` reuses.
     """
     events: list[SimEvent] = []
-    for i, u in enumerate(world.uavs):
+    for i, u in enumerate(uavs):
         if u.arrived:
             continue
         nxt = assign_waypoint(u, params)
@@ -246,14 +239,14 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
             else:
                 events.append(SimEvent(t, "waypoint_advanced",
                                        {"uav": u.id, "waypoint_index": nxt.waypoint_index}))
-            world.uavs[i] = nxt
+            uavs[i] = nxt
 
     # a copy: the commits below must not reach a later UAV's threat gathering
-    snapshot = tuple(world.uavs)
+    snapshot = tuple(uavs)
     for i, u in enumerate(snapshot):
         if u.arrived:
             continue
-        threats = gather_threats(u, snapshot, world.field, params)
+        threats = gather_threats(u, snapshot, field, params)
         if params.algorithm == "vo":
             res = avoid(u, threats, params)
             if res.empty_set:
@@ -261,11 +254,11 @@ def step(world: World, params: Params, t: float = 0.0) -> list[SimEvent]:
             v = res.velocity
         else:
             v = apf_step(u, threats, params)
-        world.uavs[i] = UavState(u.id, Vec2(u.position.x + params.dt * v.x,
-                                            u.position.y + params.dt * v.y),
-                                 v, u.path, u.waypoint_index, u.arrived)
+        uavs[i] = UavState(u.id, Vec2(u.position.x + params.dt * v.x,
+                                      u.position.y + params.dt * v.y),
+                           v, u.path, u.waypoint_index, u.arrived)
 
-    events.extend(detect_collisions(world, params, t))
+    events.extend(detect_collisions(uavs, field.rectangles, params, t))
     return events
 
 
@@ -288,8 +281,8 @@ def plan_paths(scenario: "Scenario", seed: int) -> dict[str, tuple[Vec2, ...]]:
 
 
 def build_world(scenario: "Scenario", params: Params,
-                paths: Mapping[str, tuple[Vec2, ...]]) -> World:
-    """Vehicles at their starts and the circle approximation of `params`."""
+                paths: Mapping[str, tuple[Vec2, ...]]) -> tuple[list[UavState], ObstacleField]:
+    """The vehicles at their starts, and the obstacle field built with `params`."""
     uavs = [
         UavState(
             id=u.id,
@@ -299,7 +292,7 @@ def build_world(scenario: "Scenario", params: Params,
         )
         for u in scenario.uavs
     ]
-    return World(uavs=uavs, field=ObstacleField(list(scenario.rectangles), params))
+    return uavs, ObstacleField(list(scenario.rectangles), params)
 
 
 def run_planned(scenario: "Scenario", params: Params,
@@ -309,14 +302,12 @@ def run_planned(scenario: "Scenario", params: Params,
     `params` is the run's whole table: it replaces `scenario.sim` for the
     step loop, both controllers and the body and circle sizes.
     """
-    world = build_world(scenario, params, paths)
-    states = [tuple(world.uavs)]
-    events = detect_collisions(world, params, 0.0)
-    steps = 0
-    while steps < params.max_steps and not all(u.arrived for u in world.uavs):
-        steps += 1
-        events.extend(step(world, params, steps * params.dt))
-        states.append(tuple(world.uavs))
+    uavs, field = build_world(scenario, params, paths)
+    states = [tuple(uavs)]
+    events = detect_collisions(uavs, field.rectangles, params, 0.0)
+    while len(states) <= params.max_steps and not all(u.arrived for u in uavs):
+        events.extend(step(uavs, field, params, len(states) * params.dt))
+        states.append(tuple(uavs))
     return SimResult(params, states, events)
 
 

@@ -49,7 +49,7 @@ class Threat:
     position: Vec2
     velocity: Vec2
     combined_radius: float
-    source_id: str = ""
+    source_id: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +96,16 @@ class FeasibleSet:
 
     Search order is ascending heading, then ascending speed. A heading blocked
     by the seeding cone contributes only its zero-speed entry. A set returned
-    by `search_feasible` keeps its polar grid in `grid` and builds the
-    `candidates` list on first read; a set built from a list has no grid.
+    by `search_feasible` is built from `None` and its polar grid, keeps the
+    grid in `grid` and builds the `candidates` list on first read; a set
+    built from a list has no grid.
     """
 
     __slots__ = ("_candidates", "grid")
 
-    def __init__(self, candidates: list[tuple[float, float]] | None = None,
+    def __init__(self, candidates: list[tuple[float, float]] | None,
                  grid: _PolarGrid | None = None) -> None:
-        self._candidates = [] if candidates is None and grid is None else candidates
+        self._candidates = candidates
         self.grid = grid
 
     @property
@@ -215,7 +216,7 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     `candidates` list is built in this order when first read.
     """
     headings = _headings(params.theta_step)
-    return FeasibleSet(grid=_PolarGrid(
+    return FeasibleSet(None, _PolarGrid(
         headings=headings,
         open=_open_headings(headings, cone),
         speeds=_magnitude_grid(v_ab.norm(), params.mag_step),

@@ -45,5 +45,8 @@ def oracle_pairwise_series(trajectories):
 
 
 def oracle_path_length(points):
-    """The plain sum of every segment's length."""
-    return sum(distance(a, b) for a, b in zip(points, points[1:]))
+    """Every segment's length, added left to right."""
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += distance(a, b)
+    return total

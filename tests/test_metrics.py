@@ -27,6 +27,12 @@ class TestPathLength:
         with pytest.raises(ValueError):
             path_length([])
 
+    def test_segments_are_added_left_to_right(self):
+        # ten 0.1 m segments: one rounding per addition gives 0.9999999999999999,
+        # a compensated sum (the built-in `sum` of floats from Python 3.12) 1.0
+        pts = [Vec2(0.1 * (k % 2), 0.0) for k in range(11)]
+        assert path_length(pts) == 0.9999999999999999
+
     def test_reversal_invariant(self):
         rng = random.Random(14)
         pts = [Vec2(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(40)]

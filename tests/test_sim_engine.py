@@ -21,7 +21,6 @@ from utm_sim.scenario_cli import Scenario, ScenarioError, UavSpec, export_result
 from utm_sim.sim_engine import (
     SimEvent,
     UavState,
-    World,
     assign_waypoint,
     build_world,
     derive_uav_seed,
@@ -45,7 +44,8 @@ def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), wp_index=0, arrived=False):
 
 
 def make_world(uavs, rects=(), params=P):
-    return World(uavs=list(uavs), field=ObstacleField(list(rects), params))
+    """What `build_world` returns: the UAV list `step` advances, and the field."""
+    return list(uavs), ObstacleField(list(rects), params)
 
 
 def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **params_kw):
@@ -121,7 +121,6 @@ class TestOneTable:
         assert len({id(obj) for obj in objects}) == len(names)  # no second name for one object
 
     def test_no_second_table_in_world_or_scenario(self):
-        assert [f.name for f in fields(World)] == ["uavs", "field"]
         assert [f.name for f in fields(Scenario)] == ["name", "rectangles", "uavs", "sim"]
         assert not [name for name, v in vars(Scenario).items() if isinstance(v, property)]
         # no body radius per vehicle and no circle object with its own radius
@@ -135,16 +134,16 @@ class TestOneTable:
         # id and combined radius are formed once, when the field is built
         rect = RectObstacle(Vec2(200.0, 200.0), 30.0, 30.0, "r")
         params = Params(uav_radius=9.0, obstacle_circle_radius=5.0, circle_spacing=8.0)
-        world = make_world([make_uav("a", Vec2(180.0, 178.0), [Vec2(100.0, 178.0)]),
-                            make_uav("b", Vec2(178.0, 192.0), [Vec2(100.0, 192.0)])],
-                           [rect], params)
-        first = gather_threats(world.uavs[0], world.uavs, world.field, params)
-        step(world, params, params.dt)
-        second = gather_threats(world.uavs[1], world.uavs, world.field, params)
+        uavs, field = make_world([make_uav("a", Vec2(180.0, 178.0), [Vec2(100.0, 178.0)]),
+                                  make_uav("b", Vec2(178.0, 192.0), [Vec2(100.0, 192.0)])],
+                                 [rect], params)
+        first = gather_threats(uavs[0], uavs, field, params)
+        step(uavs, field, params, params.dt)
+        second = gather_threats(uavs[1], uavs, field, params)
         circles = [t for t in first + second if t.source_id.startswith("r#")]
         shared = ({t.source_id for t in first} & {t.source_id for t in second}) - {"a", "b"}
         assert shared
-        built = {t.source_id: t for _, ring in world.field.rings for t in ring}
+        built = {t.source_id: t for _, ring in field.rings for t in ring}
         assert all(t is built[t.source_id] for t in circles)
         for k, c in enumerate(discretize_rectangle(rect, params)):
             assert built[f"r#{k}"] == Threat(c, Vec2(0.0, 0.0), 9.0 + 5.0, f"r#{k}")
@@ -153,22 +152,22 @@ class TestOneTable:
         # two observers at two steps get the very same threat for a parked
         # UAV, as for a circle: it is formed once, when first seen parked
         parked = make_uav("p", Vec2(200.0, 200.0), [Vec2(200.0, 200.0)], arrived=True)
-        world = make_world([make_uav("a", Vec2(180.0, 200.0), [Vec2(100.0, 200.0)]),
-                            make_uav("b", Vec2(200.0, 230.0), [Vec2(200.0, 300.0)]),
-                            parked])
-        first = gather_threats(world.uavs[0], world.uavs, world.field, P)
-        step(world, P, P.dt)
-        second = gather_threats(world.uavs[1], world.uavs, world.field, P)
+        uavs, field = make_world([make_uav("a", Vec2(180.0, 200.0), [Vec2(100.0, 200.0)]),
+                                  make_uav("b", Vec2(200.0, 230.0), [Vec2(200.0, 300.0)]),
+                                  parked])
+        first = gather_threats(uavs[0], uavs, field, P)
+        step(uavs, field, P, P.dt)
+        second = gather_threats(uavs[1], uavs, field, P)
         (t1,) = [t for t in first if t.source_id == "p"]
         (t2,) = [t for t in second if t.source_id == "p"]
-        assert world.uavs[2] is parked and t1 is t2 is world.field.parked["p"]
+        assert uavs[2] is parked and t1 is t2 is field.parked["p"]
         assert t1 == Threat(parked.position, Vec2(0.0, 0.0), 24.0, "p")
         # the threat holds the state's position and velocity objects: a copy
         # of the state keeps it, a new position object, even an equal one, not
-        a = world.uavs[0]
-        assert gather_threats(a, [a, replace(parked)], world.field, P)[0] is t1
+        a = uavs[0]
+        assert gather_threats(a, [a, replace(parked)], field, P)[0] is t1
         third = gather_threats(a, [a, replace(parked, position=Vec2(200.0, 200.0))],
-                               world.field, P)
+                               field, P)
         assert third == [t1] and third[0] is not t1
 
     def test_run_report_holds_only_what_build_report_measures(self):
@@ -189,15 +188,15 @@ class TestOneTable:
                            rects=[RectObstacle(Vec2(200.0, 100.0), 30.0, 30.0, "r")])
         params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
                          circle_spacing=8.0)
-        world = build_world(sc, params, plan_paths(sc, 1))
-        circles = [t for _, ring in world.field.rings for t in ring]
+        uavs, field = build_world(sc, params, plan_paths(sc, 1))
+        circles = [t for _, ring in field.rings for t in ring]
         # 30 m edges at spacing 8: four circles per edge, each of radius 9 + 5
         assert len(circles) == 16
         assert {t.combined_radius for t in circles} == {14.0}
         # a UAV between the body of another and the rectangle's left edge
-        u = replace(world.uavs[0], position=Vec2(175.0, 100.0))
-        other = replace(world.uavs[0], id="u2", position=Vec2(165.0, 100.0))
-        threats = gather_threats(u, [u, other], world.field, params)
+        u = replace(uavs[0], position=Vec2(175.0, 100.0))
+        other = replace(uavs[0], id="u2", position=Vec2(165.0, 100.0))
+        threats = gather_threats(u, [u, other], field, params)
         assert {t.source_id: t.combined_radius for t in threats
                 if t.source_id in ("u2", "r#0")} == {"u2": 18.0, "r#0": 14.0}
 
@@ -225,9 +224,9 @@ class TestOneTable:
         def first_move(params):
             a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
             b = make_uav("b", Vec2(0.0, 40.0), [Vec2(0.0, 40.0)], arrived=True)
-            world = make_world([a, b])
-            step(world, params, t=params.dt)
-            return world.uavs[0].position
+            uavs, field = make_world([a, b])
+            step(uavs, field, params, t=params.dt)
+            return uavs[0].position
 
         assert first_move(Params(algorithm="apf", dist_uav=30.0)) == Vec2(0.8, 0.0)
         pushed = first_move(Params(algorithm="apf"))  # b at 40 < 50 repels a
@@ -345,9 +344,9 @@ class TestDetectCollisions:
     def test_uav_uav_strict_inequality(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(1.0, 1.0)])
         b = make_uav("b", Vec2(24.0, 0.0), [Vec2(1.0, 1.0)])
-        assert detect_collisions(make_world([a, b]), P, 0.0) == []
+        assert detect_collisions([a, b], [], P, 0.0) == []
         c = make_uav("c", Vec2(23.999, 0.0), [Vec2(1.0, 1.0)])
-        events = detect_collisions(make_world([a, c]), P, 1.5)
+        events = detect_collisions([a, c], [], P, 1.5)
         assert len(events) == 1
         ev = events[0]
         assert ev.kind == "uav_uav_collision"
@@ -357,20 +356,20 @@ class TestDetectCollisions:
     def test_uav_rect_ground_truth(self):
         rect = RectObstacle(Vec2(50.0, 50.0), 20.0, 20.0, "r")
         inside = make_uav("a", Vec2(50.0, 50.0), [Vec2(1.0, 1.0)])
-        events = detect_collisions(make_world([inside], [rect]), P, 0.0)
+        events = detect_collisions([inside], [rect], P, 0.0)
         assert [e.kind for e in events] == ["uav_obstacle_collision"]
         near = make_uav("a", Vec2(72.5, 50.0), [Vec2(1.0, 1.0)])  # 12.5 > 12 clear
-        assert detect_collisions(make_world([near], [rect]), P, 0.0) == []
+        assert detect_collisions([near], [rect], P, 0.0) == []
         grazing = make_uav("a", Vec2(71.9, 50.0), [Vec2(1.0, 1.0)])  # 11.9 < 12
-        assert len(detect_collisions(make_world([grazing], [rect]), P, 0.0)) == 1
+        assert len(detect_collisions([grazing], [rect], P, 0.0)) == 1
 
     def test_event_order_independent_of_world_order(self):
         rect = RectObstacle(Vec2(0.0, 40.0), 30.0, 30.0, "r")
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(1.0, 1.0)])
         b = make_uav("b", Vec2(10.0, 0.0), [Vec2(1.0, 1.0)])
         c = make_uav("c", Vec2(0.0, 20.0), [Vec2(1.0, 1.0)])
-        ev1 = detect_collisions(make_world([a, b, c], [rect]), P, 0.0)
-        ev2 = detect_collisions(make_world([c, b, a], [rect]), P, 0.0)
+        ev1 = detect_collisions([a, b, c], [rect], P, 0.0)
+        ev2 = detect_collisions([c, b, a], [rect], P, 0.0)
         assert ev1 == ev2
         assert len(ev1) >= 2  # a-b overlap plus c against the rect
 
@@ -408,16 +407,16 @@ def oracle_gather_threats(uav, snapshot, obstacles, params):
     return [item[3] for item in keyed]
 
 
-def oracle_detect_collisions(world, params, t):
+def oracle_detect_collisions(uavs, rectangles, params, t):
     """detect_collisions without the axis-gap exits."""
     events = []
-    uavs = sorted(world.uavs, key=lambda u: u.id)
+    uavs = sorted(uavs, key=lambda u: u.id)
     for a, b in combinations(uavs, 2):
         d = distance(a.position, b.position)
         if d < params.uav_radius + params.uav_radius:
             events.append(SimEvent(t, "uav_uav_collision", {"a": a.id, "b": b.id, "distance": d}))
     for u in uavs:
-        for rect in world.field.rectangles:
+        for rect in rectangles:
             d = point_rect_distance(u.position, rect)
             if d < params.uav_radius:
                 events.append(SimEvent(t, "uav_obstacle_collision",
@@ -542,8 +541,9 @@ class TestAxisGapExitsMatchOracle:
             assert got == want and (got is u) == (want is u)
             assert (gather_threats(u, uavs, field, params)
                     == oracle_gather_threats(u, uavs, field, params))
-        world = make_world(uavs, field.rectangles, params)
-        assert detect_collisions(world, params, 1.0) == oracle_detect_collisions(world, params, 1.0)
+        rects = field.rectangles
+        assert (detect_collisions(uavs, rects, params, 1.0)
+                == oracle_detect_collisions(uavs, rects, params, 1.0))
 
     def test_gap_equal_to_range_is_out_and_just_inside_is_in(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
@@ -551,12 +551,13 @@ class TestAxisGapExitsMatchOracle:
         inside = make_uav("c", Vec2(math.nextafter(24.0, 0.0), 0.0), [Vec2(0.0, 0.0)])
         rect = RectObstacle(Vec2(-30.0, 0.0), 12.0, 12.0, "r")  # max_x = -24
         # b and the rect sit exactly 24 away along one axis, c just inside 24
-        world = make_world([a, on, inside], [rect])
+        uavs = [a, on, inside]
         params = Params(dist_uav=24.0, dist_obs=24.0)
-        threats = gather_threats(a, [a, on, inside], ObstacleField([rect], params), params)
+        threats = gather_threats(a, uavs, ObstacleField([rect], params), params)
         assert [t.source_id for t in threats] == ["c"]
-        assert detect_collisions(world, P, 0.0) == oracle_detect_collisions(world, P, 0.0)
-        assert [e.details["b"] for e in detect_collisions(world, P, 0.0)] == ["c"]
+        assert (detect_collisions(uavs, [rect], P, 0.0)
+                == oracle_detect_collisions(uavs, [rect], P, 0.0))
+        assert [e.details["b"] for e in detect_collisions(uavs, [rect], P, 0.0)] == ["c"]
 
 
 class TestParkedScanMatchesOracle:
@@ -567,27 +568,28 @@ class TestParkedScanMatchesOracle:
     @given(scene=_scenes(), data=st.data())
     def test_repeated_scans_equal_plain_oracle(self, scene, data):
         # between scans the moving UAVs move and some park, a parked state
-        # may be replaced by one parked elsewhere, and the world's order may
+        # may be replaced by one parked elsewhere, and the list's order may
         # change; every other parked state stays the same object
         uavs, field, params = scene
-        world = make_world(uavs, field.rectangles, params)
+        uavs, rects = list(uavs), field.rectangles
         for k in range(4):
             t = float(k)
-            assert detect_collisions(world, params, t) == oracle_detect_collisions(world, params, t)
+            assert (detect_collisions(uavs, rects, params, t)
+                    == oracle_detect_collisions(uavs, rects, params, t))
             if k % 2:
                 continue
-            for i, u in enumerate(world.uavs):
+            for i, u in enumerate(uavs):
                 if u.arrived and not data.draw(_parked):
                     continue
-                pos = data.draw(st.sampled_from(world.uavs)).position if data.draw(
+                pos = data.draw(st.sampled_from(uavs)).position if data.draw(
                     st.booleans()) else Vec2(data.draw(_coord), data.draw(_coord))
-                world.uavs[i] = replace(u, position=pos, velocity=Vec2(0.0, 0.0),
-                                        arrived=u.arrived or data.draw(_parked))
-            world.uavs = data.draw(st.permutations(world.uavs))
+                uavs[i] = replace(u, position=pos, velocity=Vec2(0.0, 0.0),
+                                  arrived=u.arrived or data.draw(_parked))
+            uavs = data.draw(st.permutations(uavs))
 
     def test_overlapping_parked_uavs_are_reported_every_step(self):
         # a and c parked on each other, d parked on the rectangle, b and e
-        # moving through them; ids interleave, and the world is not in id order
+        # moving through them; ids interleave, and the list is not in id order
         rect = RectObstacle(Vec2(200.0, 100.0), 20.0, 20.0, "r")
         a = make_uav("a", Vec2(100.0, 100.0), [Vec2(100.0, 100.0)], arrived=True)
         c = make_uav("c", Vec2(110.0, 100.0), [Vec2(110.0, 100.0)], arrived=True)
@@ -595,25 +597,25 @@ class TestParkedScanMatchesOracle:
         b = make_uav("b", Vec2(105.0, 108.0), [Vec2(105.0, 300.0)])
         e = make_uav("e", Vec2(195.0, 85.0), [Vec2(195.0, -100.0)])
         params = Params(algorithm="apf")
-        world = make_world([e, c, b, a, d], [rect], params)
+        uavs, field = make_world([e, c, b, a, d], [rect], params)
         for k in range(1, 21):
             t = k * params.dt
-            events = step(world, params, t)
+            events = step(uavs, field, params, t)
             got = [ev for ev in events if ev.kind.endswith("_collision")]
-            assert got == oracle_detect_collisions(world, params, t)
+            assert got == oracle_detect_collisions(uavs, [rect], params, t)
             assert {"a", "c"} <= {ev.details.get("a") for ev in got} | {
                 ev.details.get("b") for ev in got}
             assert ("d", "r") in {(ev.details.get("uav"), ev.details.get("rect")) for ev in got}
-        assert [u.arrived for u in world.uavs] == [False, True, False, True, True]
+        assert [u.arrived for u in uavs] == [False, True, False, True, True]
 
     def test_a_state_listed_twice_is_scanned_as_listed(self):
         rect = RectObstacle(Vec2(0.0, 0.0), 10.0, 10.0, "r")
         a = make_uav("a", Vec2(0.0, 8.0), [Vec2(50.0, 8.0)])
         p = make_uav("a", Vec2(5.0, 0.0), [Vec2(5.0, 0.0)], arrived=True)
         for uavs in ([a, p, a], [p, a, p], [p, p]):
-            world = make_world(uavs, [rect])
             for t in (0.0, 1.0):
-                assert detect_collisions(world, P, t) == oracle_detect_collisions(world, P, t)
+                assert (detect_collisions(uavs, [rect], P, t)
+                        == oracle_detect_collisions(uavs, [rect], P, t))
 
 
 class TestCircleWindow:
@@ -673,36 +675,36 @@ def step_until(x, toward, done):
 class TestStep:
     def test_free_space_velocity_and_position(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
-        world = make_world([u])
-        events = step(world, Params(), t=0.1)
+        uavs, field = make_world([u])
+        events = step(uavs, field, Params(), t=0.1)
         assert events == []
-        moved = world.uavs[0]
+        moved = uavs[0]
         assert moved.velocity == Vec2(20.0, 0.0)  # kp * (wp - pos)
         assert moved.position == Vec2(2.0, 0.0)  # dt * velocity
         assert not moved.arrived
 
     def test_waypoint_advance_event_then_motion_toward_new_target(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(5.0, 0.0), Vec2(0.0, 50.0)])
-        world = make_world([u])
-        events = step(world, Params(), t=0.1)
+        uavs, field = make_world([u])
+        events = step(uavs, field, Params(), t=0.1)
         assert [e.kind for e in events] == ["waypoint_advanced"]
         assert events[0].details == {"uav": "a", "waypoint_index": 1}
         # motion this same step already aims at the new waypoint
-        moved = world.uavs[0]
+        moved = uavs[0]
         assert moved.velocity == Vec2(0.0, 10.0)
 
     def test_arrival_parks_uav(self):
         u = make_uav("a", Vec2(99.0, 0.0), [Vec2(100.0, 0.0)])
-        world = make_world([u])
-        events = step(world, Params(), t=0.1)
+        uavs, field = make_world([u])
+        events = step(uavs, field, Params(), t=0.1)
         assert [e.kind for e in events] == ["arrived"]
-        parked = world.uavs[0]
+        parked = uavs[0]
         assert parked.arrived
         assert parked.position == Vec2(99.0, 0.0)
         assert parked.velocity == Vec2(0.0, 0.0)
         # subsequent steps leave it exactly in place
-        assert step(world, Params(), t=0.2) == []
-        assert world.uavs[0].position == Vec2(99.0, 0.0)
+        assert step(uavs, field, Params(), t=0.2) == []
+        assert uavs[0].position == Vec2(99.0, 0.0)
 
     def test_permutation_invariance_of_interacting_pair(self):
         def build(order):
@@ -710,40 +712,40 @@ class TestStep:
             b = make_uav("b", Vec2(40.0, 0.0), [Vec2(-60.0, 0.0)], vel=Vec2(-20.0, 0.0))
             return make_world([a, b] if order == "ab" else [b, a])
 
-        w1, w2 = build("ab"), build("ba")
+        (u1, f1), (u2, f2) = build("ab"), build("ba")
         params = Params()
         for i in range(1, 120):
-            e1 = step(w1, params, t=i * params.dt)
-            e2 = step(w2, params, t=i * params.dt)
+            e1 = step(u1, f1, params, t=i * params.dt)
+            e2 = step(u2, f2, params, t=i * params.dt)
             assert e1 == e2
-            s1 = {u.id: u for u in w1.uavs}
-            s2 = {u.id: u for u in w2.uavs}
+            s1 = {u.id: u for u in u1}
+            s2 = {u.id: u for u in u2}
             assert s1 == s2  # bitwise identical per-id states
 
     def test_vo_engages_on_conflict(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         b = make_uav("b", Vec2(40.0, 0.0), [Vec2(40.0, 0.0)], arrived=True)
-        world = make_world([a, b])
-        step(world, Params(), t=0.1)
-        moved = {u.id: u for u in world.uavs}["a"]
+        uavs, field = make_world([a, b])
+        step(uavs, field, Params(), t=0.1)
+        moved = {u.id: u for u in uavs}["a"]
         assert moved.velocity != Vec2(20.0, 0.0)  # had to deviate
 
     def test_empty_feasible_set_event(self):
         a = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
         b = make_uav("b", Vec2(10.0, 0.0), [Vec2(200.0, 0.0)], vel=Vec2(0.0, 0.0))
         c = make_uav("c", Vec2(-10.0, 0.0), [Vec2(200.0, 0.0)], vel=Vec2(30.0, 0.0))
-        world = make_world([a, b, c])
-        events = step(world, Params(), t=0.1)
+        uavs, field = make_world([a, b, c])
+        events = step(uavs, field, Params(), t=0.1)
         empty = [e for e in events if e.kind == "empty_feasible_set"]
         assert any(e.details["uav"] == "a" for e in empty)
-        moved = {u.id: u for u in world.uavs}["a"]
+        moved = {u.id: u for u in uavs}["a"]
         assert moved.position == Vec2(0.0, 0.0)  # hovered
 
     def test_apf_algorithm_velocity_is_displacement_rate(self):
         u = make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)])
-        world = make_world([u])
-        step(world, Params(algorithm="apf"), t=0.1)
-        moved = world.uavs[0]
+        uavs, field = make_world([u])
+        step(uavs, field, Params(algorithm="apf"), t=0.1)
+        moved = uavs[0]
         assert moved.position == Vec2(0.8, 0.0)  # dt * k_att
         assert moved.velocity.x == pytest.approx(8.0)
         assert moved.velocity.y == 0.0
@@ -753,12 +755,12 @@ class TestStep:
         # bit, so the recorded velocity must be the command itself
         a = make_uav("a", Vec2(0.3, 0.7), [Vec2(100.0, 37.0)])
         b = make_uav("b", Vec2(30.0, 10.0), [Vec2(-50.0, 10.0)])
-        world = make_world([a, b])
+        uavs, field = make_world([a, b])
         params = Params(algorithm="apf")
-        before = tuple(world.uavs)
-        step(world, params, t=params.dt)
-        for u, moved in zip(before, world.uavs):
-            threats = gather_threats(u, before, world.field, params)
+        before = tuple(uavs)
+        step(uavs, field, params, t=params.dt)
+        for u, moved in zip(before, uavs):
+            threats = gather_threats(u, before, field, params)
             assert threats  # a and b repel each other
             v = apf_step(u, threats, params)
             assert moved.velocity == v
@@ -768,9 +770,9 @@ class TestStep:
     @pytest.mark.parametrize("algorithm", ("vo", "apf"))
     def test_parked_uav_passes_through_unchanged(self, algorithm):
         parked = make_uav("p", Vec2(20.0, 0.0), [Vec2(20.0, 0.0)], arrived=True)
-        world = make_world([make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)]), parked])
-        step(world, Params(algorithm=algorithm), t=0.1)
-        assert world.uavs[1] is parked
+        uavs, field = make_world([make_uav("a", Vec2(0.0, 0.0), [Vec2(100.0, 0.0)]), parked])
+        step(uavs, field, Params(algorithm=algorithm), t=0.1)
+        assert uavs[1] is parked
 
 
 class TestSeedsAndPlanning:
@@ -868,6 +870,21 @@ class TestRun:
         assert not result.completed
         assert result.steps == 7
         assert len(result.states) == 8
+
+    def test_max_steps_bounds_the_loop_exactly(self):
+        # k is the step on which the last UAV arrives: a limit of k still
+        # completes the run, one less stops it a step short
+        sc = load_scenario(SCENARIOS / "head_on_duel.json")
+        paths = plan_paths(sc, 1)
+        full = run_planned(sc, sc.sim, paths)
+        k = next(k for k, row in enumerate(full.states) if all(u.arrived for u in row))
+        assert k == full.steps
+        exact = run_planned(sc, replace(sc.sim, max_steps=k), paths)
+        assert exact.completed and exact.steps == k
+        assert exact.states == full.states and exact.events == full.events
+        short = run_planned(sc, replace(sc.sim, max_steps=k - 1), paths)
+        assert not short.completed and len(short.states) == k
+        assert short.states == full.states[:k]
 
     def test_identical_runs_identical_results(self):
         scenario = make_scenario(
