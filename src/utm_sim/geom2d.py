@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .obstacle_field import RectObstacle
+
+
+def finite_float(value: object, name: str) -> float:
+    """`value`, an `int` or `float` but not a `bool`, as a finite `float`, or a
+    ValueError naming it `name`: the one number rule of every value that enters."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return v
+
 
 @dataclass(frozen=True, slots=True)
 class Vec2:
@@ -60,7 +75,7 @@ def angle_of(v: Vec2) -> float:
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
-    """Axis-aligned workspace rectangle."""
+    """Axis-aligned workspace rectangle; each corner is stored as `finite_float` returns it."""
 
     min_x: float
     min_y: float
@@ -68,12 +83,9 @@ class Bounds:
     max_y: float
 
     def __post_init__(self) -> None:
-        try:
-            finite = all(map(math.isfinite, (self.min_x, self.min_y, self.max_x, self.max_y)))
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
-            raise ValueError("bounds must be finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name,  # frozen
+                               finite_float(getattr(self, f.name), f"bounds.{f.name}"))
         if not (self.max_x > self.min_x and self.max_y > self.min_y):
             raise ValueError("bounds must have positive extent")
         # sampling draws min + (max - min) * u, so the extent must be a float too

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .geom2d import ZERO, Vec2, distance
+from .geom2d import ZERO, Vec2, distance, finite_float
 from .params import Params
 from .vo_core import Threat
 
@@ -21,7 +21,7 @@ class RectObstacle:
     """Axis-aligned solid rectangle, defined by center and side lengths.
 
     The extents min_x/max_x/min_y/max_y are derived once at construction; they
-    take no part in the constructor, equality, hashing or repr.
+    take no part in the constructor, equality, hashing or repr; each must be finite.
     """
 
     center: Vec2
@@ -34,17 +34,18 @@ class RectObstacle:
     max_y: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        set_ = object.__setattr__  # the dataclass is frozen
+        for side in ("width", "height"):
+            set_(self, side, finite_float(getattr(self, side), f"rectangle '{self.id}'.{side}"))
         if not (self.width > 0.0 and self.height > 0.0):
             raise ValueError(f"rectangle '{self.id}' must have positive width and height")
-        try:
-            half_w, half_h = self.width / 2.0, self.height / 2.0
-        except OverflowError:  # an int too large for a float
-            raise ValueError(f"rectangle '{self.id}' width and height must be finite") from None
-        set_extent = object.__setattr__  # the dataclass is frozen
-        set_extent(self, "min_x", self.center.x - half_w)
-        set_extent(self, "max_x", self.center.x + half_w)
-        set_extent(self, "min_y", self.center.y - half_h)
-        set_extent(self, "max_y", self.center.y + half_h)
+        half_w, half_h = self.width / 2.0, self.height / 2.0
+        set_(self, "min_x", self.center.x - half_w)
+        set_(self, "max_x", self.center.x + half_w)
+        set_(self, "min_y", self.center.y - half_h)
+        set_(self, "max_y", self.center.y + half_h)
+        if not all(map(math.isfinite, (self.min_x, self.max_x, self.min_y, self.max_y))):
+            raise ValueError(f"rectangle '{self.id}' extent must be finite")
 
     def corners(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
         """Corners in counter-clockwise perimeter order, starting at (min_x, min_y)."""
@@ -57,9 +58,15 @@ class RectObstacle:
 
 
 # The most boundary circles one scenario's rectangles may need. The shipped
-# scenarios need at most a few hundred; the loader rejects a document over the
-# limit before a circle is built, as a tiny `circle_spacing` would exhaust memory.
+# scenarios need at most a few hundred; `Scenario` rejects one over the limit
+# before a circle is built, as a tiny `circle_spacing` would exhaust memory.
 MAX_CIRCLES = 100_000
+
+# The most UAV-steps (`max_steps` times the UAV count) one run may record. A run
+# keeps every step's states and pair distances, about 0.4 KB per UAV-step, so
+# this is about 2 GB of peak memory. The shipped scenarios need at most 140,000
+# (paper_like_7uav: 20,000 x 7); `Scenario` rejects a table over the limit.
+MAX_UAV_STEPS = 5_000_000
 
 
 def _edges(rect: RectObstacle, params: Params) -> Iterator[tuple[Vec2, Vec2, int]]:

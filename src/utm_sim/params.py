@@ -12,7 +12,7 @@ values to `Params`, which checks them.
 import math
 from dataclasses import dataclass, fields
 
-from .geom2d import Bounds
+from .geom2d import Bounds, finite_float
 
 DEFAULT_BOUNDS = Bounds(0.0, 0.0, 400.0, 400.0)
 
@@ -23,8 +23,8 @@ ALGORITHMS = ("vo", "apf")
 class Params:
     """All run parameters of one run.
 
-    Integer fields take an `int` and float fields an `int` or `float`, never
-    a `bool`; an `int` in a float field is stored as its `float`. Every
+    Integer fields take an `int`, never a `bool`; float fields take what
+    `geom2d.finite_float` takes and store what it returns. Every
     numeric field must be finite and > 0, except `goal_bias` in [0, 1] and
     `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
@@ -65,20 +65,13 @@ class Params:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
             if f.type is int and (isinstance(value, bool) or not isinstance(value, int)):
+                if isinstance(value, float):
+                    finite_float(value, f.name)  # a non-finite value is named so in any field
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type is float or f.type == float | None and value is not None:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError(f"{f.name} must be a number, got {value!r}")
-                if isinstance(value, int):
-                    try:
-                        value = float(value)
-                    except OverflowError:
-                        raise ValueError(f"{f.name} must be finite, got an integer "
-                                         "too large for a float") from None
-                    object.__setattr__(self, f.name, value)  # frozen
+                value = finite_float(value, f.name)
+                object.__setattr__(self, f.name, value)  # frozen
             if f.type in (int, float) and f.name != "goal_bias" and not value > 0:
                 raise ValueError(f"{f.name} must be > 0")
         if self.inflation is None:  # after the loop, so errors name uav_radius itself

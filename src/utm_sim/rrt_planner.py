@@ -10,7 +10,7 @@ vertex, unsmoothed.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geom2d import Vec2, distance, point_in_rect, segment_intersects_rect
 from .obstacle_field import RectObstacle
@@ -83,10 +83,10 @@ def steer(origin: Vec2, toward: Vec2, step_size: float) -> Vec2:
 
 def _clearance_limit(obstacles: Sequence[RectObstacle], params: Params) -> float:
     """One plan's `_first_blocker` limit, `params.inflation + 1e-9 * (1 + M)`, M the
-    largest |coordinate| of `params.bounds` and of every rectangle (`max` is exact)."""
-    b = params.bounds
-    m = max(b.max_x, -b.min_x, b.max_y, -b.min_y)
-    for r in obstacles:
+    largest |coordinate| of `params.bounds` and of every rectangle (`max` is exact;
+    M > 0, since the bounds have positive extent)."""
+    m = 0.0
+    for r in (params.bounds, *obstacles):
         m = max(m, r.max_x, -r.min_x, r.max_y, -r.min_y)
     return params.inflation + 1e-9 * (1.0 + m)
 
@@ -131,18 +131,19 @@ def _first_blocker(obstacles: Sequence[RectObstacle], p: Vec2, q: Vec2, inflatio
     return None
 
 
-def check_endpoints(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
+def check_endpoints(endpoints: Iterable[tuple[str, Vec2]], obstacles: Sequence[RectObstacle],
                     params: Params) -> float:
-    """Raise ValueError unless start and goal are usable tree vertices.
+    """Raise ValueError, naming the point by its label, unless every `(label, point)`
+    of `endpoints` is a usable tree vertex.
 
     Each must lie inside the workspace bounds and be clear of every rectangle
     by the planner's own edge test: the zero-length edge (p, p) must not come
-    within `params.inflation` of it. The scenario loader applies this same
-    rule, so every endpoint it accepts is one `plan_path` accepts. Returns the
-    plan's clearance limit (`_clearance_limit`), which `plan_path` plans with.
+    within `params.inflation` of it. `Scenario` checks every UAV's endpoints by
+    this same rule, so every endpoint it accepts is one `plan_path` accepts.
+    Returns the clearance limit (`_clearance_limit`), which `plan_path` plans with.
     """
     limit = _clearance_limit(obstacles, params)
-    for label, p in (("start", start), ("goal", goal)):
+    for label, p in endpoints:
         if not point_in_rect(p, params.bounds):
             raise ValueError(f"{label} {p} lies outside the workspace bounds")
         r = _first_blocker(obstacles, p, p, params.inflation, limit)
@@ -160,7 +161,7 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     `check_endpoints` rejects an endpoint, and PlanningError when max_iters
     runs out; PlanningError is recoverable (retry with another seed or budget).
     """
-    limit = check_endpoints(start, goal, obstacles, params)
+    limit = check_endpoints((("start", start), ("goal", goal)), obstacles, params)
     if distance(start, goal) < params.goal_radius:
         return (start,)
 

@@ -4,24 +4,26 @@ A scenario is a single JSON document: workspace bounds, rectangle obstacles,
 UAV missions, and one flat `params` table. The `params` keys, their defaults
 and their checks are the fields of `utm_sim.params.Params`; the loaded
 scenario carries one `Params` that every component reads. Unknown keys
-anywhere are rejected.
+anywhere are rejected. `load_scenario` only parses: each rule belongs to the
+type it protects, and `Scenario` checks the rules that link its parts, for a
+scenario built in code as for one read from a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .geom2d import Bounds, Vec2, distance
+from .geom2d import Bounds, Vec2, distance, finite_float
 from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
-from .obstacle_field import MAX_CIRCLES, RectObstacle, circle_count
+from .obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError, check_endpoints
 from .sim_engine import SimResult, UavState, plan_paths, run, run_planned
@@ -33,13 +35,18 @@ class ScenarioError(Exception):
 
 _ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
-_TOP_KEYS = {"name", "bounds", "rectangles", "uavs", "params"}
-_BOUNDS_KEYS = {"min_x", "min_y", "max_x", "max_y"}
-_RECT_KEYS = {"id", "center", "width", "height"}
-_UAV_KEYS = {"id", "start", "goal"}
+_TOP_KEYS = ("name", "bounds", "rectangles", "uavs", "params")
+_BOUNDS_KEYS = ("min_x", "min_y", "max_x", "max_y")
+_RECT_KEYS = ("id", "center", "width", "height")
+_UAV_KEYS = ("id", "start", "goal")
 # `params` keys in field order; the algorithm comes from the command line and
 # the bounds from the top-level `bounds` object
 _PARAM_KEYS = tuple(f.name for f in fields(Params) if f.name not in ("algorithm", "bounds"))
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ScenarioError(msg)
 
 
 @dataclass(frozen=True)
@@ -49,12 +56,14 @@ class UavSpec:
     goal: Vec2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Obstacles, missions and the one parameter table `sim`.
 
     The workspace bounds, the body radius and every planner and controller
-    setting are read from `sim` (`sim.bounds`, `sim.uav_radius`, ...).
+    setting are read from `sim` (`sim.bounds`, `sim.uav_radius`, ...). Every
+    rule that links the parts is checked here, for a file and for code alike
+    (`dataclasses.replace` too): a broken one raises `ScenarioError`.
     """
 
     name: str
@@ -62,47 +71,82 @@ class Scenario:
     uavs: tuple[UavSpec, ...]
     sim: Params
 
+    def __post_init__(self) -> None:
+        _require(isinstance(self.name, str) and self.name != "", "name must be a non-empty string")
+        sim, bounds = self.sim, self.sim.bounds
+        for kind, items in (("rectangles", self.rectangles), ("uavs", self.uavs)):
+            ids = [item.id for item in items]
+            for i, id_ in enumerate(ids):
+                _require(isinstance(id_, str) and _ID_RE.fullmatch(id_) is not None,
+                         f"{kind}[{i}].id must be a non-empty string of [A-Za-z0-9_-], got {id_!r}")
+                # "a-b" labels the pair (a, b) in distances.csv and report.json
+                _require(kind == "rectangles" or "-" not in id_,
+                         f"uavs[{i}].id {id_!r} must not contain '-', the separator of pair labels")
+            _require(len(set(ids)) == len(ids), f"{kind[:-1]} ids must be unique")
+        for r in self.rectangles:
+            _require(bounds.min_x <= r.min_x and r.max_x <= bounds.max_x
+                     and bounds.min_y <= r.min_y and r.max_y <= bounds.max_y,
+                     f"rectangle '{r.id}' is not fully inside the workspace bounds")
+        _require(len(self.uavs) > 0, "uavs must be a non-empty list")
+        _require(sum(circle_count(r, sim) for r in self.rectangles) <= MAX_CIRCLES,
+                 f"params: circle_spacing {sim.circle_spacing} is too small for the "
+                 f"rectangles: they would need more than {MAX_CIRCLES} boundary circles")
+        _require(sim.max_steps * len(self.uavs) <= MAX_UAV_STEPS,
+                 f"params: max_steps * len(uavs) = {sim.max_steps} * {len(self.uavs)} is more "
+                 f"than {MAX_UAV_STEPS}, the UAV-steps one run may record")
+        try:
+            check_endpoints([(f"uav '{u.id}': {label}", p) for u in self.uavs
+                             for label, p in (("start", u.start), ("goal", u.goal))],
+                            self.rectangles, sim)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
+        # strict <, as in the engine's collision scan: touching bodies do not overlap
+        gap = 2.0 * sim.uav_radius
+        for i, a in enumerate(self.uavs):
+            for b in self.uavs[i + 1:]:
+                for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
+                    _require(distance(pa, pb) >= gap,
+                             f"uavs '{a.id}' and '{b.id}' {label} are closer than "
+                             f"2 * uav_radius ({gap}); the bodies overlap")
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
 
-
-def _check_keys(obj: dict, allowed: set[str], ctx: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed: Iterable[str], ctx: str) -> None:
+    unknown = set(obj).difference(allowed)
     _require(not unknown, f"{ctx}: unknown fields {sorted(unknown)}")
 
 
-def _num(value: Any, ctx: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{ctx} must be a number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ScenarioError(f"{ctx} must be finite, got an integer too large "
-                            "for a float") from None
-    if not math.isfinite(v):
-        raise ScenarioError(f"{ctx} must be finite, got {value!r}")
-    return v
-
-
-def _vec(value: Any, ctx: str) -> Vec2:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ScenarioError(f"{ctx} must be a two-element [x, y] list")
-    return Vec2(_num(value[0], f"{ctx}[0]"), _num(value[1], f"{ctx}[1]"))
-
-
-def _id(value: Any, ctx: str) -> str:
-    _require(isinstance(value, str) and _ID_RE.fullmatch(value) is not None,
-             f"{ctx} must be a non-empty string of [A-Za-z0-9_-], got {value!r}")
+def _object(value: Any, keys: tuple[str, ...], ctx: str) -> dict:
+    """`value`, which must be a JSON object with exactly the keys `keys`."""
+    _require(isinstance(value, dict), f"{ctx} must be an object")
+    _check_keys(value, keys, ctx)
+    _require(len(value) == len(keys), f"{ctx} needs {', '.join(keys)}")
     return value
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and fully validate one scenario file.
+def _vec(value: Any, ctx: str) -> Vec2:
+    _require(isinstance(value, list) and len(value) == 2,
+             f"{ctx} must be a two-element [x, y] list")
+    try:
+        return Vec2(finite_float(value[0], f"{ctx}[0]"), finite_float(value[1], f"{ctx}[1]"))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
-    Raises ScenarioError for malformed JSON or any semantic problem; raises
-    OSError when the file cannot be read.
+
+@contextmanager
+def _named(ctx: str) -> Iterator[None]:
+    """Re-raise a constructor's ValueError as a ScenarioError that says where it arose."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse one scenario file: check the document's shape, and leave every other
+    rule to the types built from it, `Bounds`, `RectObstacle`, `Params` and `Scenario`.
+
+    Raises ScenarioError for malformed JSON or any broken rule; raises OSError
+    when the file cannot be read.
     """
     path = Path(path)
     try:
@@ -112,92 +156,39 @@ def load_scenario(path: str | Path) -> Scenario:
     _require(isinstance(doc, dict), f"{path}: top level must be a JSON object")
     _check_keys(doc, _TOP_KEYS, str(path))
 
-    name = doc.get("name", path.stem)
-    _require(isinstance(name, str) and name != "", "name must be a non-empty string")
+    bdoc = _object(doc.get("bounds", asdict(DEFAULT_BOUNDS)), _BOUNDS_KEYS, "bounds")
+    with _named("bounds"):
+        bounds = Bounds(**bdoc)
 
-    bdoc = doc.get("bounds", asdict(DEFAULT_BOUNDS))
-    _require(isinstance(bdoc, dict), "bounds must be an object")
-    _check_keys(bdoc, _BOUNDS_KEYS, "bounds")
-    _require(set(bdoc) == _BOUNDS_KEYS, "bounds needs min_x, min_y, max_x, max_y")
-    try:
-        bounds = Bounds(*(_num(bdoc[k], f"bounds.{k}") for k in ("min_x", "min_y", "max_x", "max_y")))
-    except ValueError as exc:
-        raise ScenarioError(f"bounds: {exc}") from exc
-
-    rects: list[RectObstacle] = []
     rdocs = doc.get("rectangles", [])
     _require(isinstance(rdocs, list), "rectangles must be a list")
+    rects = []
     for i, rdoc in enumerate(rdocs):
         ctx = f"rectangles[{i}]"
-        _require(isinstance(rdoc, dict), f"{ctx} must be an object")
-        _check_keys(rdoc, _RECT_KEYS, ctx)
-        _require(set(rdoc) == _RECT_KEYS, f"{ctx} needs id, center, width, height")
-        try:
-            rects.append(RectObstacle(
-                center=_vec(rdoc["center"], f"{ctx}.center"),
-                width=_num(rdoc["width"], f"{ctx}.width"),
-                height=_num(rdoc["height"], f"{ctx}.height"),
-                id=_id(rdoc["id"], f"{ctx}.id"),
-            ))
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
-    rect_ids = [r.id for r in rects]
-    _require(len(set(rect_ids)) == len(rect_ids), "rectangle ids must be unique")
-    for r in rects:
-        _require(bounds.min_x <= r.min_x and r.max_x <= bounds.max_x
-                 and bounds.min_y <= r.min_y and r.max_y <= bounds.max_y,
-                 f"rectangle '{r.id}' is not fully inside the workspace bounds")
+        rdoc = _object(rdoc, _RECT_KEYS, ctx)
+        with _named(ctx):
+            rects.append(RectObstacle(_vec(rdoc["center"], f"{ctx}.center"),
+                                      rdoc["width"], rdoc["height"], rdoc["id"]))
 
-    udocs = doc.get("uavs")
-    _require(isinstance(udocs, list) and len(udocs) > 0,
-             "uavs must be a non-empty list")
-    uavs: list[UavSpec] = []
+    udocs = doc.get("uavs", [])
+    _require(isinstance(udocs, list), "uavs must be a list")
+    uavs = []
     for i, udoc in enumerate(udocs):
         ctx = f"uavs[{i}]"
-        _require(isinstance(udoc, dict), f"{ctx} must be an object")
-        _check_keys(udoc, _UAV_KEYS, ctx)
-        _require(set(udoc) == _UAV_KEYS, f"{ctx} needs id, start, goal")
-        uid = _id(udoc["id"], f"{ctx}.id")
-        # "a-b" labels the pair (a, b) in distances.csv and report.json
-        _require("-" not in uid,
-                 f"{ctx}.id {uid!r} must not contain '-', the separator of pair labels")
-        uavs.append(UavSpec(
-            id=uid,
-            start=_vec(udoc["start"], f"{ctx}.start"),
-            goal=_vec(udoc["goal"], f"{ctx}.goal"),
-        ))
-    uav_ids = [u.id for u in uavs]
-    _require(len(set(uav_ids)) == len(uav_ids), "uav ids must be unique")
+        udoc = _object(udoc, _UAV_KEYS, ctx)
+        uavs.append(UavSpec(udoc["id"], _vec(udoc["start"], f"{ctx}.start"),
+                            _vec(udoc["goal"], f"{ctx}.goal")))
 
     pdoc = doc.get("params", {})
     _require(isinstance(pdoc, dict), "params must be an object")
-    _check_keys(pdoc, set(_PARAM_KEYS), "params")
+    _check_keys(pdoc, _PARAM_KEYS, "params")
     for key, raw in pdoc.items():
         # `Params` reads `inflation=None` as "take uav_radius"; a file gives a number
         _require(raw is not None, f"params.{key} must be a number, got null")
-    try:
+    with _named("params"):
         params = Params(bounds=bounds, **pdoc)
-    except ValueError as exc:
-        raise ScenarioError(f"params: {exc}") from exc
-    _require(sum(circle_count(r, params) for r in rects) <= MAX_CIRCLES,
-             f"params: circle_spacing {params.circle_spacing} is too small for the "
-             f"rectangles: they would need more than {MAX_CIRCLES} boundary circles")
 
-    for u in uavs:
-        try:
-            check_endpoints(u.start, u.goal, rects, params)
-        except ValueError as exc:
-            raise ScenarioError(f"uav '{u.id}': {exc}") from exc
-    # strict <, as in the engine's collision scan: touching bodies do not overlap
-    uav_radius = params.uav_radius
-    for i, a in enumerate(uavs):
-        for b in uavs[i + 1:]:
-            for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
-                _require(distance(pa, pb) >= 2.0 * uav_radius,
-                         f"uavs '{a.id}' and '{b.id}' {label} are closer than "
-                         f"2 * uav_radius ({2.0 * uav_radius}); the bodies overlap")
-
-    return Scenario(name=name, rectangles=tuple(rects), uavs=tuple(uavs), sim=params)
+    return Scenario(doc.get("name", path.stem), tuple(rects), tuple(uavs), params)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

@@ -139,7 +139,8 @@ class TestBounds:
             Bounds(*corners)
 
     def test_rejects_integer_too_large_for_a_float(self):
-        with pytest.raises(ValueError, match="bounds must be finite"):
+        with pytest.raises(ValueError, match=r"^bounds\.max_x must be finite, got an integer "
+                                             "too large for a float$"):
             Bounds(0, 0, 10**400, 1)
 
     @pytest.mark.parametrize("axis", ["x", "y"])

@@ -35,10 +35,33 @@ class TestRectObstacle:
             RectObstacle(Vec2(0, 0), 5.0, -1.0, "bad")
 
     def test_integer_side_too_large_for_a_float_is_value_error(self):
-        with pytest.raises(ValueError, match="'r' width and height must be finite"):
+        with pytest.raises(ValueError, match="^rectangle 'r'\\.width must be finite, got an "
+                                             "integer too large for a float$"):
             RectObstacle(Vec2(0.0, 0.0), 10**400, 1.0, "r")
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="^rectangle 'r'\\.height must be finite, got an "
+                                             "integer too large for a float$"):
             RectObstacle(Vec2(0.0, 0.0), 1.0, 10**400, "r")
+
+    @pytest.mark.parametrize("center,width,height", [
+        (Vec2(0.0, 0.0), math.inf, 1.0),
+        (Vec2(0.0, 0.0), 1.0, -math.inf),
+        (Vec2(0.0, 0.0), math.nan, 1.0),
+    ])
+    def test_non_finite_side_rejected(self, center, width, height):
+        with pytest.raises(ValueError, match=r"^rectangle 'r'\.(width|height) must be finite"):
+            RectObstacle(center, width, height, "r")
+
+    @pytest.mark.parametrize("center,width,height", [
+        (Vec2(1e308, 0.0), 1.7e308, 1.0),  # max_x overflows
+        (Vec2(-1e308, 0.0), 1.7e308, 1.0),  # min_x
+        (Vec2(0.0, 1e308), 1.0, 1.7e308),  # max_y
+        (Vec2(0.0, -1e308), 1.0, 1.7e308),  # min_y
+    ])
+    def test_extent_that_overflows_rejected(self, center, width, height):
+        # each side is finite, but an extent is not: ObstacleField would fail
+        # building the corner circles of such a rectangle
+        with pytest.raises(ValueError, match="^rectangle 'r' extent must be finite$"):
+            RectObstacle(center, width, height, "r")
 
 
 class TestDiscretize:

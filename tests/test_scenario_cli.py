@@ -15,19 +15,22 @@ from hypothesis import strategies as st
 
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
-from utm_sim.obstacle_field import MAX_CIRCLES, circle_count
-from utm_sim.params import Params
+from utm_sim.obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
+from utm_sim.params import DEFAULT_BOUNDS, Params
+from utm_sim import rrt_planner
 from utm_sim import scenario_cli
 from utm_sim.rrt_planner import PlanningError
 from utm_sim.scenario_cli import (
+    Scenario,
     ScenarioError,
+    UavSpec,
     _parse_seed_range,
     export_result,
     load_scenario,
     main,
     save_scenario,
 )
-from utm_sim.sim_engine import plan_paths, run
+from utm_sim.sim_engine import plan_paths, run, run_planned
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -303,7 +306,8 @@ class TestSaveScenario:
 _FILE_KEYS = [f.name for f in fields(Params) if f.name not in ("algorithm", "bounds")]
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 _KEY_VALUES = {key: _POSITIVE for key in _FILE_KEYS}
-_KEY_VALUES.update(max_steps=st.integers(1, 10**9), max_iters=st.integers(1, 10**9),
+# max_steps: what one UAV may take (`_documents` draws fewer UAVs for more steps)
+_KEY_VALUES.update(max_steps=st.integers(1, MAX_UAV_STEPS), max_iters=st.integers(1, 10**9),
                    goal_bias=st.floats(0.0, 1.0),
                    inflation=st.floats(0.0, 1e6, allow_nan=False))
 
@@ -361,7 +365,8 @@ def _documents(draw):
     Every rectangle lies more than 500 m plus the inflation to the right of
     every endpoint, and the bounds enclose all of them with a margin of 1 m or more.
     A side is at most 6,000 circle spacings long, so the (at most four)
-    rectangles need under MAX_CIRCLES boundary circles.
+    rectangles need under MAX_CIRCLES boundary circles, and there are at most
+    MAX_UAV_STEPS // max_steps UAVs.
     """
     params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
     table = Params(**params)
@@ -372,8 +377,8 @@ def _documents(draw):
     def endpoint(i):
         return [x0 + draw(_UNIT) * span, y0 + 3.0 * r * i + draw(_UNIT) * r / 2.0]
 
-    uav_ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True),
-                            min_size=1, max_size=4, unique=True))
+    uav_ids = draw(st.lists(st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True), min_size=1,
+                            max_size=min(4, MAX_UAV_STEPS // table.max_steps), unique=True))
     uavs = [{"id": uid, "start": endpoint(i), "goal": endpoint(i)}
             for i, uid in enumerate(uav_ids)]
     x_rect = x0 + span + table.inflation + 1e3
@@ -408,6 +413,147 @@ class TestDocumentRoundTrip:
             assert again == first
             save_scenario(again, tmp / "echo2.json")
             assert (tmp / "echo2.json").read_bytes() == (tmp / "echo.json").read_bytes()
+
+
+def _in_code(doc):
+    """The `Scenario` a document written as "scn.json" describes, built in code."""
+    return Scenario(
+        doc.get("name", "scn"),
+        tuple(RectObstacle(Vec2(*r["center"]), r["width"], r["height"], r["id"])
+              for r in doc.get("rectangles", [])),
+        tuple(UavSpec(u["id"], Vec2(*u["start"]), Vec2(*u["goal"])) for u in doc["uavs"]),
+        Params(bounds=Bounds(**doc["bounds"]) if "bounds" in doc else DEFAULT_BOUNDS,
+               **doc.get("params", {})))
+
+
+def _verdict(build):
+    """What `build()` returns, or the ScenarioError or ValueError it raises."""
+    try:
+        return build()
+    except (ScenarioError, ValueError) as exc:
+        return exc
+
+
+@st.composite
+def _mutated_documents(draw):
+    """`_documents`, unchanged or with one fault that a rule of `Scenario` may catch:
+    a repeated id, a `-` or `,` in an id, or an endpoint moved onto another
+    endpoint, onto a rectangle, or anywhere within 3 km."""
+    doc = draw(_documents())
+    uavs, rects = doc["uavs"], doc["rectangles"]
+    kind = draw(st.sampled_from(["none", "repeat_id", "id_char", "move_endpoint"]))
+    if kind == "repeat_id":
+        items = draw(st.sampled_from([uavs, rects] if len(rects) > 1 else [uavs]))
+        if len(items) > 1:
+            i, j = draw(st.lists(st.integers(0, len(items) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            items[j]["id"] = items[i]["id"]
+    elif kind == "id_char":
+        item = draw(st.sampled_from(uavs + rects))
+        k = draw(st.integers(0, len(item["id"])))
+        item["id"] = item["id"][:k] + draw(st.sampled_from("-,")) + item["id"][k:]
+    elif kind == "move_endpoint":
+        u = draw(st.sampled_from(uavs))
+        end = draw(st.sampled_from(["start", "goal"]))
+        targets = [p for v in uavs for p in (v["start"], v["goal"])]
+        targets += [r["center"] for r in rects]
+        x, y = draw(st.sampled_from(targets))
+        offset = draw(st.sampled_from([1.0, 10.0, 3e3]))
+        u[end] = [x + draw(st.floats(-offset, offset)), y + draw(st.floats(-offset, offset))]
+    return doc
+
+
+class TestOneVerdict:
+    """A file and the same scenario built in code meet the same rules, in `Scenario`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_mutated_documents())
+    def test_loader_and_code_agree(self, doc):
+        # both accept, with equal scenarios, or both reject, the loader naming the same fault
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = _verdict(lambda: load_scenario(write_scenario(Path(tmp), doc)))
+        built = _verdict(lambda: _in_code(doc))
+        if isinstance(built, Exception):
+            assert isinstance(loaded, ScenarioError), loaded
+            assert str(loaded).endswith(str(built))
+        else:
+            assert loaded == built
+
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["uavs"][1].update(id="u1"), "uav ids must be unique"),
+        (lambda d: d["rectangles"].append({**d["rectangles"][0], "center": [50.0, 150.0]}),
+         "rectangle ids must be unique"),
+        (lambda d: d["uavs"][0].update(id="u-1"),
+         "uavs[0].id 'u-1' must not contain '-', the separator of pair labels"),
+        (lambda d: d["uavs"][1].update(id="u,2"),
+         "uavs[1].id must be a non-empty string of [A-Za-z0-9_-], got 'u,2'"),
+        (lambda d: d["rectangles"][0].update(id="r,1"),
+         "rectangles[0].id must be a non-empty string of [A-Za-z0-9_-], got 'r,1'"),
+        (lambda d: d["rectangles"][0].update(center=[290.0, 150.0]),
+         "rectangle 'r1' is not fully inside the workspace bounds"),
+        (lambda d: d["uavs"][1].update(goal=[150.0, 175.0]),
+         "uav 'u2': goal Vec2(x=150.0, y=175.0) lies within the inflated obstacle 'r1'"),
+        (lambda d: d["uavs"][1].update(start=[25.0, 20.0]),
+         "uavs 'u1' and 'u2' starts are closer than 2 * uav_radius (20.0); the bodies overlap"),
+        (lambda d: d["params"].update(circle_spacing=1e-3),
+         f"params: circle_spacing 0.001 is too small for the rectangles: they would need "
+         f"more than {MAX_CIRCLES} boundary circles"),
+        (lambda d: d["params"].update(max_steps=MAX_UAV_STEPS // 2 + 1),
+         f"params: max_steps * len(uavs) = {MAX_UAV_STEPS // 2 + 1} * 2 is more than "
+         f"{MAX_UAV_STEPS}, the UAV-steps one run may record"),
+    ])
+    def test_each_rule_gives_one_message(self, tmp_path, mutate, message):
+        doc = full_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioError) as from_code:
+            _in_code(doc)
+        assert str(from_code.value) == message
+        with pytest.raises(ScenarioError) as from_file:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert str(from_file.value) == message
+
+    def test_head_on_duel_with_two_uavs_named_a_rejected(self, tmp_path):
+        # built in code, this scenario used to run: its report held one path
+        # length for two UAVs and no pair distance
+        sc = load_scenario(SCENARIOS / "head_on_duel.json")
+        a, b = sc.uavs
+        with pytest.raises(ScenarioError, match="^uav ids must be unique$"):
+            replace(sc, uavs=(a, replace(b, id="a")))
+        doc = json.loads((SCENARIOS / "head_on_duel.json").read_text())
+        doc["uavs"][1]["id"] = "a"
+        with pytest.raises(ScenarioError, match="^uav ids must be unique$"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    def test_loading_computes_one_clearance_limit(self, monkeypatch):
+        calls, clearance_limit = [], rrt_planner._clearance_limit
+
+        def counted(obstacles, params):
+            calls.append(len(obstacles))
+            return clearance_limit(obstacles, params)
+
+        monkeypatch.setattr(rrt_planner, "_clearance_limit", counted)
+        sc = load_scenario(SCENARIOS / "paper_like_7uav.json")
+        assert len(sc.uavs) == 7 and calls == [12]
+
+
+class TestUavStepLimit:
+    def test_limit_is_inclusive(self, tmp_path):
+        at_limit = {**full_doc(), "params": {"max_steps": MAX_UAV_STEPS // 2}}
+        assert load_scenario(write_scenario(tmp_path, at_limit)).sim.max_steps == MAX_UAV_STEPS // 2
+        over = {**full_doc(), "params": {"max_steps": MAX_UAV_STEPS // 2 + 1}}
+        with pytest.raises(ScenarioError, match=f"is more than {MAX_UAV_STEPS}, the UAV-steps"):
+            load_scenario(write_scenario(tmp_path, over))
+
+    def test_max_steps_over_the_limit_exits_2(self, tmp_path, capsys):
+        # the file is within the limit; run's table, with --max-steps, is not
+        scn = write_scenario(tmp_path, MINIMAL)
+        code = main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--out", str(tmp_path / "o"), "--max-steps", str(MAX_UAV_STEPS + 1)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"scenario error: params: max_steps * len(uavs) = {MAX_UAV_STEPS + 1} "
+                       f"* 1 is more than {MAX_UAV_STEPS}, the UAV-steps one run may record\n")
+        assert not (tmp_path / "o").exists()
 
 
 _GAIN = st.floats(0.1, 60.0)
@@ -622,14 +768,13 @@ class TestExportResult:
         scenario = load_scenario(write_scenario(tmp_path, {
             "uavs": [
                 {"id": "u1", "start": [20.0, 200.0], "goal": [120.0, 200.0]},
-                {"id": "u2", "start": [30.0, 250.0], "goal": [130.0, 250.0]},
+                {"id": "u2", "start": [30.0, 230.0], "goal": [130.0, 230.0]},
             ],
         }))
-        # the loader rejects overlapping starts, so overlap the bodies after loading
-        u1, u2 = scenario.uavs
-        scenario = replace(scenario, uavs=(
-            u1, replace(u2, start=Vec2(30.0, 200.0), goal=Vec2(130.0, 200.0))))
-        result = run(scenario, Params(max_steps=3), seed=2)  # overlapping start
+        # a scenario rejects overlapping starts, so the run table's larger
+        # bodies (2 * 20 m against 31.6 m between the starts) overlap them
+        result = run_planned(scenario, Params(max_steps=3, uav_radius=20.0),
+                             plan_paths(scenario, 2))
         report = build_report(result)
         out = tmp_path / "out"
         export_result(result, report, out)

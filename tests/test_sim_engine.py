@@ -858,9 +858,12 @@ class TestRun:
     def test_initial_overlap_detected_at_t0(self):
         scenario = make_scenario([
             UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0)),
-            UavSpec("u2", Vec2(30.0, 200.0), Vec2(120.0, 300.0)),
+            UavSpec("u2", Vec2(50.0, 200.0), Vec2(120.0, 300.0)),
         ])
-        result = run(scenario, Params(max_steps=5), seed=3)
+        # a scenario rejects overlapping starts, so the run table's larger
+        # bodies (2 * 20 m against 30 m between the starts) overlap them
+        result = run_planned(scenario, Params(max_steps=5, uav_radius=20.0),
+                             plan_paths(scenario, 3))
         t0 = [e for e in result.events if e.t == 0.0 and e.kind == "uav_uav_collision"]
         assert t0
 
