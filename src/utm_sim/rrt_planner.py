@@ -22,11 +22,21 @@ class PlanningError(Exception):
 
 
 class RrtTree:
-    """Tree of collision-free configurations; vertex 0 is the start, edges point to parents."""
+    """Tree of collision-free configurations; vertex 0 is the start, edges point to parents.
 
-    def __init__(self, root: Vec2):
+    The tree keeps the index and squared distance of its vertex nearest the
+    goal, so `nearest(goal)` reads them instead of scanning. `add` updates
+    them with `nearest`'s own squared-distance expression and a strict `<`, so
+    a tie keeps the lower index, as the scan's `d2.index(min(d2))` does; and
+    vertices never change once added, so the kept index is always the scan's.
+    """
+
+    def __init__(self, root: Vec2, goal: Vec2):
         self.vertices: list[Vec2] = [root]
         self.parents: list[int] = [-1]
+        self.goal = goal
+        self._goal_idx = 0
+        self._goal_d2 = (root.x - goal.x) * (root.x - goal.x) + (root.y - goal.y) * (root.y - goal.y)
 
     def add(self, v: Vec2, parent: int) -> int:
         if not 0 <= parent < len(self.vertices):
@@ -34,14 +44,21 @@ class RrtTree:
         idx = len(self.vertices)
         self.vertices.append(v)
         self.parents.append(parent)
+        gx, gy = self.goal.x, self.goal.y
+        d2 = (v.x - gx) * (v.x - gx) + (v.y - gy) * (v.y - gy)
+        if d2 < self._goal_d2:
+            self._goal_idx, self._goal_d2 = idx, d2
         return idx
 
     def nearest(self, q: Vec2) -> int:
         """Index of the vertex closest to q; ties go to the lowest index.
 
-        Squares are written as products: one correctly rounded multiply each,
-        where `** 2` would go through C `pow`.
+        The tree's own goal object is answered from the kept index. Squares
+        are written as products: one correctly rounded multiply each, where
+        `** 2` would go through C `pow`.
         """
+        if q is self.goal:
+            return self._goal_idx
         qx, qy = q.x, q.y
         d2 = [(v.x - qx) * (v.x - qx) + (v.y - qy) * (v.y - qy) for v in self.vertices]
         return d2.index(min(d2))
@@ -57,7 +74,11 @@ class RrtTree:
 
 
 def sample_config(params: Params, goal: Vec2, rng: random.Random) -> Vec2:
-    """Goal with probability goal_bias, otherwise uniform over the workspace bounds."""
+    """Goal with probability goal_bias, otherwise uniform over the workspace bounds.
+
+    A goal sample is the `goal` object itself, which `RrtTree.nearest`
+    answers from its kept index, and it draws one `rng.random()` only.
+    """
     if rng.random() < params.goal_bias:
         return goal
     b = params.bounds
@@ -160,23 +181,34 @@ def plan_path(start: Vec2, goal: Vec2, obstacles: Sequence[RectObstacle],
     for a given (start, goal, obstacles, params, seed). Raises ValueError when
     `check_endpoints` rejects an endpoint, and PlanningError when max_iters
     runs out; PlanningError is recoverable (retry with another seed or budget).
+
+    A goal sample whose nearest vertex is the one whose goal-directed
+    extension failed last is skipped without retesting it. That is exact: the
+    extension is a pure function of (origin, goal, params, obstacles, limit),
+    a vertex never changes once added, and the skip draws nothing from `rng`,
+    as the failed test drew nothing after the goal sample's one
+    `rng.random()`. So the same samples reach the same tree.
     """
     limit = check_endpoints((("start", start), ("goal", goal)), obstacles, params)
     if distance(start, goal) < params.goal_radius:
         return (start,)
 
     rng = random.Random(seed)
-    tree = RrtTree(start)
+    tree = RrtTree(start, goal)
+    failed = -1  # the vertex whose extension toward the goal failed last
     for _ in range(params.max_iters):
         target = sample_config(params, goal, rng)
         near_idx = tree.nearest(target)
+        if near_idx == failed and target is goal:
+            continue
         origin = tree.vertices[near_idx]
         if origin == target:
             continue
         new_point = steer(origin, target, params.step_size)
-        if not point_in_rect(new_point, params.bounds):
-            continue
-        if _first_blocker(obstacles, origin, new_point, params.inflation, limit) is not None:
+        if (not point_in_rect(new_point, params.bounds)
+                or _first_blocker(obstacles, origin, new_point, params.inflation, limit) is not None):
+            if target is goal:
+                failed = near_idx
             continue
         new_idx = tree.add(new_point, near_idx)
         if distance(new_point, goal) < params.goal_radius:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
-from .obstacle_field import ObstacleField, RectObstacle
+from .obstacle_field import MAX_UAV_STEPS, ObstacleField, RectObstacle
 from .params import Params
 from .rrt_planner import PlanningError, plan_path
 from .vo_core import Threat, avoid
@@ -300,8 +300,13 @@ def run_planned(scenario: "Scenario", params: Params,
     """Simulate over pre-planned paths (lets both algorithms share one plan).
 
     `params` is the run's whole table: it replaces `scenario.sim` for the
-    step loop, both controllers and the body and circle sizes.
+    step loop, both controllers and the body and circle sizes. Raises
+    ValueError, before the world is built, when `params.max_steps` times the
+    UAV count is more than `MAX_UAV_STEPS`, the UAV-steps one run may record.
     """
+    if params.max_steps * len(scenario.uavs) > MAX_UAV_STEPS:
+        raise ValueError(f"max_steps * len(uavs) = {params.max_steps} * {len(scenario.uavs)} "
+                         f"is more than {MAX_UAV_STEPS}, the UAV-steps one run may record")
     uavs, field = build_world(scenario, params, paths)
     states = [tuple(uavs)]
     events = detect_collisions(uavs, field.rectangles, params, 0.0)

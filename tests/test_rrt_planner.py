@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +15,17 @@ from utm_sim.rrt_planner import (
     PlanningError,
     RrtTree,
     _clearance_limit,
+    _first_blocker,
     plan_path,
     sample_config,
     steer,
 )
-from utm_sim.sim_engine import UavState
+from utm_sim.scenario_cli import load_scenario
+from utm_sim.sim_engine import UavState, plan_paths
 
 from rect_oracle import oracle_segment_rect_distance
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestParams:
@@ -87,22 +93,30 @@ _tree_coord = st.integers(-4, 4).map(lambda k: k * 0.5) | st.floats(-1e3, 1e3)
 _tree_xy = st.builds(Vec2, _tree_coord, _tree_coord)
 
 
+def _scan_nearest(vertices, q):
+    """The plain full-scan argmin: the lowest index of the least squared distance to q."""
+    d2 = [(v.x - q.x) * (v.x - q.x) + (v.y - q.y) * (v.y - q.y) for v in vertices]
+    return min(range(len(d2)), key=d2.__getitem__)
+
+
 class TestTree:
     def test_nearest_tie_breaks_to_lowest_index(self):
-        tree = RrtTree(Vec2(0.0, 0.0))
+        tree = RrtTree(Vec2(0.0, 0.0), Vec2(50.0, 50.0))
         tree.add(Vec2(10.0, 0.0), 0)
         tree.add(Vec2(-10.0, 0.0), 0)  # same distance from the query
         assert tree.nearest(Vec2(0.0, 5.0)) == 0
         assert tree.nearest(Vec2(0.0, 0.0)) == 0
         # equidistant between vertices 1 and 2 -> index 1 wins
         assert tree.nearest(Vec2(0.0, 100.0)) in (0,)
-        tree2 = RrtTree(Vec2(0.0, 100.0))
+        goal = Vec2(0.0, 0.0)
+        tree2 = RrtTree(Vec2(0.0, 100.0), goal)
         tree2.add(Vec2(10.0, 0.0), 0)
         tree2.add(Vec2(-10.0, 0.0), 0)
-        assert tree2.nearest(Vec2(0.0, 0.0)) == 1
+        assert tree2.nearest(Vec2(0.0, 0.0)) == 1  # scanned
+        assert tree2.nearest(goal) == 1  # the kept goal index: a tie keeps the lower one
 
     def test_branch_and_growth(self):
-        tree = RrtTree(Vec2(0.0, 0.0))
+        tree = RrtTree(Vec2(0.0, 0.0), Vec2(599.0, 0.0))
         idx = 0
         for i in range(1, 600):  # a long chain: branch_to walks all 600 vertices
             idx = tree.add(Vec2(float(i), 0.0), idx)
@@ -117,15 +131,27 @@ class TestTree:
     @given(points=st.lists(_tree_xy, min_size=1, max_size=40), q=_tree_xy)
     def test_nearest_equals_argmin_oracle(self, points, q):
         # oracle: numpy's squared-distance argmin, which breaks ties to the lowest index
-        tree = RrtTree(points[0])
+        tree = RrtTree(points[0], Vec2(0.0, 0.0))
         for i, v in enumerate(points[1:]):
             tree.add(v, i)
         xs = np.array([v.x for v in points])
         ys = np.array([v.y for v in points])
         assert tree.nearest(q) == int(np.argmin((xs - q.x) ** 2 + (ys - q.y) ** 2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(_tree_xy, min_size=1, max_size=40), goal=_tree_xy,
+           parents=st.lists(st.integers(0, 39), min_size=40, max_size=40))
+    def test_goal_index_equals_the_full_scan_after_every_add(self, points, goal, parents):
+        tree = RrtTree(points[0], goal)
+        assert tree.nearest(goal) == 0
+        for i, v in enumerate(points[1:], start=1):
+            tree.add(v, parents[i] % i)
+            expected = _scan_nearest(tree.vertices, goal)
+            assert tree.nearest(goal) == expected
+            assert tree.nearest(Vec2(goal.x, goal.y)) == expected  # an equal copy is scanned
+
     def test_add_validates_parent(self):
-        tree = RrtTree(Vec2(0.0, 0.0))
+        tree = RrtTree(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
         with pytest.raises(ValueError):
             tree.add(Vec2(1.0, 1.0), 5)
 
@@ -218,7 +244,8 @@ class TestPlanPath:
 
 
 def _reference_plan(start, goal, rects, params, seed):
-    """`plan_path` as a plain loop: every rectangle goes through the oracle distance."""
+    """`plan_path` as a plain loop: every sample scans every vertex, every extension
+    is tested again, and every rectangle goes through the oracle distance."""
     def blocked(p, q, r):
         return oracle_segment_rect_distance(p, q, r) <= params.inflation
 
@@ -231,11 +258,11 @@ def _reference_plan(start, goal, rects, params, seed):
     if distance(start, goal) < params.goal_radius:
         return (start,)
     rng = random.Random(seed)
-    tree = RrtTree(start)
+    vertices, parents = [start], [-1]
     for _ in range(params.max_iters):
         target = sample_config(params, goal, rng)
-        near_idx = tree.nearest(target)
-        origin = tree.vertices[near_idx]
+        near_idx = _scan_nearest(vertices, target)
+        origin = vertices[near_idx]
         if origin == target:
             continue
         new_point = steer(origin, target, params.step_size)
@@ -243,9 +270,14 @@ def _reference_plan(start, goal, rects, params, seed):
             continue
         if any(blocked(origin, new_point, r) for r in rects):
             continue
-        new_idx = tree.add(new_point, near_idx)
+        vertices.append(new_point)
+        parents.append(near_idx)
         if distance(new_point, goal) < params.goal_radius:
-            return tuple(tree.branch_to(new_idx))
+            branch, idx = [], len(vertices) - 1
+            while idx >= 0:
+                branch.append(vertices[idx])
+                idx = parents[idx]
+            return tuple(reversed(branch))
     raise PlanningError(f"no path from {start} to {goal} within {params.max_iters} iterations")
 
 
@@ -276,7 +308,7 @@ def _planning_problems(draw):
                           f"r{i}")
              for i in range(draw(st.integers(0, 5)))]
     params = Params(step_size=draw(st.sampled_from((5.0, 10.0, 40.0))),
-                    goal_bias=draw(st.sampled_from((0.05, 0.4))),
+                    goal_bias=draw(st.sampled_from((0.05, 0.4, 0.95, 1.0))),
                     inflation=draw(st.sampled_from((0.0, 2.5, 5.0, 12.0))),
                     max_iters=300, bounds=Bounds(origin, origin, origin + span, origin + span))
     return xy(0.0, 1.0), xy(0.0, 1.0), rects, params, draw(st.integers(0, 2**32 - 1))
@@ -288,6 +320,18 @@ class TestEdgeCheckEquivalence:
     def test_plan_equals_plain_distance_test(self, problem):
         # same path, or the same error, as the plain loop over every rectangle
         assert _outcome(plan_path, *problem) == _outcome(_reference_plan, *problem)
+
+    @pytest.mark.parametrize("goal_bias", [0.4, 0.95])
+    def test_plan_behind_a_wall_equals_plain_loop(self, goal_bias):
+        # the goal line stays blocked for many goal samples, and uniform samples
+        # between them extend the vertex whose goal extension failed; at 0.4
+        # every seed finds a path, at 0.95 every seed ends in the same error
+        wall = [RectObstacle(Vec2(200.0, 200.0), 20.0, 300.0, "wall")]
+        params = Params(goal_bias=goal_bias, max_iters=3000)
+        start, goal = Vec2(100.0, 200.0), Vec2(300.0, 200.0)
+        for seed in range(8):
+            problem = (start, goal, wall, params, seed)
+            assert _outcome(plan_path, *problem) == _outcome(_reference_plan, *problem)
 
     def test_clearance_limit_reads_the_bounds_and_every_rectangle(self):
         params = Params(inflation=2.0)  # bounds 0..400
@@ -311,3 +355,25 @@ class TestEdgeCheckEquivalence:
         assert calls == []
         plan_path(Vec2(20.0, 20.0), Vec2(380.0, 380.0), [far, near], Params(), seed=1)
         assert calls and set(calls) == {"near"}
+
+    def test_no_goal_edge_is_tested_twice(self, monkeypatch):
+        # paper_like_7uav, seed 7: one UAV's goal line stays blocked for about
+        # 750 goal samples; a goal-directed extension that failed from a vertex
+        # is never tested again, and no other edge repeats either
+        sc = load_scenario(SCENARIOS / "paper_like_7uav.json")
+        goals = [u.goal for u in sc.uavs]
+        edges = Counter()
+        blocked_goal_edges = 0
+
+        def counted(obstacles, p, q, inflation, limit):
+            nonlocal blocked_goal_edges
+            edges[p, q] += 1
+            r = _first_blocker(obstacles, p, q, inflation, limit)
+            if r is not None and any(g != p and q == steer(p, g, sc.sim.step_size) for g in goals):
+                blocked_goal_edges += 1
+            return r
+
+        monkeypatch.setattr(rrt_planner, "_first_blocker", counted)
+        plan_paths(sc, 7)
+        assert blocked_goal_edges > 0
+        assert max(edges.values()) == 1

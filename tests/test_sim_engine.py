@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import utm_sim
 from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
-from utm_sim.obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
+from utm_sim.obstacle_field import MAX_UAV_STEPS, ObstacleField, RectObstacle, discretize_rectangle
 from utm_sim.params import Params
 from utm_sim.metrics import RunReport, build_report
 from utm_sim.rrt_planner import PlanningError
@@ -909,6 +909,31 @@ class TestRun:
         assert r_vo.params.algorithm == "vo" and r_apf.params.algorithm == "apf"
         assert r_vo.states[0] == r_apf.states[0]
         assert r_vo.states[0][0].path is r_apf.states[0][0].path is paths["u1"]
+
+    def _parked_pair(self):
+        # both UAVs start within goal_radius (10 m) of their goals: the plans
+        # are their starts, and the run ends after one step
+        return make_scenario([UavSpec("a", Vec2(20.0, 200.0), Vec2(25.0, 200.0)),
+                              UavSpec("b", Vec2(300.0, 200.0), Vec2(300.0, 205.0))])
+
+    def test_run_planned_rejects_a_table_over_the_step_limit(self, monkeypatch):
+        scenario = self._parked_pair()
+        paths = plan_paths(scenario, 1)
+
+        def no_world(*args):
+            raise AssertionError("the world was built")
+
+        monkeypatch.setattr(utm_sim.sim_engine, "build_world", no_world)
+        over = replace(scenario.sim, max_steps=MAX_UAV_STEPS // 2 + 1)
+        with pytest.raises(ValueError, match=rf"^max_steps \* len\(uavs\) = {MAX_UAV_STEPS // 2 + 1} "
+                                             rf"\* 2 is more than {MAX_UAV_STEPS},"):
+            run_planned(scenario, over, paths)
+
+    def test_run_planned_runs_a_table_at_the_step_limit(self):
+        scenario = self._parked_pair()
+        result = run_planned(scenario, replace(scenario.sim, max_steps=MAX_UAV_STEPS // 2),
+                             plan_paths(scenario, 1))
+        assert result.completed and result.steps == 1
 
 
 _spot = st.integers(0, 80).map(lambda k: 5.0 * k) | st.floats(0.0, 400.0)
