@@ -111,16 +111,11 @@ class ObstacleField:
     instance across steps. Its one mutable member is `parked`: the `Threat`
     of each parked UAV, by UAV id, which a UAV standing still is to the
     controllers as a circle is; `sim_engine.gather_threats` fills and reuses
-    it.
+    it. The rectangles are a checked `Scenario`'s, so their ids are unique.
     """
 
-    def __init__(self, rectangles: list[RectObstacle], params: Params):
-        seen: set[str] = set()
-        for r in rectangles:
-            if r.id in seen:
-                raise ValueError(f"duplicate rectangle id '{r.id}'")
-            seen.add(r.id)
-        self.rectangles: tuple[RectObstacle, ...] = tuple(rectangles)
+    def __init__(self, rectangles: tuple[RectObstacle, ...], params: Params):
+        self.rectangles = rectangles
         r_obs = params.uav_radius + params.obstacle_circle_radius
         self.rings: tuple[tuple[RectObstacle, tuple[Threat, ...]], ...] = tuple(
             (r, tuple(sorted((Threat(c, ZERO, r_obs, f"{r.id}#{k}")

@@ -18,6 +18,11 @@ DEFAULT_BOUNDS = Bounds(0.0, 0.0, 400.0, 400.0)
 
 ALGORITHMS = ("vo", "apf")
 
+# The most VO headings, `2*pi / theta_step`, one table may hold. The VO search
+# builds that table for its first decision; the shipped scenarios need 32, and a
+# tiny `theta_step` would exhaust memory, so `Params` rejects one over the limit.
+MAX_HEADINGS = 10_000
+
 
 @dataclass(frozen=True, slots=True)
 class Params:
@@ -29,7 +34,8 @@ class Params:
     `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
     extent over `circle_spacing` must be finite, so that every edge of a
-    rectangle inside the bounds gets a circle count. `kp * dt` must stay
+    rectangle inside the bounds gets a circle count. `2*pi / theta_step` must
+    not exceed `MAX_HEADINGS`. `kp * dt` must stay
     below 2 so the nominal step converges. `inflation=None` takes the value
     of `uav_radius`.
     """
@@ -89,6 +95,9 @@ class Params:
         if not math.isfinite(max(b.max_x - b.min_x, b.max_y - b.min_y) / self.circle_spacing):
             raise ValueError("circle_spacing is too small for the bounds: their extent "
                              "over it is not finite")
+        if math.tau / self.theta_step > MAX_HEADINGS:
+            raise ValueError(f"theta_step {self.theta_step} is too small: the VO search would "
+                             f"need more than {MAX_HEADINGS} headings (2*pi / theta_step)")
         if self.kp * self.dt >= 2.0:
             raise ValueError(f"kp * dt must be < 2, got kp={self.kp}, dt={self.dt}; "
                              "the nominal step p += dt * kp * (wp - p) would diverge")

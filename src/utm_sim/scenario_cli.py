@@ -344,18 +344,18 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_seed(scenario: Scenario, paths: dict[str, tuple[Vec2, ...]], out: Path) -> dict:
-    """Run one seed's plans under VO, then APF, into `out / algo`; return their path lengths."""
+def _compare_seed(runs: Sequence[Scenario], paths: dict[str, tuple[Vec2, ...]], out: Path) -> dict:
+    """Run one seed's plans under each scenario of `runs` into `out / algo`; return path lengths."""
     lengths = {}
-    for algo in ("vo", "apf"):
-        result = run_planned(scenario, replace(scenario.sim, algorithm=algo), paths)
+    for sc in runs:
+        result = run_planned(sc, sc.sim, paths)
         report = build_report(result)
-        export_result(result, report, out / algo)
-        lengths[algo] = report.path_lengths
+        export_result(result, report, out / sc.sim.algorithm)
+        lengths[sc.sim.algorithm] = report.path_lengths
     return lengths
 
 
-def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -> list:
+def _compare_batch(runs: Sequence[Scenario], seeds: range, out: Path, staging: Path) -> list:
     """Each seed's path-length table, or the exception that ended it, in seed order.
 
     Every plan is made here, before any fork; a seed whose planning fails ends
@@ -370,7 +370,7 @@ def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -
     outcomes: list = []  # a seed's plan until it has run
     for seed in seeds:
         try:
-            outcomes.append(plan_paths(scenario, seed))
+            outcomes.append(plan_paths(runs[0], seed))  # reads no controller setting
         except Exception as exc:  # reported after the seeds planned before it
             outcomes.append(exc)
             break
@@ -383,7 +383,7 @@ def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -
                 try:
                     os.close(r)
                     try:
-                        outcome = _compare_seed(scenario, outcomes[k], staging / f"seed_{seeds[k]}")
+                        outcome = _compare_seed(runs, outcomes[k], staging / f"seed_{seeds[k]}")
                     except BaseException as exc:
                         outcome = exc
                     with open(w, "wb") as f:
@@ -393,7 +393,7 @@ def _compare_batch(scenario: Scenario, seeds: range, out: Path, staging: Path) -
             os.close(w)
             children.append((k, pid, r))
         if planned:
-            outcomes[0] = _compare_seed(scenario, outcomes[0], out / f"seed_{seeds[0]}")
+            outcomes[0] = _compare_seed(runs, outcomes[0], out / f"seed_{seeds[0]}")
     finally:
         for k, pid, r in children:
             with open(r, "rb") as f:
@@ -419,16 +419,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                         else os.cpu_count() or 1)
-    jobs = jobs if hasattr(os, "fork") else 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    jobs = min(args.jobs or cores, cores) if hasattr(os, "fork") else 1
+    runs = [replace(scenario, sim=replace(scenario.sim, algorithm=a)) for a in ("vo", "apf")]
     staging = out / f".staging-{os.getpid()}"
     csv_lines = ["seed,uav_id,vo_path_length,apf_path_length"]
     try:
         seeds = args.seeds  # may be longer than sys.maxsize: no len()
         for start in range(seeds.start, seeds.stop, jobs):
             batch = range(start, min(start + jobs, seeds.stop))
-            for seed, outcome in zip(batch, _compare_batch(scenario, batch, out, staging)):
+            for seed, outcome in zip(batch, _compare_batch(runs, batch, out, staging)):
                 _publish(staging / f"seed_{seed}", out / f"seed_{seed}")
                 if isinstance(outcome, BaseException):
                     raise outcome
@@ -484,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed range N0..N1 (inclusive) or a single seed")
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--jobs", type=_positive_int, default=None,
-                       help="seeds run at once (default: the usable cores)")
+                       help="seeds run at once, at most the usable cores (default: all of them)")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .apf_core import apf_step
 from .geom2d import ZERO, Vec2, point_rect_distance
-from .obstacle_field import MAX_UAV_STEPS, ObstacleField, RectObstacle
+from .obstacle_field import ObstacleField, RectObstacle
 from .params import Params
 from .rrt_planner import PlanningError, plan_path
 from .vo_core import Threat, avoid
@@ -280,9 +280,9 @@ def plan_paths(scenario: "Scenario", seed: int) -> dict[str, tuple[Vec2, ...]]:
     return paths
 
 
-def build_world(scenario: "Scenario", params: Params,
+def build_world(scenario: "Scenario",
                 paths: Mapping[str, tuple[Vec2, ...]]) -> tuple[list[UavState], ObstacleField]:
-    """The vehicles at their starts, and the obstacle field built with `params`."""
+    """The vehicles at their starts, and the obstacle field built with `scenario.sim`."""
     uavs = [
         UavState(
             id=u.id,
@@ -292,22 +292,19 @@ def build_world(scenario: "Scenario", params: Params,
         )
         for u in scenario.uavs
     ]
-    return uavs, ObstacleField(list(scenario.rectangles), params)
+    return uavs, ObstacleField(scenario.rectangles, scenario.sim)
 
 
 def run_planned(scenario: "Scenario", params: Params,
                 paths: Mapping[str, tuple[Vec2, ...]]) -> SimResult:
     """Simulate over pre-planned paths (lets both algorithms share one plan).
 
-    `params` is the run's whole table: it replaces `scenario.sim` for the
-    step loop, both controllers and the body and circle sizes. Raises
-    ValueError, before the world is built, when `params.max_steps` times the
-    UAV count is more than `MAX_UAV_STEPS`, the UAV-steps one run may record.
+    The run is that of `replace(scenario, sim=params)`, checked before the world
+    is built unless `params is scenario.sim`, which was checked with the scenario.
     """
-    if params.max_steps * len(scenario.uavs) > MAX_UAV_STEPS:
-        raise ValueError(f"max_steps * len(uavs) = {params.max_steps} * {len(scenario.uavs)} "
-                         f"is more than {MAX_UAV_STEPS}, the UAV-steps one run may record")
-    uavs, field = build_world(scenario, params, paths)
+    if params is not scenario.sim:
+        scenario = replace(scenario, sim=params)
+    uavs, field = build_world(scenario, paths)
     states = [tuple(uavs)]
     events = detect_collisions(uavs, field.rectangles, params, 0.0)
     while len(states) <= params.max_steps and not all(u.arrived for u in uavs):
@@ -318,4 +315,5 @@ def run_planned(scenario: "Scenario", params: Params,
 
 def run(scenario: "Scenario", params: Params, seed: int) -> SimResult:
     """Plan all paths, then simulate them; `params` drives planning and flight."""
-    return run_planned(scenario, params, plan_paths(replace(scenario, sim=params), seed))
+    scenario = replace(scenario, sim=params)
+    return run_planned(scenario, scenario.sim, plan_paths(scenario, seed))

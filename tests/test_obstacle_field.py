@@ -161,7 +161,7 @@ class TestObstacleField:
     def test_groups_and_flat_list(self):
         r1 = RectObstacle(Vec2(0, 0), 30.0, 15.0, "a")
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
-        f = ObstacleField([r1, r2], P)
+        f = ObstacleField((r1, r2), P)
         assert f.rectangles == (r1, r2)
         circles = [t.position for _, ring in f.rings for t in ring]
         assert len(circles) == 6 + 4
@@ -185,13 +185,7 @@ class TestObstacleField:
             assert sorted(zip(index, (t.position for t in ring))) == list(
                 enumerate(discretize_rectangle(rect, P)))
 
-    def test_duplicate_ids_rejected(self):
-        r1 = RectObstacle(Vec2(0, 0), 10.0, 10.0, "a")
-        r2 = RectObstacle(Vec2(50, 50), 10.0, 10.0, "a")
-        with pytest.raises(ValueError):
-            ObstacleField([r1, r2], P)
-
     def test_empty_field(self):
-        f = ObstacleField([], P)
+        f = ObstacleField((), P)
         assert f.rectangles == ()
         assert f.rings == ()

@@ -11,6 +11,7 @@ must be entered, except the entries of `ALLOWED`.
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -76,7 +77,9 @@ def _entered(commands: list[list[str]]) -> set[tuple[str, int, str]]:
             if Path(filename).resolve().parent == SRC}
 
 
-def test_every_function_runs_under_the_cli(tmp_path):
+def test_every_function_runs_under_the_cli(tmp_path, monkeypatch):
+    # 2 usable cores on any host, so that `--jobs 2` forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     entered = _entered([
         ["compare", "--scenario", str(SCENARIOS / "corner_corridor.json"),
          "--seeds", "1..2", "--jobs", "2", "--out", str(tmp_path / "compare")],

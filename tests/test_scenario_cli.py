@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
-from utm_sim.params import DEFAULT_BOUNDS, Params
+from utm_sim.params import DEFAULT_BOUNDS, MAX_HEADINGS, Params
 from utm_sim import rrt_planner
 from utm_sim import scenario_cli
 from utm_sim.rrt_planner import PlanningError
@@ -723,6 +723,18 @@ class TestObstacleDocumentsRun:
         with pytest.raises(ScenarioError, match="boundary circles"):
             load_scenario(write_scenario(tmp_path, _square_needing(MAX_CIRCLES / 4 + 0.5)))
 
+    def test_theta_step_over_the_heading_limit_exits_2(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, {**MINIMAL, "params": {"theta_step": 1e-9}})
+        message = (f"params: theta_step 1e-09 is too small: the VO search would need more "
+                   f"than {MAX_HEADINGS} headings (2*pi / theta_step)")
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(scn)
+        assert str(exc.value) == message
+        assert main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestExportResult:
     def test_files_and_formats(self, tmp_path):
@@ -765,16 +777,17 @@ class TestExportResult:
         assert "collision_counts" in rep and "empty_feasible_set_events" in rep
 
     def test_collision_marker_in_report_json(self, tmp_path):
+        # with no inflation both starts may lie 10 m from the rectangle, within
+        # the 12 m bodies: both UAVs collide at t = 0
         scenario = load_scenario(write_scenario(tmp_path, {
+            "rectangles": [{"id": "r", "center": [25.0, 215.0], "width": 10.0, "height": 10.0}],
             "uavs": [
                 {"id": "u1", "start": [20.0, 200.0], "goal": [120.0, 200.0]},
                 {"id": "u2", "start": [30.0, 230.0], "goal": [130.0, 230.0]},
             ],
+            "params": {"inflation": 0.0, "max_steps": 3},
         }))
-        # a scenario rejects overlapping starts, so the run table's larger
-        # bodies (2 * 20 m against 31.6 m between the starts) overlap them
-        result = run_planned(scenario, Params(max_steps=3, uav_radius=20.0),
-                             plan_paths(scenario, 2))
+        result = run_planned(scenario, scenario.sim, plan_paths(scenario, 2))
         report = build_report(result)
         out = tmp_path / "out"
         export_result(result, report, out)
@@ -1077,12 +1090,17 @@ def _fail_at(monkeypatch, failing_seed, where):
 class TestCompareJobs:
     """`compare --jobs N` writes and prints exactly what the serial `--jobs 1` does."""
 
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        """Report 2 usable cores, so that `--jobs 2` forks on any host."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     def test_same_bytes_for_any_jobs(self, tmp_path, monkeypatch, capsys):
         argv = ["--scenario", str(SCENARIOS / "paper_like_7uav.json"), "--seeds", "1..3"]
         serial = _compare_in(tmp_path / "j1", monkeypatch, capsys, [*argv, "--jobs", "1"])
         assert serial[0] == 0 and "seed_3/apf/trajectories.csv" in serial[3]
-        # in batches of 2 the last batch holds one seed; with 3, two children run
-        # beside the caller; the default takes the usable cores
+        # in batches of 2 the last batch holds one seed; 3 is capped at the 2
+        # usable cores; the default takes them all
         for name, extra in (("j2", ["--jobs", "2"]), ("j3", ["--jobs", "3"]), ("default", [])):
             assert _compare_in(tmp_path / name, monkeypatch, capsys, argv + extra) == serial
         with pytest.raises(ChildProcessError):  # no child is left behind
@@ -1106,13 +1124,56 @@ class TestCompareJobs:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_jobs_are_capped_at_the_usable_cores(self, tmp_path, monkeypatch, capsys):
+        fork, waitpid = os.fork, os.waitpid
+        forks, live, most = [0], [0], [0]  # children forked, running, most at once
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks[0] += 1
+                live[0] += 1
+                most[0] = max(most[0], live[0])
+            return pid
+
+        def counted_waitpid(pid, options):
+            live[0] -= 1
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", counted_waitpid)
+        code, out, _, tree = _compare_in(
+            tmp_path / "j", monkeypatch, capsys,
+            ["--scenario", str(SCENARIOS / "head_on_duel.json"), "--seeds", "1..5",
+             "--jobs", "500"])
+        assert code == 0 and "seed 5:" in out and "seed_5/apf/report.json" in tree
+        # batches (1, 2), (3, 4), (5): the caller and one child, two processes at once
+        assert (forks[0], most[0]) == (2, 1)
+
+    def test_compare_checks_each_table_once_per_command(self, tmp_path, monkeypatch, capsys):
+        checks = []
+        post_init = Scenario.__post_init__
+
+        def counted(self):
+            checks.append(self.sim.algorithm)
+            post_init(self)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counted)
+        for seeds in ("1", "1..3"):
+            checks.clear()
+            argv = ["--scenario", str(SCENARIOS / "head_on_duel.json"), "--seeds", seeds,
+                    "--jobs", "1"]
+            assert _compare_in(tmp_path / seeds, monkeypatch, capsys, argv)[0] == 0
+            # the file's scenario, then one for each controller
+            assert checks == ["vo", "vo", "apf"]
+
     def test_a_worker_ending_without_an_outcome_exits_4(self, tmp_path, monkeypatch, capsys):
         caller, compare_seed = os.getpid(), scenario_cli._compare_seed
 
-        def killed_at_seed_2(scenario, paths, out):
+        def killed_at_seed_2(runs, paths, out):
             if out.name == "seed_2" and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return compare_seed(scenario, paths, out)
+            return compare_seed(runs, paths, out)
 
         monkeypatch.setattr(scenario_cli, "_compare_seed", killed_at_seed_2)
         code, out, err, tree = _compare_in(

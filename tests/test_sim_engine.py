@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import utm_sim
 from utm_sim.apf_core import apf_step
 from utm_sim.geom2d import Bounds, Vec2, distance, point_rect_distance
-from utm_sim.obstacle_field import MAX_UAV_STEPS, ObstacleField, RectObstacle, discretize_rectangle
+from utm_sim.obstacle_field import (MAX_CIRCLES, MAX_UAV_STEPS, ObstacleField, RectObstacle,
+                                    discretize_rectangle)
 from utm_sim.params import Params
 from utm_sim.metrics import RunReport, build_report
 from utm_sim.rrt_planner import PlanningError
@@ -45,7 +46,7 @@ def make_uav(uid, pos, wps, vel=Vec2(0.0, 0.0), wp_index=0, arrived=False):
 
 def make_world(uavs, rects=(), params=P):
     """What `build_world` returns: the UAV list `step` advances, and the field."""
-    return list(uavs), ObstacleField(list(rects), params)
+    return list(uavs), ObstacleField(tuple(rects), params)
 
 
 def make_scenario(uavs, rects=(), bounds=Bounds(0.0, 0.0, 400.0, 400.0), **params_kw):
@@ -188,7 +189,7 @@ class TestOneTable:
                            rects=[RectObstacle(Vec2(200.0, 100.0), 30.0, 30.0, "r")])
         params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
                          circle_spacing=8.0)
-        uavs, field = build_world(sc, params, plan_paths(sc, 1))
+        uavs, field = build_world(replace(sc, sim=params), plan_paths(sc, 1))
         circles = [t for _, ring in field.rings for t in ring]
         # 30 m edges at spacing 8: four circles per edge, each of radius 9 + 5
         assert len(circles) == 16
@@ -856,16 +857,15 @@ class TestRun:
             assert line.split(",")[0] == "%.6f" % (i * 0.1)
 
     def test_initial_overlap_detected_at_t0(self):
-        scenario = make_scenario([
-            UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0)),
-            UavSpec("u2", Vec2(50.0, 200.0), Vec2(120.0, 300.0)),
-        ])
-        # a scenario rejects overlapping starts, so the run table's larger
-        # bodies (2 * 20 m against 30 m between the starts) overlap them
-        result = run_planned(scenario, Params(max_steps=5, uav_radius=20.0),
-                             plan_paths(scenario, 3))
-        t0 = [e for e in result.events if e.t == 0.0 and e.kind == "uav_uav_collision"]
-        assert t0
+        # with no inflation a start may lie 10 m from a rectangle, within the
+        # 12 m body: the scenario is valid, and the body overlaps it at t = 0
+        scenario = make_scenario([UavSpec("u1", Vec2(170.0, 200.0), Vec2(20.0, 200.0))],
+                                 rects=[RectObstacle(Vec2(200.0, 200.0), 40.0, 40.0, "r")],
+                                 inflation=0.0, max_steps=5)
+        result = run_planned(scenario, scenario.sim, plan_paths(scenario, 3))
+        t0 = [e for e in result.events if e.t == 0.0]
+        assert t0 == [SimEvent(0.0, "uav_obstacle_collision",
+                               {"uav": "u1", "rect": "r", "distance": 10.0})]
 
     def test_max_steps_cutoff(self):
         scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(380.0, 200.0))])
@@ -916,18 +916,43 @@ class TestRun:
         return make_scenario([UavSpec("a", Vec2(20.0, 200.0), Vec2(25.0, 200.0)),
                               UavSpec("b", Vec2(300.0, 200.0), Vec2(300.0, 205.0))])
 
-    def test_run_planned_rejects_a_table_over_the_step_limit(self, monkeypatch):
-        scenario = self._parked_pair()
-        paths = plan_paths(scenario, 1)
-
+    @staticmethod
+    def _no_world(monkeypatch):
         def no_world(*args):
             raise AssertionError("the world was built")
 
         monkeypatch.setattr(utm_sim.sim_engine, "build_world", no_world)
+
+    def test_run_planned_rejects_a_table_over_the_step_limit(self, monkeypatch):
+        scenario = self._parked_pair()
+        paths = plan_paths(scenario, 1)
+        self._no_world(monkeypatch)
         over = replace(scenario.sim, max_steps=MAX_UAV_STEPS // 2 + 1)
-        with pytest.raises(ValueError, match=rf"^max_steps \* len\(uavs\) = {MAX_UAV_STEPS // 2 + 1} "
-                                             rf"\* 2 is more than {MAX_UAV_STEPS},"):
+        with pytest.raises(ScenarioError, match=rf"^params: max_steps \* len\(uavs\) = "
+                                                rf"{MAX_UAV_STEPS // 2 + 1} \* 2 is more than "
+                                                rf"{MAX_UAV_STEPS},"):
             run_planned(scenario, over, paths)
+
+    def test_run_planned_rejects_a_table_over_the_circle_limit(self, monkeypatch):
+        sc = load_scenario(SCENARIOS / "corner_corridor.json")
+        paths = plan_paths(sc, 1)
+
+        def no_circles(*args):
+            raise AssertionError("a circle was built")
+
+        monkeypatch.setattr(utm_sim.obstacle_field, "discretize_rectangle", no_circles)
+        with pytest.raises(ScenarioError, match=f"more than {MAX_CIRCLES} boundary circles$"):
+            run_planned(sc, replace(sc.sim, circle_spacing=0.005), paths)
+
+    def test_run_planned_rejects_a_table_whose_bodies_overlap(self, monkeypatch):
+        # 30 m between the starts, against 2 * 20 m for the table's bodies
+        scenario = make_scenario([UavSpec("u1", Vec2(20.0, 200.0), Vec2(120.0, 200.0)),
+                                  UavSpec("u2", Vec2(50.0, 200.0), Vec2(120.0, 300.0))])
+        paths = plan_paths(scenario, 3)
+        self._no_world(monkeypatch)
+        with pytest.raises(ScenarioError, match=r"^uavs 'u1' and 'u2' starts are closer than "
+                                                r"2 \* uav_radius \(40.0\); the bodies overlap$"):
+            run_planned(scenario, Params(max_steps=5, uav_radius=20.0), paths)
 
     def test_run_planned_runs_a_table_at_the_step_limit(self):
         scenario = self._parked_pair()

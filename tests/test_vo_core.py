@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from utm_sim import vo_core
 from utm_sim.geom2d import Vec2, distance, normalize_angle
-from utm_sim.params import Params
+from utm_sim.params import MAX_HEADINGS, Params
 from utm_sim.sim_engine import UavState
 from utm_sim.vo_core import (
     CollisionCone,
@@ -39,6 +39,13 @@ def test_default_params():
         Params(theta_step=0.0)
     with pytest.raises(ValueError):
         Params(kp=-1.0)
+
+
+def test_heading_limit_is_inclusive():
+    at_limit = math.tau / MAX_HEADINGS
+    assert len(vo_core._headings(Params(theta_step=at_limit).theta_step)) == MAX_HEADINGS
+    with pytest.raises(ValueError, match=f"would need more than {MAX_HEADINGS} headings"):
+        Params(theta_step=math.nextafter(at_limit, 0.0))
 
 
 class TestCollisionCone:
