@@ -3,10 +3,11 @@
 A scenario is a single JSON document: workspace bounds, rectangle obstacles,
 UAV missions, and one flat `params` table. The `params` keys, their defaults
 and their checks are the fields of `utm_sim.params.Params`; the loaded
-scenario carries one `Params` that every component reads. Unknown keys
-anywhere are rejected. `load_scenario` only parses: each rule belongs to the
-type it protects, and `Scenario` checks the rules that link its parts, for a
-scenario built in code as for one read from a file.
+scenario carries one `Params` that every component reads. `_KEYS` declares
+each object's file keys once, for the loader and the saver. Unknown or
+repeated keys anywhere are rejected. `load_scenario` only parses: each rule
+belongs to the type it protects, and `Scenario` checks the rules that link its
+parts, for a scenario built in code as for one read from a file.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -36,12 +36,6 @@ class ScenarioError(Exception):
 _ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 _TOP_KEYS = ("name", "bounds", "rectangles", "uavs", "params")
-_BOUNDS_KEYS = ("min_x", "min_y", "max_x", "max_y")
-_RECT_KEYS = ("id", "center", "width", "height")
-_UAV_KEYS = ("id", "start", "goal")
-# `params` keys in field order; the algorithm comes from the command line and
-# the bounds from the top-level `bounds` object
-_PARAM_KEYS = tuple(f.name for f in fields(Params) if f.name not in ("algorithm", "bounds"))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -54,6 +48,19 @@ class UavSpec:
     id: str
     start: Vec2
     goal: Vec2
+
+
+# The file format: each entity's keys, in the order a file is written. A file
+# gives every key of the first three; each `params` key may be left out. The
+# `params` keys are `Params`' fields in order, less the algorithm (it comes
+# from the command line) and the bounds (from the top-level `bounds` object).
+_KEYS: dict[type, tuple[str, ...]] = {
+    Bounds: ("min_x", "min_y", "max_x", "max_y"),
+    RectObstacle: ("id", "center", "width", "height"),
+    UavSpec: ("id", "start", "goal"),
+    Params: tuple(f.name for f in fields(Params) if f.name not in ("algorithm", "bounds")),
+}
+_VECTORS = ("center", "start", "goal")  # keys stored as [x, y]
 
 
 @dataclass(frozen=True)
@@ -115,14 +122,6 @@ def _check_keys(obj: dict, allowed: Iterable[str], ctx: str) -> None:
     _require(not unknown, f"{ctx}: unknown fields {sorted(unknown)}")
 
 
-def _object(value: Any, keys: tuple[str, ...], ctx: str) -> dict:
-    """`value`, which must be a JSON object with exactly the keys `keys`."""
-    _require(isinstance(value, dict), f"{ctx} must be an object")
-    _check_keys(value, keys, ctx)
-    _require(len(value) == len(keys), f"{ctx} needs {', '.join(keys)}")
-    return value
-
-
 def _vec(value: Any, ctx: str) -> Vec2:
     _require(isinstance(value, list) and len(value) == 2,
              f"{ctx} must be a two-element [x, y] list")
@@ -132,63 +131,71 @@ def _vec(value: Any, ctx: str) -> Vec2:
         raise ScenarioError(str(exc)) from exc
 
 
-@contextmanager
-def _named(ctx: str) -> Iterator[None]:
-    """Re-raise a constructor's ValueError as a ScenarioError that says where it arose."""
+def _build(cls: type, ctx: str, kwargs: dict[str, Any]) -> Any:
+    """`cls(**kwargs)`; its ValueError becomes a ScenarioError that says where it arose."""
     try:
-        yield
+        return cls(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
+
+
+def _load(cls: type, value: Any, ctx: str) -> Any:
+    """`cls` built from `value`, a JSON object with exactly the keys `_KEYS[cls]`."""
+    keys = _KEYS[cls]
+    _require(isinstance(value, dict), f"{ctx} must be an object")
+    _check_keys(value, keys, ctx)
+    _require(len(value) == len(keys), f"{ctx} needs {', '.join(keys)}")
+    return _build(cls, ctx, {k: _vec(value[k], f"{ctx}.{k}") if k in _VECTORS else value[k]
+                             for k in keys})
+
+
+def _dump(obj: Any) -> dict:
+    """`obj`'s file keys and values as a JSON object, each vector as `[x, y]`."""
+    values = {k: getattr(obj, k) for k in _KEYS[type(obj)]}
+    return {k: [v.x, v.y] if k in _VECTORS else v for k, v in values.items()}
+
+
+def _unique_keys(pairs: list[tuple[str, Any]], path: Path) -> dict:
+    """One JSON object's dict; a key given twice is an error, not its last value."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        _require(key not in obj, f"{path}: repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse one scenario file: check the document's shape, and leave every other
     rule to the types built from it, `Bounds`, `RectObstacle`, `Params` and `Scenario`.
 
-    Raises ScenarioError for malformed JSON or any broken rule; raises OSError
-    when the file cannot be read.
+    Raises ScenarioError for malformed JSON, a repeated key or any broken
+    rule; raises OSError when the file cannot be read.
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except ValueError as exc:  # also non-UTF-8 bytes and over-long integer literals
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), f"{path}: top level must be a JSON object")
     _check_keys(doc, _TOP_KEYS, str(path))
 
-    bdoc = _object(doc.get("bounds", asdict(DEFAULT_BOUNDS)), _BOUNDS_KEYS, "bounds")
-    with _named("bounds"):
-        bounds = Bounds(**bdoc)
-
-    rdocs = doc.get("rectangles", [])
-    _require(isinstance(rdocs, list), "rectangles must be a list")
-    rects = []
-    for i, rdoc in enumerate(rdocs):
-        ctx = f"rectangles[{i}]"
-        rdoc = _object(rdoc, _RECT_KEYS, ctx)
-        with _named(ctx):
-            rects.append(RectObstacle(_vec(rdoc["center"], f"{ctx}.center"),
-                                      rdoc["width"], rdoc["height"], rdoc["id"]))
-
-    udocs = doc.get("uavs", [])
-    _require(isinstance(udocs, list), "uavs must be a list")
-    uavs = []
-    for i, udoc in enumerate(udocs):
-        ctx = f"uavs[{i}]"
-        udoc = _object(udoc, _UAV_KEYS, ctx)
-        uavs.append(UavSpec(udoc["id"], _vec(udoc["start"], f"{ctx}.start"),
-                            _vec(udoc["goal"], f"{ctx}.goal")))
+    bounds = _load(Bounds, doc.get("bounds", _dump(DEFAULT_BOUNDS)), "bounds")
+    entities = {}
+    for key, cls in (("rectangles", RectObstacle), ("uavs", UavSpec)):
+        docs = doc.get(key, [])
+        _require(isinstance(docs, list), f"{key} must be a list")
+        entities[key] = tuple(_load(cls, item, f"{key}[{i}]") for i, item in enumerate(docs))
 
     pdoc = doc.get("params", {})
     _require(isinstance(pdoc, dict), "params must be an object")
-    _check_keys(pdoc, _PARAM_KEYS, "params")
+    _check_keys(pdoc, _KEYS[Params], "params")
     for key, raw in pdoc.items():
         # `Params` reads `inflation=None` as "take uav_radius"; a file gives a number
         _require(raw is not None, f"params.{key} must be a number, got null")
-    with _named("params"):
-        params = Params(bounds=bounds, **pdoc)
+    params = _build(Params, "params", {**pdoc, "bounds": bounds})
 
-    return Scenario(doc.get("name", path.stem), tuple(rects), tuple(uavs), params)
+    return Scenario(doc.get("name", path.stem), sim=params, **entities)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
@@ -198,17 +205,10 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """
     doc = {
         "name": scenario.name,
-        "bounds": asdict(scenario.sim.bounds),
-        "rectangles": [
-            {"id": r.id, "center": [r.center.x, r.center.y],
-             "width": r.width, "height": r.height}
-            for r in scenario.rectangles
-        ],
-        "uavs": [
-            {"id": u.id, "start": [u.start.x, u.start.y], "goal": [u.goal.x, u.goal.y]}
-            for u in scenario.uavs
-        ],
-        "params": {key: getattr(scenario.sim, key) for key in _PARAM_KEYS},
+        "bounds": _dump(scenario.sim.bounds),
+        "rectangles": [_dump(r) for r in scenario.rectangles],
+        "uavs": [_dump(u) for u in scenario.uavs],
+        "params": _dump(scenario.sim),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -359,11 +359,16 @@ def _compare_batch(runs: Sequence[Scenario], seeds: range, out: Path, staging: P
     """Each seed's path-length table, or the exception that ended it, in seed order.
 
     Every plan is made here, before any fork; a seed whose planning fails ends
-    the list. The first seed runs here, into `out`. Each later one runs in a
-    forked child, which exports under `staging`, sends its outcome back over a
-    pipe and leaves by `os._exit`, so it never returns into this stack. A
-    child that ends without sending one (say, killed) gives a
-    `ChildProcessError`, an `OSError`.
+    the list. Planning each seed in the process that runs it instead cut
+    `bench/run.py`'s `compare_7uav` `wall_s` by about 12% on 2 vCPUs, but
+    raised its `plan_ms_p90` from 0.22-0.25 ms to 0.57-0.66 ms, past that
+    metric's bound; probably because after `os.fork` the first write to a page
+    that a child still shares copies the page, and planning writes to many
+    (new tree objects, reference counts). The first seed runs here, into
+    `out`. Each later one runs in a forked child, which exports under
+    `staging`, sends its outcome back over a pipe and leaves by `os._exit`, so
+    it never returns into this stack. A child that ends without sending one
+    (say, killed) gives a `ChildProcessError`, an `OSError`.
     """
     import pickle
 
@@ -422,7 +427,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     jobs = min(args.jobs or cores, cores) if hasattr(os, "fork") else 1
-    runs = [replace(scenario, sim=replace(scenario.sim, algorithm=a)) for a in ("vo", "apf")]
+    # the loaded scenario, already checked, runs its own controller
+    runs = [scenario if a == scenario.sim.algorithm
+            else replace(scenario, sim=replace(scenario.sim, algorithm=a)) for a in ALGORITHMS]
     staging = out / f".staging-{os.getpid()}"
     csv_lines = ["seed,uav_id,vo_path_length,apf_path_length"]
     try:

@@ -142,6 +142,45 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=fragment):
             load_scenario(write_scenario(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d.update(bounds=[0.0, 0.0, 300.0, 300.0]), "bounds must be an object"),
+        (lambda d: d["bounds"].update(min_z=0.0), "bounds: unknown fields ['min_z']"),
+        (lambda d: d["bounds"].pop("max_y"), "bounds needs min_x, min_y, max_x, max_y"),
+        (lambda d: d["bounds"].update(min_x="0"), "bounds: bounds.min_x must be a number, got '0'"),
+        (lambda d: d["bounds"].update(max_x=0.0), "bounds: bounds must have positive extent"),
+        (lambda d: d.update(rectangles={}), "rectangles must be a list"),
+        (lambda d: d.update(rectangles=[7]), "rectangles[0] must be an object"),
+        (lambda d: d["rectangles"][0].update(depth=3), "rectangles[0]: unknown fields ['depth']"),
+        (lambda d: d["rectangles"][0].pop("width"), "rectangles[0] needs id, center, width, height"),
+        (lambda d: d["rectangles"][0].update(center=[10**400, 150.0]),
+         "rectangles[0].center[0] must be finite, got an integer too large for a float"),
+        (lambda d: d["rectangles"][0].update(id="r", width=-5.0),
+         "rectangles[0]: rectangle 'r' must have positive width and height"),
+        (lambda d: d["rectangles"][0].update(height=10**400),
+         "rectangles[0]: rectangle 'r1'.height must be finite, "
+         "got an integer too large for a float"),
+        (lambda d: d.update(uavs="u1"), "uavs must be a list"),
+        (lambda d: d.update(uavs=["u1"]), "uavs[0] must be an object"),
+        (lambda d: d["uavs"][0].update(color="red"), "uavs[0]: unknown fields ['color']"),
+        (lambda d: d["uavs"][1].pop("goal"), "uavs[1] needs id, start, goal"),
+        (lambda d: d["uavs"][0].update(start=[1.0]), "uavs[0].start must be a two-element [x, y] list"),
+        (lambda d: d["uavs"][0].update(goal=[True, 280.0]), "uavs[0].goal[0] must be a number, got True"),
+        # the first bad vector in key order, whatever the file's order
+        (lambda d: d["uavs"].__setitem__(0, {"goal": [1.0], "start": {}, "id": "u1"}),
+         "uavs[0].start must be a two-element [x, y] list"),
+        (lambda d: d.update(params=[]), "params must be an object"),
+        (lambda d: d.update(params={"warp": 9}), "params: unknown fields ['warp']"),
+        (lambda d: d["params"].update(inflation=None), "params.inflation must be a number, got null"),
+        (lambda d: d["params"].update(kp=10**400),
+         "params: kp must be finite, got an integer too large for a float"),
+    ])
+    def test_invalid_documents_give_exact_messages(self, tmp_path, mutate, message):
+        doc = full_doc()
+        mutate(doc)
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(write_scenario(tmp_path, doc))
+        assert str(caught.value) == message
+
     def test_duplicate_ids_rejected(self, tmp_path):
         doc = full_doc()
         doc["uavs"][1]["id"] = "u1"
@@ -172,6 +211,23 @@ class TestLoadScenario:
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError, match="JSON"):
             load_scenario(p)
+
+    @pytest.mark.parametrize("given,repeated,key", [
+        ('"name": "demo"', '"name": "demo", "name": "second"', "name"),
+        ('"dt": 0.05', '"dt": 0.05, "dt": 0.5', "dt"),
+        ('"width": 40.0', '"width": 40.0, "width": 50.0', "width"),
+    ], ids=["top_level", "params", "rectangle"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, given, repeated, key):
+        # json.loads alone keeps the last value of a repeated key
+        text = json.dumps(full_doc())
+        assert text.count(given) == 1
+        scn = tmp_path / "repeated.json"
+        scn.write_text(text.replace(given, repeated), encoding="utf-8")
+        code = main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--max-steps", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"scenario error: {scn}: repeated key {key!r}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_integer_literal_over_the_digit_limit_is_invalid_json(self, tmp_path):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for an
@@ -1164,8 +1220,8 @@ class TestCompareJobs:
             argv = ["--scenario", str(SCENARIOS / "head_on_duel.json"), "--seeds", seeds,
                     "--jobs", "1"]
             assert _compare_in(tmp_path / seeds, monkeypatch, capsys, argv)[0] == 0
-            # the file's scenario, then one for each controller
-            assert checks == ["vo", "vo", "apf"]
+            # the file's scenario, which runs VO, then the APF one
+            assert checks == ["vo", "apf"]
 
     def test_a_worker_ending_without_an_outcome_exits_4(self, tmp_path, monkeypatch, capsys):
         caller, compare_seed = os.getpid(), scenario_cli._compare_seed
