@@ -2,7 +2,7 @@
 collision avoidance, a potential-field baseline, and scenario tooling."""
 
 from .apf_core import apf_step
-from .geom2d import Bounds, Vec2, angle_of, distance, normalize_angle
+from .geom2d import Bounds, Vec2, distance, normalize_angle
 from .metrics import RunReport, build_report, pairwise_distances, path_length
 from .obstacle_field import ObstacleField, RectObstacle, discretize_rectangle
 from .params import Params
@@ -17,7 +17,7 @@ from .vo_core import (AvoidResult, CollisionCone, FeasibleSet, Threat, avoid,
 
 __all__ = [
     "apf_step",
-    "Bounds", "Vec2", "angle_of", "distance", "normalize_angle",
+    "Bounds", "Vec2", "distance", "normalize_angle",
     "RunReport", "build_report", "pairwise_distances", "path_length",
     "ObstacleField", "RectObstacle", "discretize_rectangle",
     "Params",

@@ -46,9 +46,6 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def is_zero(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0
-
 
 ZERO = Vec2(0.0, 0.0)
 
@@ -64,13 +61,6 @@ def normalize_angle(a: float) -> float:
     r = math.remainder(a, math.tau)
     # remainder returns values in [-pi, pi]; fold the single excluded endpoint
     return math.pi if r <= -math.pi else r
-
-
-def angle_of(v: Vec2) -> float:
-    """Quadrant-correct polar angle of v, in (-pi, pi]. Undefined for the zero vector."""
-    if v.is_zero():
-        raise ValueError("direction of the zero vector is undefined")
-    return normalize_angle(math.atan2(v.y, v.x))
 
 
 @dataclass(frozen=True, slots=True)

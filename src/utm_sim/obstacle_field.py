@@ -102,25 +102,29 @@ def discretize_rectangle(rect: RectObstacle, params: Params) -> list[Vec2]:
 class ObstacleField:
     """All static obstacles of a scenario plus their circle approximation.
 
-    `rings` holds, for each rectangle in input order, its circles sorted by
-    centre x (ties in perimeter order), so threat gathering finds those in
-    range along x by bisection. Each circle is built once, as the `Threat`
-    that both controllers read: its centre, zero velocity, the combined radius
-    `uav_radius + obstacle_circle_radius` and the id `"<rect id>#<k>"`, `k` its
-    index in `discretize_rectangle`'s perimeter order. The engine shares one
-    instance across steps. Its one mutable member is `parked`: the `Threat`
-    of each parked UAV, by UAV id, which a UAV standing still is to the
-    controllers as a circle is; `sim_engine.gather_threats` fills and reuses
-    it. The rectangles are a checked `Scenario`'s, so their ids are unique.
+    `rings` holds, for each rectangle in input order, the rectangle, its
+    circles sorted by centre x (ties in perimeter order) and their centre x
+    coordinates as a float tuple in the same order, so threat gathering finds
+    those in range along x by bisection. Each circle is built once, as the
+    `Threat` that both controllers read: its centre, zero velocity, the
+    combined radius `uav_radius + obstacle_circle_radius` and the id
+    `"<rect id>#<k>"`, `k` its index in `discretize_rectangle`'s perimeter
+    order. The engine shares one instance across steps. Its one mutable
+    member is `parked`: the `Threat` of each parked UAV, by UAV id, which a
+    UAV standing still is to the controllers as a circle is;
+    `sim_engine.gather_threats` fills and reuses it. The rectangles are a
+    checked `Scenario`'s, so their ids are unique.
     """
 
     def __init__(self, rectangles: tuple[RectObstacle, ...], params: Params):
         self.rectangles = rectangles
         r_obs = params.uav_radius + params.obstacle_circle_radius
-        self.rings: tuple[tuple[RectObstacle, tuple[Threat, ...]], ...] = tuple(
-            (r, tuple(sorted((Threat(c, ZERO, r_obs, f"{r.id}#{k}")
-                              for k, c in enumerate(discretize_rectangle(r, params))),
-                             key=lambda t: t.position.x)))
-            for r in self.rectangles
-        )
+        rings = []
+        for r in rectangles:
+            ring = tuple(sorted((Threat(c, ZERO, r_obs, f"{r.id}#{k}")
+                                 for k, c in enumerate(discretize_rectangle(r, params))),
+                                key=lambda t: t.position.x))
+            rings.append((r, ring, tuple(t.position.x for t in ring)))
+        self.rings: tuple[tuple[RectObstacle, tuple[Threat, ...], tuple[float, ...]], ...] = \
+            tuple(rings)
         self.parked: dict[str, Threat] = {}

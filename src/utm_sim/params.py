@@ -23,6 +23,16 @@ ALGORITHMS = ("vo", "apf")
 # tiny `theta_step` would exhaust memory, so `Params` rejects one over the limit.
 MAX_HEADINGS = 10_000
 
+# The most VO speed steps, `kp * diagonal / mag_step`, that may cover kp times
+# the diagonal of the bounds, the top nominal speed of a UAV inside them. The VO
+# search grows a table of mag_step multiples up to each decision's relative
+# speed, and a pruned set lists headings x speeds pairs, so a tiny `mag_step`
+# would exhaust memory; `Params` rejects one over the limit. The shipped
+# scenarios need 566 (kp 0.2 over a 400 m square at mag_step 0.2), 177 times
+# fewer. At the limit, paper_like_7uav's VO run of seed 1 grows its table to
+# 3,534 speeds and peaks 6% above the memory of its default run.
+MAX_SPEEDS = 100_000
+
 
 @dataclass(frozen=True, slots=True)
 class Params:
@@ -35,7 +45,8 @@ class Params:
     `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
     extent over `circle_spacing` must be finite, so that every edge of a
     rectangle inside the bounds gets a circle count. `2*pi / theta_step` must
-    not exceed `MAX_HEADINGS`. `kp * dt` must stay
+    not exceed `MAX_HEADINGS`, and `kp` times the bounds diagonal over
+    `mag_step` not `MAX_SPEEDS`. `kp * dt` must stay
     below 2 so the nominal step converges. `inflation=None` takes the value
     of `uav_radius`.
     """
@@ -98,6 +109,11 @@ class Params:
         if math.tau / self.theta_step > MAX_HEADINGS:
             raise ValueError(f"theta_step {self.theta_step} is too small: the VO search would "
                              f"need more than {MAX_HEADINGS} headings (2*pi / theta_step)")
+        top_speed = self.kp * math.hypot(b.max_x - b.min_x, b.max_y - b.min_y)
+        if top_speed / self.mag_step > MAX_SPEEDS:
+            raise ValueError(f"mag_step {self.mag_step} is too small: the VO search would "
+                             f"need more than {MAX_SPEEDS} speeds to cover kp * the bounds "
+                             f"diagonal ({top_speed})")
         if self.kp * self.dt >= 2.0:
             raise ValueError(f"kp * dt must be < 2, got kp={self.kp}, dt={self.dt}; "
                              "the nominal step p += dt * kp * (wp - p) would diverge")

