@@ -26,12 +26,21 @@ MAX_HEADINGS = 10_000
 # The most VO speed steps, `kp * diagonal / mag_step`, that may cover kp times
 # the diagonal of the bounds, the top nominal speed of a UAV inside them. The VO
 # search grows a table of mag_step multiples up to each decision's relative
-# speed, and a pruned set lists headings x speeds pairs, so a tiny `mag_step`
-# would exhaust memory; `Params` rejects one over the limit. The shipped
-# scenarios need 566 (kp 0.2 over a 400 m square at mag_step 0.2), 177 times
-# fewer. At the limit, paper_like_7uav's VO run of seed 1 grows its table to
-# 3,534 speeds and peaks 6% above the memory of its default run.
+# speed, so a tiny `mag_step` would exhaust memory; `Params` rejects one over
+# the limit. The shipped scenarios need 566 (kp 0.2 over a 400 m square at
+# mag_step 0.2), 177 times fewer. At the limit, paper_like_7uav's VO run of
+# seed 1 grows its table to 3,534 speeds and peaks 6% above the memory of its
+# default run.
 MAX_SPEEDS = 100_000
+
+# The most VO candidates, headings times speed steps (the two ratios above),
+# that one feasible set may stand for. Selection visits a few of them per
+# heading, but where pruning rejects them it walks a heading's speeds, and
+# with huge magnitudes it visits all of them; listing a set (the benchmark's
+# tracer does) builds every one. So two steps that each pass their own limit
+# may not together pass this one. The shipped scenarios need 32 x 566 = 18,112;
+# a step at either limit above passes with the other at its default.
+MAX_CANDIDATES = 10_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +54,8 @@ class Params:
     `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
     extent over `circle_spacing` must be finite, so that every edge of a
     rectangle inside the bounds gets a circle count. `2*pi / theta_step` must
-    not exceed `MAX_HEADINGS`, and `kp` times the bounds diagonal over
-    `mag_step` not `MAX_SPEEDS`. `kp * dt` must stay
+    not exceed `MAX_HEADINGS`, `kp` times the bounds diagonal over `mag_step`
+    not `MAX_SPEEDS`, and their product not `MAX_CANDIDATES`. `kp * dt` must stay
     below 2 so the nominal step converges. `inflation=None` takes the value
     of `uav_radius`.
     """
@@ -114,6 +123,11 @@ class Params:
             raise ValueError(f"mag_step {self.mag_step} is too small: the VO search would "
                              f"need more than {MAX_SPEEDS} speeds to cover kp * the bounds "
                              f"diagonal ({top_speed})")
+        if math.tau / self.theta_step * (top_speed / self.mag_step) > MAX_CANDIDATES:
+            raise ValueError(f"theta_step {self.theta_step} and mag_step {self.mag_step} are "
+                             f"too small together: the VO search would need more than "
+                             f"{MAX_CANDIDATES} candidates (2*pi / theta_step headings times "
+                             f"kp * the bounds diagonal ({top_speed}) / mag_step speeds)")
         if self.kp * self.dt >= 2.0:
             raise ValueError(f"kp * dt must be < 2, got kp={self.kp}, dt={self.dt}; "
                              "the nominal step p += dt * kp * (wp - p) would diverge")

@@ -26,6 +26,12 @@ ALLOWED = {
     ("geom2d", "_in_box"): "only the collinear or endpoint-touching branch of "
                            "segments_intersect calls it, which no shipped scenario "
                            "hits; test_geom2d covers that branch",
+    ("vo_core", "FeasibleSet.candidates"): "read by bench/tracer.py and the tests; ROADMAP "
+                                           "item 6 removes them once the tracer reads a "
+                                           "decision trace",
+    ("vo_core", "_PolarGrid.candidates"): "read by bench/tracer.py and the tests; ROADMAP "
+                                          "item 6 removes them once the tracer reads a "
+                                          "decision trace",
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
-from utm_sim.params import DEFAULT_BOUNDS, MAX_HEADINGS, MAX_SPEEDS, Params
+from utm_sim.params import DEFAULT_BOUNDS, MAX_CANDIDATES, MAX_HEADINGS, MAX_SPEEDS, Params
 from utm_sim import rrt_planner
 from utm_sim import scenario_cli
 from utm_sim.rrt_planner import PlanningError
@@ -423,7 +423,8 @@ def _documents(draw):
     A side is at most 6,000 circle spacings long, so the (at most four)
     rectangles need under MAX_CIRCLES boundary circles, and there are at most
     MAX_UAV_STEPS // max_steps UAVs. `mag_step` is raised where the bounds
-    would need more than MAX_SPEEDS speeds.
+    would need more than MAX_SPEEDS speeds, or more than MAX_CANDIDATES
+    headings times speeds.
     """
     params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
     table = Params(**params)
@@ -450,12 +451,13 @@ def _documents(draw):
     bounds = {"min_x": x0 - draw(margin), "min_y": y0 - 1.5e3 - draw(margin),
               "max_x": x_rect + 1.5e3 + draw(margin),
               "max_y": y0 + max(1.5e3, 3.0 * r * len(uavs)) + draw(margin)}
-    # the speed rule reads the bounds, drawn last: a mag_step too small for
-    # them is doubled past the least one the rule accepts
+    # the speed and candidate rules read the bounds, drawn last: a mag_step
+    # too small for them is doubled past the least one the rules accept
     b = Bounds(**bounds)
     top_speed = table.kp * math.hypot(b.max_x - b.min_x, b.max_y - b.min_y)
-    if top_speed / table.mag_step > MAX_SPEEDS:
-        params = {**params, "mag_step": 2.0 * top_speed / MAX_SPEEDS}
+    least = max(top_speed / MAX_SPEEDS, math.tau / table.theta_step * top_speed / MAX_CANDIDATES)
+    if table.mag_step < least:
+        params = {**params, "mag_step": 2.0 * least}
     doc = {"bounds": bounds, "rectangles": rects, "uavs": uavs, "params": params}
     name = draw(st.none() | st.text(min_size=1))
     if name is not None:  # otherwise the loader takes the file stem
@@ -814,6 +816,38 @@ class TestObstacleDocumentsRun:
                    f"than {MAX_SPEEDS} speeds to cover kp * the bounds diagonal (3125.0)")
         assert capsys.readouterr().err == f"scenario error: {message}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_candidate_limit_is_inclusive_and_one_step_past_exits_2(self, tmp_path, capsys):
+        # 2*pi / theta_step is MAX_HEADINGS, and kp 1 covers the 3125 m
+        # diagonal of a 1875 x 2500 m map in MAX_CANDIDATES / MAX_HEADINGS steps
+        theta_step = math.tau / MAX_HEADINGS
+        at_limit = 3125.0 * MAX_HEADINGS / MAX_CANDIDATES
+        assert math.tau / theta_step * (3125.0 / at_limit) == MAX_CANDIDATES
+        doc = {**MINIMAL, "bounds": {"min_x": 0.0, "min_y": 0.0, "max_x": 1875.0, "max_y": 2500.0},
+               "params": {"kp": 1.0, "theta_step": theta_step, "mag_step": at_limit}}
+        assert load_scenario(write_scenario(tmp_path, doc)).sim.mag_step == at_limit
+        below = math.nextafter(at_limit, 0.0)
+        doc["params"]["mag_step"] = below
+        scn = write_scenario(tmp_path, doc)
+        assert main(["run", "--algo", "vo", "--seed", "1", "--scenario", str(scn),
+                     "--out", str(tmp_path / "o")]) == 2
+        message = (f"params: theta_step {theta_step} and mag_step {below} are too small "
+                   f"together: the VO search would need more than {MAX_CANDIDATES} candidates "
+                   f"(2*pi / theta_step headings times kp * the bounds diagonal (3125.0) / "
+                   f"mag_step speeds)")
+        assert capsys.readouterr().err == f"scenario error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_steps_each_within_their_limit_may_exceed_the_candidate_limit(self, tmp_path):
+        # about 9,970 headings times 99,000 speeds over a 400 m square
+        doc = {**MINIMAL, "params": {"theta_step": 6.3e-4, "mag_step": 0.00114}}
+        assert math.tau / 6.3e-4 <= MAX_HEADINGS
+        assert 0.2 * math.hypot(400.0, 400.0) / 0.00114 <= MAX_SPEEDS
+        with pytest.raises(ScenarioError, match="theta_step 0.00063 and mag_step 0.00114 are "
+                                                "too small together"):
+            load_scenario(write_scenario(tmp_path, doc))
+        assert main(["run", "--algo", "vo", "--seed", "1", "--scenario",
+                     str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestExportResult:

@@ -1,15 +1,18 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from utm_sim import vo_core
+from utm_sim import sim_engine, vo_core
 from utm_sim.geom2d import Vec2, distance, normalize_angle
 from utm_sim.params import MAX_HEADINGS, Params
-from utm_sim.sim_engine import UavState
+from utm_sim.scenario_cli import load_scenario
+from utm_sim.sim_engine import UavState, run
 from utm_sim.vo_core import (
     CollisionCone,
     FeasibleSet,
@@ -24,6 +27,8 @@ from utm_sim.vo_core import (
 
 from vo_oracle import (oracle_candidates, oracle_closest, oracle_collision_cone, oracle_decision,
                        oracle_open_headings)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def make_state(pos: Vec2, wp: Vec2, uav_id: str = "a") -> UavState:
@@ -247,19 +252,38 @@ class TestPruneAndSelect:
         ]
 
     def test_select_minimizes_distance(self):
-        fset = FeasibleSet([(0.0, 1.0), (2.9, 0.1), (-1.0, 0.0)])
+        # headings 0, pi/2 and pi at speeds 0, 1 and 2.9 around v_b = (0, 0.1)
+        fset = _hand_grid(((0.0, 1.0, 0.0), (math.pi / 2.0, 0.0, 1.0), (math.pi, -1.0, 0.0)),
+                          [0.0, 1.0, 2.9], by=0.1)
         best = select_velocity(fset, Vec2(3.0, 0.0))
         assert best == Vec2(2.9, 0.1)
         assert type(best) is Vec2
 
     def test_select_tie_goes_to_earlier_candidate(self):
-        fset = FeasibleSet([(1.0, 0.0), (-1.0, 0.0)])
+        # (1, 0) on heading 0 and (-1, 0) on heading pi are both 1 from the
+        # nominal (0, 0); a pruning cone around -y, seen from a threat moving
+        # at (0, 1), drops both zero-speed entries, which would be closer
+        headings = ((0.0, 1.0, 0.0), (math.pi, -1.0, 0.0))
+        fset = prune_feasible(_hand_grid(headings, [0.0, 1.0]), Vec2(0.0, 1.0),
+                              CollisionCone(-math.pi / 2.0, 0.1))
+        assert fset.candidates == [(1.0, 0.0), (-1.0, 0.0)]
         assert select_velocity(fset, Vec2(0.0, 0.0)) == Vec2(1.0, 0.0)
-        fset = FeasibleSet([(-1.0, 0.0), (1.0, 0.0)])
-        assert select_velocity(fset, Vec2(0.0, 0.0)) == Vec2(-1.0, 0.0)
+        # the nominal a hair to the left breaks the tie the other way
+        assert select_velocity(fset, Vec2(-1e-9, 0.0)) == Vec2(-1.0, 0.0)
 
-    def test_select_empty_returns_hover(self):
-        assert select_velocity(FeasibleSet([]), Vec2(5.0, 5.0)) == Vec2(0.0, 0.0)
+    def test_select_empty_returns_none(self):
+        # the same grid pruned by a half-plane around +y, seen from a threat
+        # moving at (0, -1): every candidate, zero speed included, lies in it
+        fset = prune_feasible(_hand_grid(((0.0, 1.0, 0.0), (math.pi, -1.0, 0.0)), [0.0, 1.0]),
+                              Vec2(0.0, -1.0), CollisionCone(math.pi / 2.0, math.pi / 2.0))
+        assert fset.candidates == []
+        assert select_velocity(fset, Vec2(5.0, 5.0)) is None
+
+
+def _hand_grid(headings, speeds, bx=0.0, by=0.0):
+    """A set seeded by a threat moving at (bx, by) whose cone, around -pi/2
+    with half-angle 0.1, blocks none of `headings`; the first must be heading 0."""
+    return FeasibleSet(vo_core._PolarGrid(headings, -math.pi / 2.0, 0.1, speeds, 1.0, bx, by))
 
 
 def oracle_avoid(pos, wp, threats, params):
@@ -561,13 +585,25 @@ def _select_cases(draw):
 
 
 def _assert_picks_as_full_scan(v_ab, v_b, cone, params, n):
-    got = select_velocity(search_feasible(v_ab, v_b, cone, params), n)
-    listed = FeasibleSet(list(search_feasible(v_ab, v_b, cone, params).candidates))
-    want = select_velocity(listed, n)
+    fset = search_feasible(v_ab, v_b, cone, params)
+    got = select_velocity(fset, n)
+    listed = oracle_candidates(v_ab, v_b, cone, params)
+    want = oracle_closest(listed, n.x, n.y)
+    want = Vec2(*want) if want is not None else Vec2(0.0, 0.0)
     assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
-    # the lazy listing is the oracle's list of open-heading flags, listed
-    assert listed.candidates == oracle_candidates(v_ab, v_b, cone, params)
+    # the listing is the oracle's list of open-heading flags, listed
+    assert fset.candidates == listed
     return got
+
+
+# Two conflicting threats for a UAV at the origin flying to (100, 0): the
+# first seeds the set, the second prunes it. In _EMPTYING, a parked threat
+# dead ahead blocks every forward heading and a fast one behind, inside its
+# combined radius, swallows what is left, zero speeds included.
+_TWO_CONFLICTS = (Threat(Vec2(50.0, 5.0), Vec2(-15.0, 0.0), 24.0, "b"),
+                  Threat(Vec2(40.0, -30.0), Vec2(0.0, 8.0), 24.0, "c"))
+_EMPTYING = (Threat(Vec2(10.0, 0.0), Vec2(0.0, 0.0), 24.0, "b"),
+             Threat(Vec2(-10.0, 0.0), Vec2(30.0, 0.0), 24.0, "c"))
 
 
 class TestSelectOnGrid:
@@ -613,14 +649,20 @@ class TestSelectOnGrid:
         for n in (Vec2(0.5, 0.5), Vec2(1.0, 1.5), Vec2(-3.0, 0.0), Vec2(0.7, 0.9)):
             _assert_picks_as_full_scan(Vec2(1.0, 0.0), Vec2(0.5, 0.5), cone, Params(), n)
 
-    def test_huge_magnitudes_take_the_full_scan(self):
+    def test_huge_magnitudes_visit_every_candidate(self, monkeypatch):
         cone = CollisionCone(0.0, 0.5)
         big = Vec2(1e150, -1e150)
-        fset = search_feasible(Vec2(2.0, 0.0), big, cone, Params())
-        assert vo_core._closest_on_grid(fset.grid, 1.5e150, 0.0) is None
-        _assert_picks_as_full_scan(Vec2(2.0, 0.0), big, cone, Params(), Vec2(1.5e150, 0.0))
         small = search_feasible(Vec2(2.0, 0.0), Vec2(1.0, -1.0), cone, Params())
-        assert vo_core._closest_on_grid(small.grid, 1.5, 0.0) is not None
+        assert select_velocity(small, Vec2(1.5, 0.0)) is not None
+
+        def refuse(speeds, x):
+            raise AssertionError("a window was bisected")
+
+        # the rounding bound fails, so no heading is windowed (or skipped)
+        monkeypatch.setattr(vo_core, "bisect_left", refuse)
+        _assert_picks_as_full_scan(Vec2(2.0, 0.0), big, cone, Params(), Vec2(1.5e150, 0.0))
+        with pytest.raises(AssertionError, match="bisected"):
+            select_velocity(small, Vec2(1.5, 0.0))
 
     def test_all_infinite_distances_return_hover(self):
         # every candidate's squared distance overflows, as in the full scan
@@ -629,6 +671,44 @@ class TestSelectOnGrid:
         fset = search_feasible(Vec2(1.0, 0.0), v_b, cone, Params())
         assert select_velocity(fset, Vec2(-1e300, -1e300)) == Vec2(0.0, 0.0)
         _assert_picks_as_full_scan(Vec2(1.0, 0.0), v_b, cone, Params(), Vec2(-1e300, -1e300))
+        # pruned so that the first candidate, the zero speed, is gone: the
+        # set is not empty, so the pick still hovers
+        params = Params(mag_step=1e150)
+        v_b = Vec2(1e160, 1e160)
+        fset = prune_feasible(search_feasible(Vec2(2e150, 0.0), v_b, cone, params),
+                              Vec2(1e160, 1e160 - 1e150), CollisionCone(math.pi / 2.0, 0.1))
+        assert fset.candidates and (1e160, 1e160) not in fset.candidates
+        assert oracle_closest(fset.candidates, -1e160, -1e160) is None
+        assert select_velocity(fset, Vec2(-1e160, -1e160)) == Vec2(0.0, 0.0)
+
+    def test_tie_below_the_window_goes_to_the_lower_speed(self):
+        # on heading 0 the window holds speeds 15 and 16; pruning drops 15, the
+        # closest, and speed 14, below the window, rounds to the d2 of 16
+        b, n = Vec2(2.848433312048668, 0.0), Vec2(17.84843331204867, -5.281570513514817e-13)
+        fset = prune_feasible(
+            search_feasible(Vec2(18.0, 0.0), b, CollisionCone(0.0, 0.0), Params(mag_step=1.0)),
+            Vec2(17.84843331204867, 0.5), CollisionCone(-math.pi / 2.0, 0.3))
+        want = oracle_closest(fset.candidates, n.x, n.y)
+        assert want == (14.0 + b.x, 0.0)
+        d2 = [(m + b.x - n.x) ** 2 + n.y ** 2 for m in (14.0, 16.0)]
+        assert d2[0] == d2[1]
+        assert select_velocity(fset, n) == Vec2(*want)
+
+    def test_off_grid_v_max_beats_the_speed_below_it(self):
+        # v_max is 2 ulps above speed 22 * 0.2; heading 16's window and the
+        # speeds above it are pruned up to speed 22, and v_max's computed d2
+        # rounds below that of speed 22
+        v_max, b = 4.400000000000002, Vec2(-3.707554643480555, 1.9959927494212941)
+        theta = vo_core._headings(0.2)[16][0]
+        fset = prune_feasible(
+            search_feasible(Vec2(v_max, 0.0), b, CollisionCone(0.0, 0.0), Params()),
+            Vec2(-8.000222179397994, 1.7449839326826997),
+            CollisionCone(normalize_angle(theta + math.pi), 0.5))
+        assert fset.grid.speeds[-2:] == [22 * 0.2, v_max]
+        n = Vec2(-7.791297386242126, 1.7100294178468207)
+        want = oracle_closest(fset.candidates, n.x, n.y)
+        assert want == (v_max * math.cos(theta) + b.x, v_max * math.sin(theta) + b.y)
+        assert select_velocity(fset, n) == Vec2(*want)
 
     def test_one_conflicting_threat_never_lists_candidates(self, monkeypatch):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
@@ -643,6 +723,38 @@ class TestSelectOnGrid:
         res = avoid(state, [th], Params())
         assert res.engaged and not res.empty_set
         assert res.velocity == want
+
+    @pytest.mark.parametrize("threats", [_TWO_CONFLICTS, _EMPTYING], ids=["pruned", "emptied"])
+    def test_two_conflicting_threats_never_list_candidates(self, monkeypatch, threats):
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        want = oracle_decision(state, threats, Params())
+        assert want.engaged and want.empty_set == (threats is _EMPTYING)
+
+        def refuse(self):
+            raise AssertionError("the candidate list was built")
+
+        monkeypatch.setattr(vo_core._PolarGrid, "candidates", refuse)
+        got = avoid(state, threats, Params())
+        assert got == want
+        assert ((got.velocity.x.hex(), got.velocity.y.hex())
+                == (want.velocity.x.hex(), want.velocity.y.hex()))
+
+    def test_reading_candidates_first_changes_nothing(self, monkeypatch):
+        # list every set as it is seeded and pruned, as the bench tracer does
+        state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
+        unread = avoid(state, _TWO_CONFLICTS, Params())
+        sizes = []
+        for name in ("search_feasible", "prune_feasible"):
+            def listing(*args, _fn=getattr(vo_core, name)):
+                fset = _fn(*args)
+                sizes.append(len(fset.candidates))
+                return fset
+
+            monkeypatch.setattr(vo_core, name, listing)
+        read = avoid(state, _TWO_CONFLICTS, Params())
+        assert len(sizes) == 2 and sizes[0] > sizes[1] > 0
+        _assert_same_decision(read, unread)
+        _assert_same_decision(read, oracle_decision(state, _TWO_CONFLICTS, Params()))
 
 
 # Velocity components, -0.0 among them, and radii; a threat is drawn free, on
@@ -679,6 +791,51 @@ def _decisions(draw):
     return make_state(pos, wp), threats, params
 
 
+def _conflicting(state, threats, params):
+    """The threats whose cone captures the nominal relative velocity, as `avoid` finds them."""
+    wp = state.current_waypoint()
+    v_a = Vec2(params.kp * (wp.x - state.position.x), params.kp * (wp.y - state.position.y))
+    return [th for th in threats if th.position != state.position
+            and in_cone(v_a - th.velocity,
+                        collision_cone(state.position, th.position, 0.0, th.combined_radius))]
+
+
+@st.composite
+def _pruned_decisions(draw):
+    """(state, threats, params) for one decision with two or more conflicting threats.
+
+    Two to four threats touch the UAV on distinct axes, inside their combined
+    radius, as walls do at a corridor corner: each cone is a half-plane whose
+    edges lie on multiples of pi/2. They move with components from
+    `_component`, -0.0 among them. Threats on opposite axes, each closing on
+    the UAV, can leave no candidate at all, so some sets end up empty. A free
+    threat may follow them.
+    """
+    params = Params(theta_step=draw(st.sampled_from((0.2, math.pi / 8.0, math.pi / 4.0, 0.07))),
+                    mag_step=draw(st.sampled_from((0.2, 0.25, 1.0))))
+    pos = Vec2(draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))
+    wp = Vec2(pos.x + draw(st.floats(-150.0, 150.0)), pos.y + draw(st.floats(-150.0, 150.0)))
+    axes = draw(st.permutations(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))))
+    threats = []
+    for i, (ux, uy) in enumerate(axes[:draw(st.integers(2, 4))]):
+        radius = draw(st.sampled_from((24.0, 12.5, 5.0)))
+        d = draw(st.floats(0.5, radius))
+        threats.append(Threat(Vec2(pos.x + ux * d, pos.y + uy * d),
+                              Vec2(draw(_component), draw(_component)), radius, f"t{i}"))
+    if draw(st.booleans()):
+        p = Vec2(pos.x + draw(st.floats(-60.0, 60.0)), pos.y + draw(st.floats(-60.0, 60.0)))
+        threats.append(Threat(p, Vec2(draw(_component), draw(_component)), 24.0, "free"))
+    state = make_state(pos, wp)
+    assume(len(_conflicting(state, threats, params)) >= 2)
+    return state, threats, params
+
+
+def _assert_same_decision(got, want):
+    assert (got.engaged, got.empty_set) == (want.engaged, want.empty_set)
+    assert ((got.velocity.x.hex(), got.velocity.y.hex())
+            == (want.velocity.x.hex(), want.velocity.y.hex()))
+
+
 class TestAvoidMatchesOracle:
     """`avoid` returns the Vec2 pipeline's decision, bit for bit."""
 
@@ -686,10 +843,35 @@ class TestAvoidMatchesOracle:
     @given(case=_decisions())
     def test_random_decisions(self, case):
         state, threats, params = case
-        got, want = avoid(state, threats, params), oracle_decision(state, threats, params)
-        assert (got.engaged, got.empty_set) == (want.engaged, want.empty_set)
-        assert ((got.velocity.x.hex(), got.velocity.y.hex())
-                == (want.velocity.x.hex(), want.velocity.y.hex()))
+        want = oracle_decision(state, threats, params)
+        _assert_same_decision(avoid(state, threats, params), want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_pruned_decisions())
+    def test_random_pruned_decisions(self, case):
+        state, threats, params = case
+        want = oracle_decision(state, threats, params)
+        event("empty set" if want.empty_set else "chosen velocity")
+        _assert_same_decision(avoid(state, threats, params), want)
+
+    def test_corner_corridor_pruned_decisions(self, monkeypatch):
+        # every decision of corner_corridor's VO runs of seeds 1-4 that prunes
+        scenario = load_scenario(SCENARIOS / "corner_corridor.json")
+        params = replace(scenario.sim, algorithm="vo")
+        pruned = []
+
+        def recording(state, threats, params):
+            res = avoid(state, threats, params)
+            if len(_conflicting(state, threats, params)) >= 2:
+                pruned.append((state, tuple(threats), res))
+            return res
+
+        monkeypatch.setattr(sim_engine, "avoid", recording)
+        for seed in range(1, 5):
+            run(scenario, params, seed)
+        assert len(pruned) >= 100
+        for state, threats, got in pruned:
+            _assert_same_decision(got, oracle_decision(state, threats, params))
 
     @settings(max_examples=200, deadline=None)
     @given(p_a=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),

@@ -1,12 +1,14 @@
 """Reference pipeline for one VO decision, as `vo_core` computed it on `Vec2`.
 
-The program computes a cone's line of sight on floats, keeps a seeded set as
-its polar grid and the seeding cone, tests a heading against that cone only
-where a reader needs the answer, and selects on the grid without listing it.
-This module keeps the plain form of each step: the cone from the `Vec2`
-offset through `angle_of`, the full list of open-heading flags, the listed
-candidates, and the scan of that list for the first least squared distance.
-`vo_core.avoid` must return `oracle_decision`'s result, bit for bit.
+The program computes a cone's line of sight on floats, keeps a set as its
+polar grid, the seeding cone and the pruning threats' velocities and cones,
+tests a heading or a candidate against those cones only where selection needs
+the answer, and selects on the grid without listing it. This module keeps the
+plain form of each step: the cone from the `Vec2` offset through `angle_of`,
+the full list of open-heading flags, the listed candidates, that list filtered
+through each pruning cone with `in_cone` on a `Vec2`, and the scan of the
+result for the first least squared distance. `vo_core.avoid` must return
+`oracle_decision`'s result, bit for bit.
 """
 
 import math
