@@ -20,7 +20,14 @@ rounded distance bound says it could hold the winner, and for a candidate that
 would become the best. Per such open heading, selection evaluates the two or
 three speeds near the nominal velocity's projection onto that heading, and
 walks outward from them only where pruning rejected one; it picks the same
-candidate as the scan of the whole list (see `select_velocity`). The heading
+candidate as the scan of the whole list (see `select_velocity`). Where the
+seeding threat and every pruning threat are at rest (wall circles, parked
+UAVs), each nonzero speed of a heading lies on the heading's ray relative to
+every pruning threat, so the ray settles the heading once per pruning cone:
+inside a cone it holds only its zero speed and is passed over, outside every
+cone its window is evaluated without a survival test. A heading within a
+small margin of a cone's edge, a moving threat, or speeds small enough that a
+product could be subnormal fall back to testing each candidate. The heading
 table (theta, cos, sin) is computed once per theta_step, and the speed grid is
 grown once per mag_step, for the 16 most recent step sizes each.
 """
@@ -266,6 +273,21 @@ def _survives(cx: float, cy: float, prunes: tuple[tuple[float, float, CollisionC
 _U = 2.0 ** -53  # unit roundoff of a double
 _TINY = 2.0 ** -1000  # covers the absolute error of products that underflow
 _HOVER = (0.0, 0.0)  # the pick of a set whose every survivor has an infinite d2
+_EDGE = 2.0 ** -40  # far more than a resting candidate's angle error against its heading
+_RAY_SPEED = 2.0 ** -900  # below it, a resting candidate's product may be subnormal
+
+
+def _resting_rays(grid: _PolarGrid) -> list[tuple[float, float, float]] | None:
+    """Per pruning cone, (center, half - _EDGE, half + _EDGE), where the
+    seeding threat and every pruning threat are at rest and the least nonzero
+    speed keeps every product normal; None otherwise. Each nonzero speed of a
+    heading then lies on the heading's ray relative to every pruning threat
+    (see `select_velocity`)."""
+    speeds, prunes = grid.speeds, grid.prunes
+    if (prunes and grid.bx == 0.0 and grid.by == 0.0 and len(speeds) > 1
+            and speeds[1] >= _RAY_SPEED and all(ox == 0.0 and oy == 0.0 for ox, oy, _ in prunes)):
+        return [(c.center_angle, c.half_angle - _EDGE, c.half_angle + _EDGE) for _, _, c in prunes]
+    return None
 
 
 def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, float] | None:
@@ -291,6 +313,7 @@ def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, flo
         best, best_d2 = (zero if zero_d2 < math.inf else _HOVER), zero_d2
     best_theta = None  # the heading of a best taken after `zero`
     bound = best_d2 + 2.0 * err
+    rays = _resting_rays(grid)
     center, half, tau, remainder = grid.center, grid.half, math.tau, math.remainder
     lo, hi = 0, top + 1  # every speed, unless windowed
     for theta, cos_t, sin_t in grid.headings:
@@ -308,6 +331,17 @@ def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, flo
                     t = v_max
         if abs(remainder(theta - center, tau)) < half:
             continue  # blocked: it holds only `zero`, which was tried first
+        cones = prunes  # the cones its candidates are tested against
+        if rays is not None:
+            cones = ()
+            for ray_center, inner, outer in rays:
+                off = abs(remainder(theta - ray_center, tau))
+                if off < inner:
+                    break
+                if off < outer:
+                    cones = prunes  # in the margin band: test each candidate
+            if off < inner:  # the loop stopped at a cone holding the ray
+                continue  # pruned down to its zero speed, which ties `zero`
         if windowed:
             lo, hi = bisect_left(speeds, t - step), bisect_right(speeds, t + step)
         rejected = False
@@ -318,7 +352,7 @@ def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, flo
             dy = cy - ny
             d2 = dx * dx + dy * dy
             if d2 < best_d2:
-                if prunes and not _survives(cx, cy, prunes):
+                if cones and not _survives(cx, cy, cones):
                     rejected = True
                 else:
                     best, best_d2, best_theta = (cx, cy), d2, theta
@@ -413,6 +447,36 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
       still evaluated. Below the window, a candidate comes before the
       window's in search order, so it is also taken on a tie with a best
       from its own heading.
+
+    - Resting threats: where b and every pruning velocity o are zero (of
+      either sign) and the least nonzero speed is at least 2**-900, a
+      candidate of speed m > 0 on a heading is (fl(m*cos), fl(m*sin))
+      relative to every pruning threat, as adding or subtracting a signed
+      zero leaves a nonzero float unchanged, and on heading 0 (sin 0) the y
+      part is m*0.0 + b_y - o_y = +0.0. No stored cos is 0, and no other
+      stored sin is below 2**-60 in magnitude (no double lies within 6e-17
+      of a multiple of pi/2 in (0, 2 pi], and a table with theta_step under
+      2**-59 could not be built), so each product is a normal float within
+      u of m*cos or m*sin. With cos and sin faithful, the relative velocity
+      is (m cos (1+a), m sin (1+b)) with |a|, |b| < 3.01 u, whose angle
+      lies within 4 u of theta modulo 2 pi. A pruning cone's test computes
+      abs(remainder(atan2(...) - center, tau)), the distance from the
+      offset to the nearest multiple of tau, which moves by no more than
+      the offset does; a faithful atan2 adds at most 2**-51, subtracting
+      center 2**-51, computing theta - center 2**-50, and tau is within
+      2**-51 of 2 pi. So that value lies within 2**-48 of the heading's
+      abs(remainder(theta - center, tau)), which is computed once per
+      heading and pruning cone and compared with fl(half -+ 2**-40), each
+      within 2**-53 of its exact value. Below fl(half - 2**-40) for some
+      cone, every nonzero speed is inside that cone; the heading keeps only
+      its zero-speed entry, whose relative velocity is (+-0, +-0) and never
+      inside a cone, and whose d2 is that of `zero`, which survives every
+      cone and was tried first: the heading is passed over as a blocked
+      one is. At or above fl(half + 2**-40) for every cone, every candidate
+      is outside them all: the window is evaluated without a survival test,
+      as in an unpruned set, and nothing is walked. Otherwise (an offset in
+      the band between, a moving threat, or a smaller speed, whose product
+      could be subnormal) each candidate is tested as above.
 
     Until a candidate survives, best_d2 is infinite: no heading is skipped,
     every window candidate is tested (with windows, d2 is finite), and a

@@ -11,12 +11,17 @@ tests/golden_digests.json holds sha256 digests of:
 - the stdout of each of those commands, with its output directory replaced by
   `<out>` (the command's key plus `/stdout`).
 
+It also checks `run --algo vo` on corner_corridor at seeds 1-16, whose
+trajectories.csv and report.json digests it reads from the benchmark's own
+record, bench/digests.json (keys `run/corner_corridor/vo/seed=<n>`), and
+never writes.
+
 This module uses the standard library alone, so any interpreter can recheck
 the digests; tests/test_golden_digests.py runs the same checks under pytest.
 
 Check every digest (exit 0 when all match, 1 otherwise):
     PYTHONPATH=src python3 tests/golden_check.py
-Re-record (only when an output change is intended):
+Re-record tests/golden_digests.json (only when an output change is intended):
     PYTHONPATH=src python3 tests/golden_check.py --record
 """
 
@@ -41,6 +46,9 @@ PLAN_SEEDS = (1, 2, 3)
 COMPARE_SCENARIO = "paper_like_7uav"
 COMPARE_SEEDS = "1..2"
 COMPARE_PREFIX = f"compare/{COMPARE_SCENARIO}/seeds={COMPARE_SEEDS}"
+BENCH_DIGESTS = ROOT / "bench" / "digests.json"
+BENCH_RUN_FILES = ("trajectories.csv", "report.json")
+BENCH_VO_SEEDS = range(1, 17)
 
 
 def _sha256(path: Path) -> str:
@@ -79,6 +87,20 @@ def plan_digest(scenario: str, seed: int, out: Path) -> dict[str, str]:
             f"plan/{scenario}/seed={seed}/stdout": stdout}
 
 
+def bench_mismatches(out: Path) -> list[str]:
+    """The keys of the corner_corridor VO runs, at BENCH_VO_SEEDS, whose
+    BENCH_RUN_FILES digests differ from those bench/digests.json records."""
+    bench = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
+    missed = []
+    for seed in BENCH_VO_SEEDS:
+        key = f"run/corner_corridor/vo/seed={seed}"
+        _main(["run", "--scenario", str(ROOT / "scenarios" / "corner_corridor.json"),
+               "--seed", str(seed), "--algo", "vo"], out / str(seed))
+        if {name: _sha256(out / str(seed) / name) for name in BENCH_RUN_FILES} != bench[key]:
+            missed.append(key)
+    return missed
+
+
 def compare_digests(out: Path) -> dict[str, str]:
     """Golden key -> digest of every file the golden `compare` writes, and of its stdout."""
     stdout = _main(["compare", "--scenario", str(ROOT / "scenarios" / f"{COMPARE_SCENARIO}.json"),
@@ -107,16 +129,20 @@ def check(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         got = all_digests(Path(tmp))
+        bench_missed = [] if argv else bench_mismatches(Path(tmp) / "bench")
     if argv:
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     missed = sorted(key for key in golden.keys() | got.keys() if golden.get(key) != got.get(key))
-    for key in missed:
+    for key in missed + bench_missed:
         print(f"MISMATCH {key}")
     matched = sum(got.get(key) == digest for key, digest in golden.items())
     print(f"{matched} of {len(golden)} golden digests match (Python {sys.version.split()[0]})")
-    return 1 if missed else 0
+    checked = len(BENCH_VO_SEEDS)
+    print(f"{checked - len(bench_missed)} of {checked} corner_corridor VO runs match "
+          "bench/digests.json")
+    return 1 if missed or bench_missed else 0
 
 
 if __name__ == "__main__":

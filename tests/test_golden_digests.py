@@ -4,18 +4,18 @@ tests/golden_check.py lists what tests/golden_digests.json holds, computes
 the digests and re-records them; the tests below check each group of them.
 A change that moves any of them changes what the simulator does and must say
 why. The benchmark's own record, bench/digests.json, is read (never written)
-for one more gate: its waypoints.csv digests of `plan` on paper_like_5uav and
-paper_like_7uav at seeds 1-32.
+for two more gates: its waypoints.csv digests of `plan` on paper_like_5uav and
+paper_like_7uav at seeds 1-32, and its trajectories.csv and report.json
+digests of `run --algo vo` on corner_corridor at seeds 1-16.
 """
 
 import json
 
 import pytest
 
-from golden_check import (ALGOS, COMPARE_PREFIX, GOLDEN, PLAN_SEEDS, ROOT, SCENARIOS,
-                          compare_digests, golden_key, plan_digest, run_digests)
-
-BENCH_DIGESTS = ROOT / "bench" / "digests.json"
+from golden_check import (ALGOS, BENCH_DIGESTS, BENCH_VO_SEEDS, COMPARE_PREFIX, GOLDEN,
+                          PLAN_SEEDS, SCENARIOS, bench_mismatches, compare_digests, golden_key,
+                          plan_digest, run_digests)
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +81,7 @@ def test_plan_waypoints_match_bench_digests(tmp_path):
             mismatched.append(key)
     assert mismatched == []
 
+
+def test_vo_corner_runs_match_bench_digests(tmp_path):
+    assert list(BENCH_VO_SEEDS) == list(range(1, 17))
+    assert bench_mismatches(tmp_path) == []

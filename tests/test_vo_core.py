@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -801,13 +802,13 @@ def _conflicting(state, threats, params):
 
 
 @st.composite
-def _pruned_decisions(draw):
+def _pruned_decisions(draw, component=_component):
     """(state, threats, params) for one decision with two or more conflicting threats.
 
     Two to four threats touch the UAV on distinct axes, inside their combined
     radius, as walls do at a corridor corner: each cone is a half-plane whose
     edges lie on multiples of pi/2. They move with components from
-    `_component`, -0.0 among them. Threats on opposite axes, each closing on
+    `component`, -0.0 among them. Threats on opposite axes, each closing on
     the UAV, can leave no candidate at all, so some sets end up empty. A free
     threat may follow them.
     """
@@ -821,13 +822,20 @@ def _pruned_decisions(draw):
         radius = draw(st.sampled_from((24.0, 12.5, 5.0)))
         d = draw(st.floats(0.5, radius))
         threats.append(Threat(Vec2(pos.x + ux * d, pos.y + uy * d),
-                              Vec2(draw(_component), draw(_component)), radius, f"t{i}"))
+                              Vec2(draw(component), draw(component)), radius, f"t{i}"))
     if draw(st.booleans()):
         p = Vec2(pos.x + draw(st.floats(-60.0, 60.0)), pos.y + draw(st.floats(-60.0, 60.0)))
-        threats.append(Threat(p, Vec2(draw(_component), draw(_component)), 24.0, "free"))
+        threats.append(Threat(p, Vec2(draw(component), draw(component)), 24.0, "free"))
     state = make_state(pos, wp)
     assume(len(_conflicting(state, threats, params)) >= 2)
     return state, threats, params
+
+
+def _resting_pruned_decisions():
+    """`_pruned_decisions` with every threat at rest, as wall circles and
+    parked UAVs are: each velocity component is 0.0 or -0.0. Such a set is
+    never empty, as its zero speed is never inside a cone."""
+    return _pruned_decisions(component=st.sampled_from((0.0, -0.0)))
 
 
 def _assert_same_decision(got, want):
@@ -852,6 +860,14 @@ class TestAvoidMatchesOracle:
         state, threats, params = case
         want = oracle_decision(state, threats, params)
         event("empty set" if want.empty_set else "chosen velocity")
+        _assert_same_decision(avoid(state, threats, params), want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_resting_pruned_decisions())
+    def test_random_resting_pruned_decisions(self, case):
+        state, threats, params = case
+        want = oracle_decision(state, threats, params)
+        assert not want.empty_set
         _assert_same_decision(avoid(state, threats, params), want)
 
     def test_corner_corridor_pruned_decisions(self, monkeypatch):
@@ -919,6 +935,126 @@ class TestAvoidMatchesOracle:
                    Threat(Vec2(3.0, 4.0), Vec2(1.0, 0.0), 24.0, "self"),
                    Threat(Vec2(13.0, 4.0), Vec2(0.0, -0.0), 12.5, "c")]
         assert avoid(state, threats, params) == oracle_decision(state, threats, params)
+
+
+def _count_survival_tests(monkeypatch):
+    """A list that gains one entry per `vo_core._survives` call from here on."""
+    calls = []
+
+    def counting(cx, cy, prunes, _survives=vo_core._survives):
+        calls.append((cx, cy))
+        return _survives(cx, cy, prunes)
+
+    monkeypatch.setattr(vo_core, "_survives", counting)
+    return calls
+
+
+def _resting_case(params, v_max, cone, prunes, n):
+    """(the set seeded at rest by `cone` and pruned by each (o, cone) of
+    `prunes`, the full scan's pick from the listed set filtered through the
+    same cones with the Vec2 `in_cone`)."""
+    v_ab, v_b = Vec2(v_max, 0.0), Vec2(0.0, -0.0)
+    fset = search_feasible(v_ab, v_b, cone, params)
+    cands = oracle_candidates(v_ab, v_b, cone, params)
+    for o, c in prunes:
+        fset = prune_feasible(fset, o, c)
+        cands = [x for x in cands if not in_cone(Vec2(x[0] - o.x, x[1] - o.y), c)]
+    return fset, oracle_closest(cands, n.x, n.y)
+
+
+class TestRestingRays:
+    """Where every velocity is zero, a heading's ray settles it once per
+    pruning cone; a heading near a cone's edge, a moving threat or a tiny
+    speed falls back to testing each candidate. The pick is the full scan's."""
+
+    _SEED = CollisionCone(math.pi, 0.3)  # blocks the headings around -x
+
+    def _pick(self, monkeypatch, fset, n):
+        calls = _count_survival_tests(monkeypatch)
+        got = select_velocity(fset, n)
+        return (got.x, got.y), len(calls)
+
+    @pytest.mark.parametrize("inset", [0.0, 2.0 ** -30])
+    def test_heading_on_a_pruning_cone_edge(self, monkeypatch, inset):
+        # heading 4 of theta_step pi/8 is pi/2, exactly on the edge of a cone
+        # around +x of that half-angle, as at a wall contact; the nominal lies
+        # on its ray. On the edge its speeds are tested one by one; a cone
+        # 2**-30 narrower leaves the heading clear of it
+        params = Params(theta_step=math.pi / 8.0)
+        theta, cos_t, sin_t = vo_core._headings(params.theta_step)[4]
+        half = abs(math.remainder(theta - 0.0, math.tau)) - inset
+        n = Vec2(2.0 * cos_t, 2.0 * sin_t)
+        fset, want = _resting_case(params, 3.0, self._SEED,
+                                   [(Vec2(-0.0, 0.0), CollisionCone(0.0, half))], n)
+        got, tests = self._pick(monkeypatch, fset, n)
+        assert got == want and want[1] > 0.0
+        assert (tests > 1) == (inset == 0.0)
+
+    @pytest.mark.parametrize("delta", [-(2.0 ** -44), 2.0 ** -44])
+    def test_heading_in_the_margin_band(self, monkeypatch, delta):
+        # heading 5 (theta 1.0) lies 2**-44 inside or outside the pruning
+        # cone's edge: far beyond a candidate's angle error, but within the
+        # 2**-40 margin, so its candidates are tested one by one
+        params = Params()
+        theta, cos_t, sin_t = vo_core._headings(params.theta_step)[5]
+        prune = CollisionCone(0.3, abs(math.remainder(theta - 0.3, math.tau)) + delta)
+        n = Vec2(1.5 * cos_t, 1.5 * sin_t)
+        fset, want = _resting_case(params, 3.0, self._SEED, [(Vec2(0.0, 0.0), prune)], n)
+        center, inner, outer = vo_core._resting_rays(fset.grid)[0]
+        assert inner <= abs(math.remainder(theta - center, math.tau)) < outer
+        got, tests = self._pick(monkeypatch, fset, n)
+        assert got == want and tests > 1
+        # the pick lies on heading 5 unless the heading is just inside the cone
+        on_ray = [(m * cos_t, m * sin_t) for m in fset.grid.speeds[1:]]
+        assert (got in on_ray) == (delta < 0.0)
+
+    @pytest.mark.parametrize("oy", [-0.0, 1e-9])
+    def test_moving_pruning_threat_tests_each_candidate(self, monkeypatch, oy):
+        # the nominal lies inside a pruning cone around +x: at rest, its ray
+        # passes each heading near it over, and only `zero` is tested; a
+        # threat moving at 1e-9 m/s sends the decision down the per-candidate
+        # path, whose windows and outward walks test many
+        params = Params()
+        n = Vec2(2.0, 0.1)
+        fset, want = _resting_case(params, 3.0, self._SEED,
+                                   [(Vec2(0.0, oy), CollisionCone(0.0, 0.5))], n)
+        assert (vo_core._resting_rays(fset.grid) is None) == (oy != 0.0)
+        got, tests = self._pick(monkeypatch, fset, n)
+        assert got == want
+        assert (tests == 1) == (oy == 0.0)
+
+    @pytest.mark.parametrize("step", [2.0 ** -1000, 2.0 ** -900])
+    def test_tiny_speeds_trip_the_underflow_guard(self, monkeypatch, step):
+        # below 2**-900 a speed's product with a cos or sin could be
+        # subnormal, so its ray classifies nothing; at 2**-900 it does
+        params = SimpleNamespace(theta_step=0.2, mag_step=step)
+        n = Vec2(2.5 * step, step)
+        fset, want = _resting_case(params, 3.0 * step, self._SEED,
+                                   [(Vec2(0.0, 0.0), CollisionCone(0.0, 0.5))], n)
+        assert fset.grid.speeds[1] == step
+        assert (vo_core._resting_rays(fset.grid) is None) == (step < 2.0 ** -900)
+        got, _ = self._pick(monkeypatch, fset, n)
+        assert got == want
+
+    def test_corner_corridor_tests_survival_once_per_pruned_decision(self, monkeypatch):
+        # at the corridor corner every pruned decision is seeded and pruned by
+        # wall circles at rest: their rays settle each heading, and only
+        # `zero`, the first candidate, is tested
+        scenario = load_scenario(SCENARIOS / "corner_corridor.json")
+        params = replace(scenario.sim, algorithm="vo")
+        pruned = []
+
+        def recording(state, threats, params):
+            if len(_conflicting(state, threats, params)) >= 2:
+                pruned.append(state)
+            return avoid(state, threats, params)
+
+        monkeypatch.setattr(sim_engine, "avoid", recording)
+        calls = _count_survival_tests(monkeypatch)
+        for seed in range(1, 5):
+            run(scenario, params, seed)
+        assert len(pruned) >= 100
+        assert len(calls) <= len(pruned)
 
 
 class TestSpeedGridBound:
