@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -40,14 +41,16 @@ def path_length(points: Sequence[Vec2]) -> float:
 
 def pairwise_distances(
     trajectories: Mapping[str, Sequence[Vec2]],
-) -> tuple[dict[tuple[str, str], list[float]], dict[tuple[str, str], float]]:
+) -> tuple[dict[tuple[str, str], array], dict[tuple[str, str], float]]:
     """Per-step distance series and minima for every unordered UAV pair.
 
     All trajectories must be time-aligned (equal sample counts). Pair keys
-    follow the mapping's iteration order. A sample whose two positions are
-    the same objects (`is`) as the previous sample's repeats the previous
-    distance, the very float: same objects, same `distance`. So a pair of
-    parked UAVs costs one `hypot` per parking, not one per sample.
+    follow the mapping's iteration order. Each series is an `array('d')`,
+    8 bytes a sample, where a list would hold a pointer and a float object
+    (about 33 bytes). A sample whose two positions are the same objects (`is`)
+    as the previous sample's repeats the previous distance, the very value:
+    same objects, same `distance`. So a pair of parked UAVs costs one `hypot`
+    per parking, not one per sample.
     """
     ids = list(trajectories)
     lengths = {len(trajectories[i]) for i in ids}
@@ -55,10 +58,10 @@ def pairwise_distances(
         raise ValueError(f"trajectories are not time-aligned: sample counts {sorted(lengths)}")
     if lengths == {0}:
         raise ValueError("empty trajectories")
-    series: dict[tuple[str, str], list[float]] = {}
+    series: dict[tuple[str, str], array] = {}
     minima: dict[tuple[str, str], float] = {}
     for a, b in combinations(ids, 2):
-        ds: list[float] = []
+        ds = array("d")
         append = ds.append
         last_p = last_q = None
         for p, q in zip(trajectories[a], trajectories[b]):
@@ -77,13 +80,14 @@ class RunReport:
     path_lengths maps a collided UAV to None (rendered as the '--' marker on
     export); the number is never replaced by a sentinel value. pair_distances
     holds the per-sample series whose minima are pair_min_distances, in the
-    same pair order. event_counts tallies the run's events by kind, with
+    same pair order, each an `array('d')` of one float per sample (see
+    `pairwise_distances`). event_counts tallies the run's events by kind, with
     every kind of EVENT_KINDS present.
     """
 
     path_lengths: dict[str, float | None]
     pair_min_distances: dict[tuple[str, str], float]
-    pair_distances: dict[tuple[str, str], list[float]]
+    pair_distances: dict[tuple[str, str], array]
     event_counts: dict[str, int]
 
 

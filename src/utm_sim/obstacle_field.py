@@ -63,10 +63,19 @@ class RectObstacle:
 MAX_CIRCLES = 100_000
 
 # The most UAV-steps (`max_steps` times the UAV count) one run may record. A run
-# keeps every step's states and pair distances, about 0.4 KB per UAV-step, so
-# this is about 2 GB of peak memory. The shipped scenarios need at most 140,000
-# (paper_like_7uav: 20,000 x 7); `Scenario` rejects a table over the limit.
+# keeps every step's states, under 0.4 KB per UAV-step, so this is under 2 GB
+# of peak memory. The shipped scenarios need at most 140,000 (paper_like_7uav:
+# 20,000 x 7); `Scenario` rejects a table over the limit.
 MAX_UAV_STEPS = 5_000_000
+
+# The most pair samples (`max_steps` times the n(n-1)/2 pairs of n UAVs) one
+# run may record. A pair sample is one pair's distance at one step, 8 bytes in
+# `metrics.pairwise_distances`' packed series, so this is 0.8 GB more, and the
+# two limits keep a run under about 3 GB. Without it, 100 UAVs (4,950 pairs)
+# at 50,000 steps would pass MAX_UAV_STEPS with 2 GB of pair series. The
+# shipped scenarios need at most 420,000 (paper_like_7uav: 20,000 x 21);
+# `Scenario` rejects a table over the limit.
+MAX_PAIR_SAMPLES = 100_000_000
 
 
 def _edges(rect: RectObstacle, params: Params) -> Iterator[tuple[Vec2, Vec2, int]]:

@@ -23,7 +23,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from .geom2d import Bounds, Vec2, distance, finite_float
 from .metrics import COLLISION_MARKER, RunReport, build_report, path_length
-from .obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
+from .obstacle_field import (MAX_CIRCLES, MAX_PAIR_SAMPLES, MAX_UAV_STEPS, RectObstacle,
+                             circle_count)
 from .params import ALGORITHMS, DEFAULT_BOUNDS, Params
 from .rrt_planner import PlanningError, check_endpoints
 from .sim_engine import SimResult, UavState, plan_paths, run, run_planned
@@ -98,9 +99,14 @@ class Scenario:
         _require(sum(circle_count(r, sim) for r in self.rectangles) <= MAX_CIRCLES,
                  f"params: circle_spacing {sim.circle_spacing} is too small for the "
                  f"rectangles: they would need more than {MAX_CIRCLES} boundary circles")
-        _require(sim.max_steps * len(self.uavs) <= MAX_UAV_STEPS,
-                 f"params: max_steps * len(uavs) = {sim.max_steps} * {len(self.uavs)} is more "
+        n = len(self.uavs)
+        _require(sim.max_steps * n <= MAX_UAV_STEPS,
+                 f"params: max_steps * len(uavs) = {sim.max_steps} * {n} is more "
                  f"than {MAX_UAV_STEPS}, the UAV-steps one run may record")
+        _require(sim.max_steps * (n * (n - 1) // 2) <= MAX_PAIR_SAMPLES,
+                 f"params: max_steps * len(uavs) * (len(uavs) - 1) / 2 = {sim.max_steps} * {n} "
+                 f"* {n - 1} / 2 is more than {MAX_PAIR_SAMPLES}, the pair samples one run "
+                 f"may record")
         try:
             check_endpoints([(f"uav '{u.id}': {label}", p) for u in self.uavs
                              for label, p in (("start", u.start), ("goal", u.goal))],
@@ -239,7 +245,8 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
     formatting (`%.6f`), sorted JSON keys. distances.csv writes
     `report.pair_distances`, so `report` must be `build_report(result)`. Both
     CSV files are streamed line by line rather than joined first, so their
-    full text is never held next to that series. Both write `t` as
+    full text is never held next to that series, and each line's time is
+    computed as it is written, not kept in a list. Both write `t` as
     `k * params.dt` for the `k`th state. In trajectories.csv a UAV's text is
     formatted once per run of the same `UavState` object (see
     `_trajectory_lines`), which gives the bytes of formatting it on every
@@ -255,11 +262,11 @@ def export_result(result: SimResult, report: RunReport, out_dir: str | Path) -> 
         f.writelines(_trajectory_lines(result.states, dt))
 
     series = report.pair_distances
-    times = [k * dt for k in range(len(result.states))]
     row_fmt = ",".join(["%.6f"] * (1 + len(series))) + "\n"
     with open(out / "distances.csv", "w", encoding="utf-8") as f:
         f.write(",".join(["t"] + [f"{a}-{b}" for (a, b) in series]) + "\n")
-        for row in zip(times, *series.values()):
+        # the times stream in: `dt * k` is `k * dt`, as float products commute
+        for row in zip(map(dt.__mul__, range(len(result.states))), *series.values()):
             f.write(row_fmt % row)
 
     events = [
@@ -344,15 +351,20 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path_lengths(sc: Scenario, paths: dict[str, tuple[Vec2, ...]],
+                  out: Path) -> dict[str, float | None]:
+    """Run `paths` under `sc`'s controller and export the run into `out`; return
+    only its path lengths, so the run's states and report are freed on return."""
+    result = run_planned(sc, sc.sim, paths)
+    report = build_report(result)
+    export_result(result, report, out)
+    return report.path_lengths
+
+
 def _compare_seed(runs: Sequence[Scenario], paths: dict[str, tuple[Vec2, ...]], out: Path) -> dict:
-    """Run one seed's plans under each scenario of `runs` into `out / algo`; return path lengths."""
-    lengths = {}
-    for sc in runs:
-        result = run_planned(sc, sc.sim, paths)
-        report = build_report(result)
-        export_result(result, report, out / sc.sim.algorithm)
-        lengths[sc.sim.algorithm] = report.path_lengths
-    return lengths
+    """Run one seed's plans under each scenario of `runs` into `out / algo`, one
+    run at a time; return each controller's path lengths."""
+    return {sc.sim.algorithm: _path_lengths(sc, paths, out / sc.sim.algorithm) for sc in runs}
 
 
 def _compare_batch(runs: Sequence[Scenario], seeds: range, out: Path, staging: Path) -> list:

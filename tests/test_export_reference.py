@@ -9,6 +9,8 @@ draw the step `dt`, and use UAV ids that contain `%`.
 """
 
 import tempfile
+from array import array
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from export_oracle import (oracle_distances_csv, oracle_pairwise_series, oracle_
 from utm_sim.geom2d import Vec2
 from utm_sim.metrics import build_report, pairwise_distances, path_length
 from utm_sim.params import Params
-from utm_sim.scenario_cli import export_result
-from utm_sim.sim_engine import SimResult, UavState
+from utm_sim.scenario_cli import export_result, load_scenario
+from utm_sim.sim_engine import SimResult, UavState, run
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 _value = st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 2.5, -3.75]) | st.floats(-500.0, 500.0)
 _ids = st.lists(st.sampled_from(["a", "b", "u1", "u%", "%s", "x%%y", "%.6f"]),
@@ -104,6 +108,23 @@ class TestSameObjectsSameResult:
             "t,uav_id,x,y,vx,vy\n"
             "0.000000,u%,0.000000,1.000000,0.000000,1.000000\n"
             "0.100000,u%,-0.000000,1.000000,-0.000000,1.000000\n")
+
+
+def test_packed_series_are_the_oracle_floats():
+    # corner_corridor under APF: every run hits the cutoff, with most UAVs
+    # parked at their goals for most of it, so their position objects repeat
+    sc = load_scenario(SCENARIOS / "corner_corridor.json")
+    result = run(sc, replace(sc.sim, algorithm="apf"), 1)
+    positions = oracle_positions(result)
+    parked = sum(p is q for pts in positions.values() for p, q in zip(pts, pts[1:]))
+    assert parked > len(result.states)
+    series, minima = pairwise_distances(positions)
+    want = oracle_pairwise_series(positions)
+    assert list(series) == list(want)
+    for pair, ds in series.items():
+        assert type(ds) is array and ds.typecode == "d"
+        assert [d.hex() for d in ds] == [d.hex() for d in want[pair]]
+        assert minima[pair].hex() == min(want[pair]).hex()
 
 
 def test_path_length_of_one_sample_is_the_float_zero():

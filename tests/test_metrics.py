@@ -52,7 +52,7 @@ class TestPairwiseDistances:
         b = [Vec2(float(i), 1.0) for i in range(11)]
         series, minima = pairwise_distances({"a": a, "b": b})
         assert minima[("a", "b")] == 1.0
-        assert series[("a", "b")] == [1.0] * 11
+        assert list(series[("a", "b")]) == [1.0] * 11
 
     def test_crossing_minimum_zero(self):
         a = [Vec2(float(i), 0.0) for i in range(11)]

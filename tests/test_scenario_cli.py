@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from utm_sim.geom2d import Bounds, Vec2
 from utm_sim.metrics import build_report
-from utm_sim.obstacle_field import MAX_CIRCLES, MAX_UAV_STEPS, RectObstacle, circle_count
+from utm_sim.obstacle_field import (MAX_CIRCLES, MAX_PAIR_SAMPLES, MAX_UAV_STEPS, RectObstacle,
+                                    circle_count)
 from utm_sim.params import DEFAULT_BOUNDS, MAX_CANDIDATES, MAX_HEADINGS, MAX_SPEEDS, Params
 from utm_sim import rrt_planner
 from utm_sim import scenario_cli
@@ -422,9 +424,10 @@ def _documents(draw):
     every endpoint, and the bounds enclose all of them with a margin of 1 m or more.
     A side is at most 6,000 circle spacings long, so the (at most four)
     rectangles need under MAX_CIRCLES boundary circles, and there are at most
-    MAX_UAV_STEPS // max_steps UAVs. `mag_step` is raised where the bounds
-    would need more than MAX_SPEEDS speeds, or more than MAX_CANDIDATES
-    headings times speeds.
+    MAX_UAV_STEPS // max_steps UAVs, and at most four: six pairs at
+    MAX_UAV_STEPS // 4 steps stay within MAX_PAIR_SAMPLES. `mag_step` is
+    raised where the bounds would need more than MAX_SPEEDS speeds, or more
+    than MAX_CANDIDATES headings times speeds.
     """
     params = draw(st.fixed_dictionaries({}, optional=_KEY_VALUES).filter(_is_valid))
     table = Params(**params)
@@ -619,6 +622,50 @@ class TestUavStepLimit:
         assert err == (f"scenario error: params: max_steps * len(uavs) = {MAX_UAV_STEPS + 1} "
                        f"* 1 is more than {MAX_UAV_STEPS}, the UAV-steps one run may record\n")
         assert not (tmp_path / "o").exists()
+
+
+def _fleet(n, height=400.0):
+    """n UAVs on a 50 m grid, seven to a row, each flying to the mirror of its
+    start row in bounds `height` tall."""
+    return [{"id": f"u{i}", "start": [25.0 + 50.0 * (i % 7), 25.0 + 50.0 * (i // 7)],
+             "goal": [25.0 + 50.0 * (i % 7), height - 25.0 - 50.0 * (i // 7)]}
+            for i in range(n)]
+
+
+class TestPairSampleLimit:
+    # 42 UAVs have 861 pairs. STEPS, the most steps whose pair samples stay
+    # within MAX_PAIR_SAMPLES, and one more both stay within MAX_UAV_STEPS, so
+    # only the pair rule tells the two apart.
+    N = 42
+    STEPS = MAX_PAIR_SAMPLES // (N * (N - 1) // 2)
+
+    def test_the_most_steps_within_the_limit_load(self, tmp_path):
+        assert (self.STEPS + 1) * self.N <= MAX_UAV_STEPS
+        at_limit = {"uavs": _fleet(self.N), "params": {"max_steps": self.STEPS}}
+        sc = load_scenario(write_scenario(tmp_path, at_limit))
+        assert len(sc.uavs) == self.N and sc.sim.max_steps == self.STEPS
+
+    def test_one_step_over_the_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        over = {"uavs": _fleet(self.N), "params": {"max_steps": self.STEPS + 1}}
+        scn = write_scenario(tmp_path, over)
+        # were the table accepted, a run this long would take minutes and gigabytes
+        monkeypatch.setattr(scenario_cli, "run", lambda *args: pytest.fail("the run started"))
+        code = main(["run", "--scenario", str(scn), "--algo", "vo", "--seed", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"scenario error: params: max_steps * len(uavs) * (len(uavs) - 1) / 2 = "
+            f"{self.STEPS + 1} * {self.N} * {self.N - 1} / 2 is more than {MAX_PAIR_SAMPLES}, "
+            f"the pair samples one run may record\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_hundred_uavs_at_50000_steps_rejected(self, tmp_path):
+        # within MAX_UAV_STEPS, but 247,500,000 pair samples
+        doc = {"bounds": {"min_x": 0.0, "min_y": 0.0, "max_x": 400.0, "max_y": 800.0},
+               "uavs": _fleet(100, 800.0), "params": {"max_steps": 50_000}}
+        assert 100 * 50_000 <= MAX_UAV_STEPS
+        with pytest.raises(ScenarioError, match=r"= 50000 \* 100 \* 99 / 2 is more than"):
+            load_scenario(write_scenario(tmp_path, doc))
 
 
 _GAIN = st.floats(0.1, 60.0)
@@ -1167,6 +1214,28 @@ class TestCliMain:
         apf_first = json.loads((out / "seed_4" / "apf" / "trajectories.csv")
                                .read_text().splitlines()[1].split(",")[2])
         assert vo_first == apf_first  # identical start, identical plan
+
+    def test_compare_holds_one_run_at_a_time(self, tmp_path, monkeypatch):
+        # the VO run's result and report are freed before the APF run starts
+        held, live = [], []
+        run_planned_, build_report_ = scenario_cli.run_planned, scenario_cli.build_report
+
+        def tracked_run(scenario, params, paths):
+            live.append((params.algorithm, [ref() is not None for ref in held]))
+            result = run_planned_(scenario, params, paths)
+            held.append(weakref.ref(result))
+            return result
+
+        def tracked_report(result):
+            report = build_report_(result)
+            held.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(scenario_cli, "run_planned", tracked_run)
+        monkeypatch.setattr(scenario_cli, "build_report", tracked_report)
+        assert main(["compare", "--scenario", str(SCENARIOS / "head_on_duel.json"),
+                     "--seeds", "1..1", "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+        assert live == [("vo", []), ("apf", [False, False])]
 
 
 def _tree(root):
