@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -113,14 +114,42 @@ class Scenario:
                             self.rectangles, sim)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        # strict <, as in the engine's collision scan: touching bodies do not overlap
-        gap = 2.0 * sim.uav_radius
-        for i, a in enumerate(self.uavs):
-            for b in self.uavs[i + 1:]:
-                for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
-                    _require(distance(pa, pb) >= gap,
-                             f"uavs '{a.id}' and '{b.id}' {label} are closer than "
-                             f"2 * uav_radius ({gap}); the bodies overlap")
+        _require_apart(self.uavs, 2.0 * sim.uav_radius, bounds)
+
+
+def _require_apart(uavs: Sequence[UavSpec], gap: float, bounds: Bounds) -> None:
+    """Raise ScenarioError if two starts, or two goals, fail `distance(pa, pb) >= gap`.
+
+    Strict <, as in the engine's collision scan: touching bodies do not
+    overlap. The message names the pair that the loop over every i < j,
+    starts before goals, meets first: least i, then least j, then starts.
+    Points are bucketed into square cells w >= 2 * gap wide, and each is
+    tested against the 3 x 3 cells around its own, which hold every point
+    that could overlap it: the computed distance is at least |fl(xb - xa)|,
+    so an overlapping pair has |xb - xa| <= gap <= w / 2 exactly. Every
+    point lies inside `bounds`, and w is at least 2**-40 of their largest
+    coordinate, so fl(x / w) errs by under 2**-13: the cell indices
+    floor(fl(x / w)) of such a pair differ by at most one (likewise in y).
+    """
+    reach = max(abs(bounds.min_x), abs(bounds.max_x), abs(bounds.min_y), abs(bounds.max_y))
+    w = max(2.0 * gap, reach * 2.0 ** -40)
+    ends = (("starts", [u.start for u in uavs]), ("goals", [u.goal for u in uavs]))
+    cells: dict[tuple[str, int, int], list[int]] = {}
+    for label, points in ends:
+        for j, p in enumerate(points):
+            cells.setdefault((label, math.floor(p.x / w), math.floor(p.y / w)), []).append(j)
+    for i, a in enumerate(uavs):
+        near = []  # (j, label) of each later UAV that overlaps this one, starts first
+        for label, points in ends:
+            pa = points[i]
+            kx, ky = math.floor(pa.x / w), math.floor(pa.y / w)
+            near += [(j, label) for x in (kx - 1, kx, kx + 1) for y in (ky - 1, ky, ky + 1)
+                     for j in cells.get((label, x, y), ())
+                     if j > i and not distance(pa, points[j]) >= gap]
+        if near:
+            j, label = min(near, key=lambda pair: pair[0])  # the first of least j
+            raise ScenarioError(f"uavs '{a.id}' and '{uavs[j].id}' {label} are closer than "
+                                f"2 * uav_radius ({gap}); the bodies overlap")
 
 
 def _check_keys(obj: dict, allowed: Iterable[str], ctx: str) -> None:

@@ -125,25 +125,16 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
     floats too, and every source that passes still gets the very `hypot` or
     `point_rect_distance` call on the very operands it got before.
 
-    Of each rectangle's ring only the circles that pass both `dx` tests are
-    visited. The computed `cx - px` is monotone in `cx` (rounding never
-    reverses an order), so along the ring, which is sorted by centre x, the
-    circles failing `px - cx < range` (the same float as `-(cx - px)`) form a
-    prefix and those failing `cx - px < range` a suffix: each predicate flips
-    once along the ring, at one index. Comparing `cx` with a precomputed
-    `px - range` or `px + range` would not be the same test, because that
-    sum is rounded too, so a bisection of the ring's centre x-coordinates at
-    that sum only picks where to start. From there the upper end steps down
-    while the circle before it fails its very `dx` test, then up while the
-    circle at it passes; as the predicate flips once, any start ends on its
-    flip. The lower end only steps up while the circle at it fails: no circle
-    before its start passes. Such a cx is below s = fl(px - range) by at
-    least the float spacing g below s, while s lies within g / 2 of
+    Each rectangle's ring, sorted by centre x, is scanned from a bisection
+    of its centre x-coordinates at s = fl(px - range), with the same tests.
+    No circle before that start passes `-dx < range`: such a cx is below s by
+    at least the float spacing g below s, while s lies within g / 2 of
     px - range whenever it rounded up, so px - cx > range exactly and rounds
-    to no less than the float range. The window thus holds the circles a scan
-    of the whole ring would keep. The rounded sum lies within a rounding of
-    the flip, so each walk is usually 0 or 1 steps. The visiting order does
-    not matter: the sort key (distance, UAV before circle, source id) is total.
+    to no less than the float range. The scan stops at the first circle with
+    `dx >= range`, as every later one has it too: the computed `cx - px` is
+    monotone in `cx`, since rounding never reverses an order.
+    The visiting order does not matter: the sort key (distance, UAV before
+    circle, source id) is total.
     """
     dist_uav, dist_obs = params.dist_uav, params.dist_obs
     r_uav = params.uav_radius + params.uav_radius
@@ -173,21 +164,13 @@ def gather_threats(uav: UavState, snapshot: Sequence[UavState], obstacles: Obsta
                 or rect.min_y - py >= dist_obs or py - rect.max_y >= dist_obs \
                 or point_rect_distance(uav.position, rect) >= dist_obs:
             continue
-        n = len(xs)
-        # lo: the first circle with px - cx < dist_obs, never before the start
-        lo = bisect_left(xs, px - dist_obs)
-        while lo < n and not px - xs[lo] < dist_obs:
-            lo += 1
-        # hi: from lo on, the first circle with cx - px >= dist_obs
-        hi = bisect_left(xs, px + dist_obs, lo)
-        while hi > lo and xs[hi - 1] - px >= dist_obs:
-            hi -= 1
-        while hi < n and not xs[hi] - px >= dist_obs:
-            hi += 1
-        for threat in ring[lo:hi]:
+        for i in range(bisect_left(xs, px - dist_obs), len(xs)):
+            threat = ring[i]
             c = threat.position
             dx, dy = c.x - px, c.y - py
-            if dy >= dist_obs or -dy >= dist_obs:
+            if dx >= dist_obs:
+                break  # every later circle has dx >= dist_obs too
+            if -dx >= dist_obs or dy >= dist_obs or -dy >= dist_obs:
                 continue
             d = math.hypot(dx, dy)
             if d < dist_obs:

@@ -11,25 +11,26 @@ velocity. An empty set falls back to hovering in place.
 
 Candidates are plain (vx, vy) float pairs in world frame, not Vec2: a decision
 stands for hundreds of them, and only the one velocity that leaves `avoid` is
-built (and finiteness-checked) as a Vec2. A set is kept as its polar grid
+built (and finiteness-checked) as a Vec2. A `FeasibleSet` is its polar grid
 (headings, speeds, the seeding cone, the threat's velocity) plus the velocity
-and cone of every threat that pruned it; no decision lists it. Whether a
-heading lies outside the seeding cone, or a candidate outside the pruning
-cones, is tested only where selection needs the answer: for a heading whose
-rounded distance bound says it could hold the winner, and for a candidate that
-would become the best. Per such open heading, selection evaluates the two or
-three speeds near the nominal velocity's projection onto that heading, and
-walks outward from them only where pruning rejected one; it picks the same
-candidate as the scan of the whole list (see `select_velocity`). Where the
-seeding threat and every pruning threat are at rest (wall circles, parked
-UAVs), each nonzero speed of a heading lies on the heading's ray relative to
-every pruning threat, so the ray settles the heading once per pruning cone:
-inside a cone it holds only its zero speed and is passed over, outside every
-cone its window is evaluated without a survival test. A heading within a
-small margin of a cone's edge, a moving threat, or speeds small enough that a
-product could be subnormal fall back to testing each candidate. The heading
-table (theta, cos, sin) is computed once per theta_step, and the speed grid is
-grown once per mag_step, for the 16 most recent step sizes each.
+and cone of every threat that pruned it; its `candidates` property lists the
+set when read, and no decision reads it. Whether a heading lies outside the
+seeding cone, or a candidate outside the pruning cones, is tested only where
+selection needs the answer: for a heading whose rounded distance bound says it
+could hold the winner, and for a candidate that would become the best. Per
+such open heading, selection evaluates the two or three speeds near the
+nominal velocity's projection onto that heading, and walks outward from them
+only where pruning rejected one; it picks the same candidate as the scan of
+the whole list (see `select_velocity`). Where the seeding threat and every
+pruning threat are at rest (wall circles, parked UAVs), each nonzero speed of
+a heading lies on the heading's ray relative to every pruning threat, so the
+ray settles the heading once per pruning cone: inside a cone it holds only its
+zero speed and is passed over, outside every cone its window is evaluated
+without a survival test. A heading within a small margin of a cone's edge, a
+moving threat, or speeds small enough that a product could be subnormal fall
+back to testing each candidate. The heading table (theta, cos, sin) is
+computed once per theta_step, and the speed grid is grown once per mag_step,
+for the 16 most recent step sizes each.
 """
 
 from __future__ import annotations
@@ -76,16 +77,17 @@ class CollisionCone:
 
 
 @dataclass(frozen=True, slots=True)
-class _PolarGrid:
-    """A feasible set as its seeded grid and its pruning cones: every heading
-    with its speeds, or only its zero-speed entry where the seeding cone blocks
-    it, less each candidate inside a pruning cone.
+class FeasibleSet:
+    """Feasible absolute velocities, kept as a seeded polar grid and its pruning cones.
 
-    Heading theta is blocked when abs(remainder(theta - center, tau)) < half,
-    the negated in_cone rule for a nonzero velocity along it; candidate c is
-    pruned when `_in_cone_xy(c - o, cone)` holds for an entry (ox, oy, cone) of
-    `prunes`. Both tests are made where a reader needs their answer, not when
-    the grid is seeded or pruned.
+    The set is every heading with its speeds, or only its zero-speed entry
+    where the seeding cone blocks the heading, less each candidate inside a
+    pruning cone. Heading theta is blocked when
+    abs(remainder(theta - center, tau)) < half, the negated in_cone rule for a
+    nonzero velocity along it; candidate c is pruned when
+    `_in_cone_xy(c - o, cone)` holds for an entry (ox, oy, cone) of `prunes`.
+    Both tests are made where a reader needs their answer, not when the set is
+    seeded or pruned.
     """
 
     headings: tuple[tuple[float, float, float], ...]  # (theta, cos, sin), ascending
@@ -97,7 +99,13 @@ class _PolarGrid:
     by: float
     prunes: tuple[tuple[float, float, CollisionCone], ...] = ()  # in pruning order
 
+    @property
     def candidates(self) -> list[tuple[float, float]]:
+        """The set as (vx, vy) float pairs, listed on each read, in search order.
+
+        Search order is ascending heading, then ascending speed; pruning drops
+        entries without reordering the rest. Selection never reads this list.
+        """
         bx, by, speeds, prunes = self.bx, self.by, self.speeds, self.prunes
         center, half, tau, remainder = self.center, self.half, math.tau, math.remainder
         # zero speed has no heading, so it survives the seeding cone; `0.0 +` folds a
@@ -112,25 +120,6 @@ class _PolarGrid:
         if prunes:
             cands = [c for c in cands if _survives(c[0], c[1], prunes)]
         return cands
-
-
-class FeasibleSet:
-    """Feasible absolute velocities as (vx, vy) float pairs, in search order.
-
-    Search order is ascending heading, then ascending speed. A heading blocked
-    by the seeding cone contributes only its zero-speed entry, and pruning
-    drops entries without reordering the rest. The set is held as its `grid`;
-    `candidates` lists it on each read, and selection never reads it.
-    """
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid: _PolarGrid) -> None:
-        self.grid = grid
-
-    @property
-    def candidates(self) -> list[tuple[float, float]]:
-        return self.grid.candidates()
 
 
 class AvoidResult(NamedTuple):
@@ -236,10 +225,10 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
     magnitude grid capped at |v_ab|. A relative candidate (m, theta) survives
     when it is outside the cone (a blocked heading keeps only m = 0, which has
     no heading); it stands for the absolute velocity
-    (m*cos + v_b.x, m*sin + v_b.y). The set is returned as its grid; its
+    (m*cos + v_b.x, m*sin + v_b.y). The set is kept as that grid; its
     `candidates` list is built in this order when read.
     """
-    return FeasibleSet(_PolarGrid(
+    return FeasibleSet(
         headings=_headings(params.theta_step),
         center=cone.center_angle,
         half=cone.half_angle,
@@ -247,19 +236,17 @@ def search_feasible(v_ab: Vec2, v_b: Vec2, cone: CollisionCone,
         mag_step=params.mag_step,
         bx=v_b.x,
         by=v_b.y,
-    ))
+    )
 
 
 def prune_feasible(fset: FeasibleSet, v_b_other: Vec2,
                    cone_other: CollisionCone) -> FeasibleSet:
     """Drop candidates whose velocity relative to another threat falls in its cone.
 
-    The returned set holds the same grid with this threat's velocity and cone
-    appended to its pruning cones; nothing is listed or tested here.
+    The returned set is `fset` with this threat's velocity and cone appended
+    to its pruning cones; nothing is listed or tested here.
     """
-    grid = fset.grid
-    prune = (v_b_other.x, v_b_other.y, cone_other)
-    return FeasibleSet(replace(grid, prunes=grid.prunes + (prune,)))
+    return replace(fset, prunes=fset.prunes + ((v_b_other.x, v_b_other.y, cone_other),))
 
 
 def _survives(cx: float, cy: float, prunes: tuple[tuple[float, float, CollisionCone], ...]) -> bool:
@@ -277,109 +264,17 @@ _EDGE = 2.0 ** -40  # far more than a resting candidate's angle error against it
 _RAY_SPEED = 2.0 ** -900  # below it, a resting candidate's product may be subnormal
 
 
-def _resting_rays(grid: _PolarGrid) -> list[tuple[float, float, float]] | None:
+def _resting_rays(fset: FeasibleSet) -> list[tuple[float, float, float]] | None:
     """Per pruning cone, (center, half - _EDGE, half + _EDGE), where the
     seeding threat and every pruning threat are at rest and the least nonzero
     speed keeps every product normal; None otherwise. Each nonzero speed of a
     heading then lies on the heading's ray relative to every pruning threat
     (see `select_velocity`)."""
-    speeds, prunes = grid.speeds, grid.prunes
-    if (prunes and grid.bx == 0.0 and grid.by == 0.0 and len(speeds) > 1
+    speeds, prunes = fset.speeds, fset.prunes
+    if (prunes and fset.bx == 0.0 and fset.by == 0.0 and len(speeds) > 1
             and speeds[1] >= _RAY_SPEED and all(ox == 0.0 and oy == 0.0 for ox, oy, _ in prunes)):
         return [(c.center_angle, c.half_angle - _EDGE, c.half_angle + _EDGE) for _, _, c in prunes]
     return None
-
-
-def _closest_on_grid(grid: _PolarGrid, nx: float, ny: float) -> tuple[float, float] | None:
-    """The first candidate of least computed squared distance to (nx, ny) in
-    `grid.candidates()`, found without listing it (see `select_velocity`);
-    `_HOVER` where every surviving candidate's distance is infinite, None
-    where none survives."""
-    speeds, step, bx, by, prunes = grid.speeds, grid.mag_step, grid.bx, grid.by, grid.prunes
-    top = len(speeds) - 1
-    v_max = speeds[top]
-    scale = v_max + abs(bx) + abs(by) + abs(nx) + abs(ny)
-    err = 32.0 * _U * (scale * scale) + _TINY
-    windowed = 16.0 * err <= step * step  # false also when scale * scale overflows
-    wx, wy = nx - bx, ny - by
-    # heading 0 has cos 1 and sin 0, so the first candidate listed is `zero`,
-    # blocked or not; every zero-speed entry has its computed d2
-    zero = (0.0 + bx, 0.0 + by)
-    dx = zero[0] - nx
-    dy = zero[1] - ny
-    zero_d2 = dx * dx + dy * dy
-    best, best_d2 = None, math.inf
-    if not prunes or _survives(zero[0], zero[1], prunes):
-        best, best_d2 = (zero if zero_d2 < math.inf else _HOVER), zero_d2
-    best_theta = None  # the heading of a best taken after `zero`
-    bound = best_d2 + 2.0 * err
-    rays = _resting_rays(grid)
-    center, half, tau, remainder = grid.center, grid.half, math.tau, math.remainder
-    lo, hi = 0, top + 1  # every speed, unless windowed
-    for theta, cos_t, sin_t in grid.headings:
-        if windowed:
-            t = cos_t * wx + sin_t * wy
-            if t <= 0.0:
-                if zero_d2 >= bound:
-                    continue
-                t = 0.0
-            else:
-                cross = cos_t * wy - sin_t * wx
-                if cross * cross >= bound:
-                    continue
-                if t > v_max:
-                    t = v_max
-        if abs(remainder(theta - center, tau)) < half:
-            continue  # blocked: it holds only `zero`, which was tried first
-        cones = prunes  # the cones its candidates are tested against
-        if rays is not None:
-            cones = ()
-            for ray_center, inner, outer in rays:
-                off = abs(remainder(theta - ray_center, tau))
-                if off < inner:
-                    break
-                if off < outer:
-                    cones = prunes  # in the margin band: test each candidate
-            if off < inner:  # the loop stopped at a cone holding the ray
-                continue  # pruned down to its zero speed, which ties `zero`
-        if windowed:
-            lo, hi = bisect_left(speeds, t - step), bisect_right(speeds, t + step)
-        rejected = False
-        for m in speeds[lo:hi]:
-            cx = m * cos_t + bx
-            cy = m * sin_t + by
-            dx = cx - nx
-            dy = cy - ny
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                if cones and not _survives(cx, cy, cones):
-                    rejected = True
-                else:
-                    best, best_d2, best_theta = (cx, cy), d2, theta
-                    bound = d2 + 2.0 * err
-            elif best is None and _survives(cx, cy, prunes):
-                best = _HOVER  # a survivor at an infinite distance
-        if not rejected:
-            continue
-        # walk outward from the window, below it, then above it; a side ends
-        # at the first candidate taken, or at the first whose d2 rules it out
-        for below, side in ((True, range(lo - 1, -1, -1)), (False, range(hi, top + 1))):
-            for i in side:
-                m = speeds[i]
-                cx = m * cos_t + bx
-                cy = m * sin_t + by
-                dx = cx - nx
-                dy = cy - ny
-                d2 = dx * dx + dy * dy
-                # below the window, a tie with this heading's best comes first
-                if d2 < best_d2 or below and d2 == best_d2 and best_theta == theta:
-                    if not _survives(cx, cy, prunes):
-                        continue
-                    best, best_d2, best_theta = (cx, cy), d2, theta
-                    bound = d2 + 2.0 * err
-                if i != top - 1:  # the gap up to an off-grid v_max may be short
-                    break
-    return best
 
 
 def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
@@ -483,7 +378,91 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
     rejected one sends the walk over the rest of its heading. So the pick is
     None only when nothing survives, as the scan of an empty list.
     """
-    best = _closest_on_grid(fset.grid, v_desired.x, v_desired.y)
+    nx, ny = v_desired.x, v_desired.y
+    speeds, step, bx, by, prunes = fset.speeds, fset.mag_step, fset.bx, fset.by, fset.prunes
+    top = len(speeds) - 1
+    v_max = speeds[top]
+    scale = v_max + abs(bx) + abs(by) + abs(nx) + abs(ny)
+    err = 32.0 * _U * (scale * scale) + _TINY
+    windowed = 16.0 * err <= step * step  # false also when scale * scale overflows
+    wx, wy = nx - bx, ny - by
+    # heading 0 has cos 1 and sin 0, so the first candidate listed is `zero`,
+    # blocked or not; every zero-speed entry has its computed d2
+    zero = (0.0 + bx, 0.0 + by)
+    dx = zero[0] - nx
+    dy = zero[1] - ny
+    zero_d2 = dx * dx + dy * dy
+    best, best_d2 = None, math.inf
+    if not prunes or _survives(zero[0], zero[1], prunes):
+        best, best_d2 = (zero if zero_d2 < math.inf else _HOVER), zero_d2
+    best_theta = None  # the heading of a best taken after `zero`
+    bound = best_d2 + 2.0 * err
+    rays = _resting_rays(fset)
+    center, half, tau, remainder = fset.center, fset.half, math.tau, math.remainder
+    lo, hi = 0, top + 1  # every speed, unless windowed
+    for theta, cos_t, sin_t in fset.headings:
+        if windowed:
+            t = cos_t * wx + sin_t * wy
+            if t <= 0.0:
+                if zero_d2 >= bound:
+                    continue
+                t = 0.0
+            else:
+                cross = cos_t * wy - sin_t * wx
+                if cross * cross >= bound:
+                    continue
+                if t > v_max:
+                    t = v_max
+        if abs(remainder(theta - center, tau)) < half:
+            continue  # blocked: it holds only `zero`, which was tried first
+        cones = prunes  # the cones its candidates are tested against
+        if rays is not None:
+            cones = ()
+            for ray_center, inner, outer in rays:
+                off = abs(remainder(theta - ray_center, tau))
+                if off < inner:
+                    break
+                if off < outer:
+                    cones = prunes  # in the margin band: test each candidate
+            if off < inner:  # the loop stopped at a cone holding the ray
+                continue  # pruned down to its zero speed, which ties `zero`
+        if windowed:
+            lo, hi = bisect_left(speeds, t - step), bisect_right(speeds, t + step)
+        rejected = False
+        for m in speeds[lo:hi]:
+            cx = m * cos_t + bx
+            cy = m * sin_t + by
+            dx = cx - nx
+            dy = cy - ny
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                if cones and not _survives(cx, cy, cones):
+                    rejected = True
+                else:
+                    best, best_d2, best_theta = (cx, cy), d2, theta
+                    bound = d2 + 2.0 * err
+            elif best is None and _survives(cx, cy, prunes):
+                best = _HOVER  # a survivor at an infinite distance
+        if not rejected:
+            continue
+        # walk outward from the window, below it, then above it; a side ends
+        # at the first candidate taken, or at the first whose d2 rules it out
+        for below, side in ((True, range(lo - 1, -1, -1)), (False, range(hi, top + 1))):
+            for i in side:
+                m = speeds[i]
+                cx = m * cos_t + bx
+                cy = m * sin_t + by
+                dx = cx - nx
+                dy = cy - ny
+                d2 = dx * dx + dy * dy
+                # below the window, a tie with this heading's best comes first
+                if d2 < best_d2 or below and d2 == best_d2 and best_theta == theta:
+                    if not _survives(cx, cy, prunes):
+                        continue
+                    best, best_d2, best_theta = (cx, cy), d2, theta
+                    bound = d2 + 2.0 * err
+                if i != top - 1:  # the gap up to an off-grid v_max may be short
+                    break
     return None if best is None else Vec2(*best)
 
 

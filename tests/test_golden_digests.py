@@ -6,14 +6,14 @@ A change that moves any of them changes what the simulator does and must say
 why. The benchmark's own record, bench/digests.json, is read (never written)
 for two more gates: its waypoints.csv digests of `plan` on paper_like_5uav and
 paper_like_7uav at seeds 1-32, and its trajectories.csv and report.json
-digests of `run --algo vo` on corner_corridor at seeds 1-16.
+digests of `run` on corner_corridor under both controllers at seeds 1-16.
 """
 
 import json
 
 import pytest
 
-from golden_check import (ALGOS, BENCH_DIGESTS, BENCH_VO_SEEDS, COMPARE_PREFIX, GOLDEN,
+from golden_check import (ALGOS, BENCH_DIGESTS, BENCH_SEEDS, COMPARE_PREFIX, GOLDEN,
                           PLAN_SEEDS, SCENARIOS, bench_mismatches, compare_digests, golden_key,
                           plan_digest, run_digests)
 
@@ -83,5 +83,10 @@ def test_plan_waypoints_match_bench_digests(tmp_path):
 
 
 def test_vo_corner_runs_match_bench_digests(tmp_path):
-    assert list(BENCH_VO_SEEDS) == list(range(1, 17))
-    assert bench_mismatches(tmp_path) == []
+    assert list(BENCH_SEEDS) == list(range(1, 17))
+    assert bench_mismatches(tmp_path, "vo") == []
+
+
+def test_apf_corner_runs_match_bench_digests(tmp_path):
+    # APF along the corridor wall leans on gather_threats' ring scan the most
+    assert bench_mismatches(tmp_path, "apf") == []

@@ -27,11 +27,8 @@ ALLOWED = {
                            "segments_intersect calls it, which no shipped scenario "
                            "hits; test_geom2d covers that branch",
     ("vo_core", "FeasibleSet.candidates"): "read by bench/tracer.py and the tests; ROADMAP "
-                                           "item 6 removes them once the tracer reads a "
-                                           "decision trace",
-    ("vo_core", "_PolarGrid.candidates"): "read by bench/tracer.py and the tests; ROADMAP "
-                                          "item 6 removes them once the tracer reads a "
-                                          "decision trace",
+                                           "item 4 (the decision trace) removes it once the "
+                                           "tracer reads that trace",
 }
 
 

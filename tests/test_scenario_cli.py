@@ -11,10 +11,10 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from utm_sim.geom2d import Bounds, Vec2
+from utm_sim.geom2d import Bounds, Vec2, distance
 from utm_sim.metrics import build_report
 from utm_sim.obstacle_field import (MAX_CIRCLES, MAX_PAIR_SAMPLES, MAX_UAV_STEPS, RectObstacle,
                                     circle_count)
@@ -666,6 +666,124 @@ class TestPairSampleLimit:
         assert 100 * 50_000 <= MAX_UAV_STEPS
         with pytest.raises(ScenarioError, match=r"= 50000 \* 100 \* 99 / 2 is more than"):
             load_scenario(write_scenario(tmp_path, doc))
+
+
+def _pairwise_overlap(uavs, gap):
+    """The reference rule: the first overlap message of the loop over every
+    pair i < j, starts before goals, or None."""
+    for i, a in enumerate(uavs):
+        for b in uavs[i + 1:]:
+            for label, pa, pb in (("starts", a.start, b.start), ("goals", a.goal, b.goal)):
+                if not distance(pa, pb) >= gap:
+                    return (f"uavs '{a.id}' and '{b.id}' {label} are closer than "
+                            f"2 * uav_radius ({gap}); the bodies overlap")
+    return None
+
+
+def _overlap_verdict(uavs, params):
+    """The overlap message `Scenario` raises for `uavs` without rectangles, or None."""
+    try:
+        Scenario("scn", (), tuple(uavs), params)
+    except ScenarioError as exc:
+        return str(exc)
+    return None
+
+
+# radius -> offsets exactly 2 * radius long: along each axis, and 3-4-5 diagonals
+_CONTACTS = {r: [(2 * r, 0.0), (-2 * r, 0.0), (0.0, 2 * r), (0.0, -2 * r),
+                 (1.2 * r, 1.6 * r), (-1.6 * r, 1.2 * r)] for r in (12.5, 10.0, 5.0)}
+_CONTACT_BOUNDS = Bounds(-300.0, -300.0, 700.0, 700.0)  # holds a chain of nine contacts
+
+
+@st.composite
+def _contact_fleets(draw):
+    """(uav_radius, UAVs in _CONTACT_BOUNDS): each endpoint is a fresh point or
+    an earlier endpoint of the same kind moved by exactly 2 * uav_radius, or
+    that moved point one ulp closer along x or y."""
+    r = draw(st.sampled_from(sorted(_CONTACTS)))
+    # fresh points lie on a lattice 2 * r apart: every other line is a cell edge
+    coord = st.integers(1, 12).map(lambda k: k * 2.0 * r)
+    uavs, ends = [], {"start": [], "goal": []}
+    for i in range(draw(st.integers(2, 9))):
+        point = {}
+        for end, earlier in ends.items():
+            if earlier and draw(st.booleans()):
+                base = draw(st.sampled_from(earlier))
+                dx, dy = draw(st.sampled_from(_CONTACTS[r]))
+                x, y = base.x + dx, base.y + dy
+                closer = draw(st.sampled_from(["none", "none", "x", "y"]))
+                if closer == "x" and dx != 0.0:
+                    x = math.nextafter(x, base.x)
+                elif closer == "y" and dy != 0.0:
+                    y = math.nextafter(y, base.y)
+                point[end] = Vec2(x, y)
+            else:
+                point[end] = Vec2(draw(coord), draw(coord))
+            earlier.append(point[end])
+        uavs.append(UavSpec(f"u{i}", point["start"], point["goal"]))
+    return r, uavs
+
+
+class TestOverlapCheck:
+    """`Scenario` finds overlapping starts or goals by cells, not by every pair;
+    its verdict and its message are those of the pairwise loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fleet=_contact_fleets())
+    def test_cells_give_the_pairwise_verdict(self, fleet):
+        r, uavs = fleet
+        params = Params(uav_radius=r, bounds=_CONTACT_BOUNDS)
+        want = _pairwise_overlap(uavs, 2.0 * r)
+        event(f"overlap: {want is not None}")
+        assert _overlap_verdict(uavs, params) == want
+
+    @pytest.mark.parametrize("starts,goals,message", [
+        # u0-u2 starts and u0-u1 goals: the least j comes before starts
+        ([(20.0, 20.0), (100.0, 100.0), (30.0, 20.0)],
+         [(200.0, 300.0), (210.0, 300.0), (380.0, 380.0)],
+         "uavs 'u0' and 'u1' goals"),
+        # u1-u2 starts and u0-u2 goals: the least i comes first
+        ([(20.0, 20.0), (100.0, 100.0), (100.0, 110.0)],
+         [(200.0, 300.0), (20.0, 380.0), (200.0, 310.0)],
+         "uavs 'u0' and 'u2' goals"),
+    ])
+    def test_two_overlapping_pairs_report_the_first(self, starts, goals, message):
+        uavs = [UavSpec(f"u{i}", Vec2(*s), Vec2(*g)) for i, (s, g) in enumerate(zip(starts, goals))]
+        want = f"{message} are closer than 2 * uav_radius (24.0); the bodies overlap"
+        assert _pairwise_overlap(uavs, 24.0) == want
+        assert _overlap_verdict(uavs, Params()) == want
+
+    @pytest.mark.parametrize("apart", [False, True])
+    def test_tiny_bodies_far_from_the_origin(self, apart):
+        # cells 4 * uav_radius wide would put 1e12 at index 2.5e311, past the
+        # largest float; the cells widen to 2**-40 of the bounds instead
+        params = Params(uav_radius=1e-300, bounds=Bounds(0.0, 0.0, 2e12, 2e12), mag_step=1e7)
+        x = math.nextafter(1e12, math.inf) if apart else 1e12  # one ulp is 2**-13
+        uavs = [UavSpec("a", Vec2(1e12, 1e12), Vec2(1.0, 1.0)),
+                UavSpec("b", Vec2(x, 1e12), Vec2(3.0, 1.0))]
+        want = _pairwise_overlap(uavs, 2e-300)
+        assert (want is None) == apart
+        assert _overlap_verdict(uavs, params) == want
+
+    def test_two_thousand_uavs_load_in_linear_time(self):
+        # a 40 x 50 lattice 30 m apart, each flying to its mirror image: every
+        # pair is checked by cells, none overlaps
+        bounds = Bounds(0.0, 0.0, 4000.0, 4000.0)
+        uavs = tuple(UavSpec(f"u{i}", Vec2(30.0 + 30.0 * (i % 40), 30.0 + 30.0 * (i // 40)),
+                             Vec2(3970.0 - 30.0 * (i % 40), 30.0 + 30.0 * (i // 40)))
+                     for i in range(2000))
+        calls = []
+
+        def counted(a, b, _distance=scenario_cli.distance):
+            calls.append(1)
+            return _distance(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario_cli, "distance", counted)
+            Scenario("lattice", (), uavs, Params(bounds=bounds, max_steps=1))
+        # an endpoint's 3 x 3 block of 48 m cells spans 144 m, at most 5 x 5
+        # lattice points; the pairwise loop would make 3,998,000 calls
+        assert 0 < len(calls) <= 2 * 2000 * 24
 
 
 _GAIN = st.floats(0.1, 60.0)

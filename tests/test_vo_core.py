@@ -251,6 +251,9 @@ class TestPruneAndSelect:
         assert pruned.candidates == [
             c for c in fset.candidates if not in_cone(Vec2(*c) - v_other, cone2)
         ]
+        # the pruned set is the seeded grid, shared, with one more pruning cone
+        assert fset.prunes == () and pruned.prunes == ((0.0, 0.0, cone2),)
+        assert pruned.headings is fset.headings and pruned.speeds is fset.speeds
 
     def test_select_minimizes_distance(self):
         # headings 0, pi/2 and pi at speeds 0, 1 and 2.9 around v_b = (0, 0.1)
@@ -284,7 +287,7 @@ class TestPruneAndSelect:
 def _hand_grid(headings, speeds, bx=0.0, by=0.0):
     """A set seeded by a threat moving at (bx, by) whose cone, around -pi/2
     with half-angle 0.1, blocks none of `headings`; the first must be heading 0."""
-    return FeasibleSet(vo_core._PolarGrid(headings, -math.pi / 2.0, 0.1, speeds, 1.0, bx, by))
+    return FeasibleSet(headings, -math.pi / 2.0, 0.1, speeds, 1.0, bx, by)
 
 
 def oracle_avoid(pos, wp, threats, params):
@@ -486,9 +489,9 @@ class TestConeRemainder:
         assert oracle_open_headings(((theta, 0.0, 0.0),), cone) == [not inside]
         # a one-heading grid along theta: listed, a blocked heading keeps only
         # its zero speed; selected, an open one reaches speed 1 at (1, 0)
-        grid = vo_core._PolarGrid(((theta, 1.0, 0.0),), center, half, [0.0, 1.0], 1.0, 0.0, 0.0)
-        assert grid.candidates() == ([(0.0, 0.0)] if inside else [(0.0, 0.0), (1.0, 0.0)])
-        assert vo_core._closest_on_grid(grid, 1.0, 0.0) == ((0.0, 0.0) if inside else (1.0, 0.0))
+        fset = FeasibleSet(((theta, 1.0, 0.0),), center, half, [0.0, 1.0], 1.0, 0.0, 0.0)
+        assert fset.candidates == ([(0.0, 0.0)] if inside else [(0.0, 0.0), (1.0, 0.0)])
+        assert select_velocity(fset, Vec2(1.0, 0.0)) == Vec2(0.0 if inside else 1.0, 0.0)
         v = Vec2(math.cos(theta), math.sin(theta))
         assert in_cone(v, cone) == (abs(normalize_angle(math.atan2(v.y, v.x) - center)) < half)
 
@@ -705,7 +708,7 @@ class TestSelectOnGrid:
             search_feasible(Vec2(v_max, 0.0), b, CollisionCone(0.0, 0.0), Params()),
             Vec2(-8.000222179397994, 1.7449839326826997),
             CollisionCone(normalize_angle(theta + math.pi), 0.5))
-        assert fset.grid.speeds[-2:] == [22 * 0.2, v_max]
+        assert fset.speeds[-2:] == [22 * 0.2, v_max]
         n = Vec2(-7.791297386242126, 1.7100294178468207)
         want = oracle_closest(fset.candidates, n.x, n.y)
         assert want == (v_max * math.cos(theta) + b.x, v_max * math.sin(theta) + b.y)
@@ -720,7 +723,7 @@ class TestSelectOnGrid:
         def refuse(self):
             raise AssertionError("the candidate list was built")
 
-        monkeypatch.setattr(vo_core._PolarGrid, "candidates", refuse)
+        monkeypatch.setattr(FeasibleSet, "candidates", property(refuse))
         res = avoid(state, [th], Params())
         assert res.engaged and not res.empty_set
         assert res.velocity == want
@@ -734,7 +737,7 @@ class TestSelectOnGrid:
         def refuse(self):
             raise AssertionError("the candidate list was built")
 
-        monkeypatch.setattr(vo_core._PolarGrid, "candidates", refuse)
+        monkeypatch.setattr(FeasibleSet, "candidates", property(refuse))
         got = avoid(state, threats, Params())
         assert got == want
         assert ((got.velocity.x.hex(), got.velocity.y.hex())
@@ -1000,12 +1003,12 @@ class TestRestingRays:
         prune = CollisionCone(0.3, abs(math.remainder(theta - 0.3, math.tau)) + delta)
         n = Vec2(1.5 * cos_t, 1.5 * sin_t)
         fset, want = _resting_case(params, 3.0, self._SEED, [(Vec2(0.0, 0.0), prune)], n)
-        center, inner, outer = vo_core._resting_rays(fset.grid)[0]
+        center, inner, outer = vo_core._resting_rays(fset)[0]
         assert inner <= abs(math.remainder(theta - center, math.tau)) < outer
         got, tests = self._pick(monkeypatch, fset, n)
         assert got == want and tests > 1
         # the pick lies on heading 5 unless the heading is just inside the cone
-        on_ray = [(m * cos_t, m * sin_t) for m in fset.grid.speeds[1:]]
+        on_ray = [(m * cos_t, m * sin_t) for m in fset.speeds[1:]]
         assert (got in on_ray) == (delta < 0.0)
 
     @pytest.mark.parametrize("oy", [-0.0, 1e-9])
@@ -1018,7 +1021,7 @@ class TestRestingRays:
         n = Vec2(2.0, 0.1)
         fset, want = _resting_case(params, 3.0, self._SEED,
                                    [(Vec2(0.0, oy), CollisionCone(0.0, 0.5))], n)
-        assert (vo_core._resting_rays(fset.grid) is None) == (oy != 0.0)
+        assert (vo_core._resting_rays(fset) is None) == (oy != 0.0)
         got, tests = self._pick(monkeypatch, fset, n)
         assert got == want
         assert (tests == 1) == (oy == 0.0)
@@ -1031,8 +1034,8 @@ class TestRestingRays:
         n = Vec2(2.5 * step, step)
         fset, want = _resting_case(params, 3.0 * step, self._SEED,
                                    [(Vec2(0.0, 0.0), CollisionCone(0.0, 0.5))], n)
-        assert fset.grid.speeds[1] == step
-        assert (vo_core._resting_rays(fset.grid) is None) == (step < 2.0 ** -900)
+        assert fset.speeds[1] == step
+        assert (vo_core._resting_rays(fset) is None) == (step < 2.0 ** -900)
         got, _ = self._pick(monkeypatch, fset, n)
         assert got == want
 
