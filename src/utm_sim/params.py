@@ -34,12 +34,13 @@ MAX_HEADINGS = 10_000
 MAX_SPEEDS = 100_000
 
 # The most VO candidates, headings times speed steps (the two ratios above),
-# that one feasible set may stand for. Selection visits a few of them per
-# heading, but where pruning rejects them it walks a heading's speeds, and
-# with huge magnitudes it visits all of them; listing a set (the benchmark's
-# tracer does) builds every one. So two steps that each pass their own limit
-# may not together pass this one. The shipped scenarios need 32 x 566 = 18,112;
-# a step at either limit above passes with the other at its default.
+# that one feasible set may stand for. Selection evaluates a few of them per
+# heading, but where pruning rejects one of those it evaluates the heading's
+# whole speed list, so each heading at most twice, and with huge magnitudes it
+# visits every one; listing a set (the benchmark's tracer does) builds every
+# one. So two steps that each pass their own limit may not together pass this
+# one. The shipped scenarios need 32 x 566 = 18,112; a step at either limit
+# above passes with the other at its default.
 MAX_CANDIDATES = 10_000_000
 
 
@@ -48,9 +49,9 @@ class Params:
     """All run parameters of one run.
 
     Integer fields take an `int`, never a `bool`; float fields take what
-    `geom2d.finite_float` takes and store what it returns. Every
-    numeric field must be finite and > 0, except `goal_bias` in [0, 1] and
-    `inflation` >= 0; `circle_spacing` must stay below
+    `geom2d.finite_float` takes and store what it returns; `bounds` takes a
+    `geom2d.Bounds`. Every numeric field must be finite and > 0, except
+    `goal_bias` in [0, 1] and `inflation` >= 0; `circle_spacing` must stay below
     `2 * obstacle_circle_radius` so adjacent circles overlap, and the bounds
     extent over `circle_spacing` must be finite, so that every edge of a
     rectangle inside the bounds gets a circle count. `2*pi / theta_step` must
@@ -109,9 +110,11 @@ class Params:
         if self.circle_spacing >= 2.0 * self.obstacle_circle_radius:
             raise ValueError("circle_spacing must be < 2 * obstacle_circle_radius; "
                              "adjacent circles would leave perimeter gaps")
+        b = self.bounds
+        if not isinstance(b, Bounds):
+            raise ValueError(f"bounds must be a geom2d.Bounds, got {b!r}")
         # an edge inside the bounds is no longer than their extent, so its
         # circle count `ceil(edge / circle_spacing)` is then finite too
-        b = self.bounds
         if not math.isfinite(max(b.max_x - b.min_x, b.max_y - b.min_y) / self.circle_spacing):
             raise ValueError("circle_spacing is too small for the bounds: their extent "
                              "over it is not finite")

@@ -19,9 +19,10 @@ seeding cone, or a candidate outside the pruning cones, is tested only where
 selection needs the answer: for a heading whose rounded distance bound says it
 could hold the winner, and for a candidate that would become the best. Per
 such open heading, selection evaluates the two or three speeds near the
-nominal velocity's projection onto that heading, and walks outward from them
-only where pruning rejected one; it picks the same candidate as the scan of
-the whole list (see `select_velocity`). Where the seeding threat and every
+nominal velocity's projection onto that heading, and evaluates the heading's
+whole speed list again only where pruning rejected one of them that would
+have been picked; it picks the same candidate as the scan of the whole list
+(see `select_velocity`). Where the seeding threat and every
 pruning threat are at rest (wall circles, parked UAVs), each nonzero speed of
 a heading lies on the heading's ray relative to every pruning threat, so the
 ray settles the heading once per pruning cone: inside a cone it holds only its
@@ -283,13 +284,12 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
     The rule is the scan of `fset.candidates` for the first least computed
     d2 = dx*dx + dy*dy; a set whose every d2 is infinite hovers at (0, 0).
     The grid is walked instead, with the same float expressions, which gives
-    the same candidate. The walk keeps the best candidate, its d2 and its
-    heading. It takes a candidate when its d2 is below best_d2, or equal to
-    it for a candidate that comes before the best in search order, and only
-    once the candidate survives every pruning cone (`_in_cone_xy` of c - o,
-    the listing's own test). So it keeps the least (d2, search position)
-    among the survivors it visits, whatever the order of visiting; what
-    follows shows that no survivor it passes over has a lesser one.
+    the same candidate. The walk visits candidates in search order and keeps
+    the best candidate and its d2. It takes a candidate when its d2 is below
+    best_d2, and only once the candidate survives every pruning cone
+    (`_in_cone_xy` of c - o, the listing's own test). So it keeps the least
+    (d2, search position) among the survivors it visits; what follows shows
+    that no survivor it passes over has a lesser one.
 
     The first candidate listed is `zero` = (0.0 + b_x, 0.0 + b_y), heading
     0's zero-speed entry (cos 1, sin 0), blocked or not; it is tried first.
@@ -330,18 +330,9 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
       more than twice the d2 error: its computed d2 is above that of s0. If
       pruning rejected no window candidate that would have become the best,
       best_d2 is now at most the d2 of s0, and the heading is settled.
-    - Outward: otherwise the walk goes on from the window, below it and then
-      above it. Two speeds m < m' beyond the window on one side are a grid
-      gap g apart and lie more than 0.99 mag_step past p, on the far side of
-      it from m*, so D grows outward between them by |q|^2 g (m + m' - 2 m*),
-      at least 1.9 mag_step^2 >= 30 E for a full gap: the computed d2 grows
-      too. Only the last gap, up to an off-grid v_max, may be shorter. So a
-      side ends at the first candidate taken, or at the first that its d2
-      alone rules out, as every one further out has a greater d2; but no
-      side ends at the next-to-last speed, so above the window the last is
-      still evaluated. Below the window, a candidate comes before the
-      window's in search order, so it is also taken on a tie with a best
-      from its own heading.
+      Otherwise the best, best_d2 and bound held before the window are
+      restored and the heading's whole speed list is visited in order: the
+      scan itself, on this heading.
 
     - Resting threats: where b and every pruning velocity o are zero (of
       either sign) and the least nonzero speed is at least 2**-900, a
@@ -369,19 +360,18 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
       cone and was tried first: the heading is passed over as a blocked
       one is. At or above fl(half + 2**-40) for every cone, every candidate
       is outside them all: the window is evaluated without a survival test,
-      as in an unpruned set, and nothing is walked. Otherwise (an offset in
+      as in an unpruned set, and never rescanned. Otherwise (an offset in
       the band between, a moving threat, or a smaller speed, whose product
       could be subnormal) each candidate is tested as above.
 
     Until a candidate survives, best_d2 is infinite: no heading is skipped,
     every window candidate is tested (with windows, d2 is finite), and a
-    rejected one sends the walk over the rest of its heading. So the pick is
-    None only when nothing survives, as the scan of an empty list.
+    rejected one sends the walk over its whole heading. So the pick is None
+    only when nothing survives, as the scan of an empty list.
     """
     nx, ny = v_desired.x, v_desired.y
     speeds, step, bx, by, prunes = fset.speeds, fset.mag_step, fset.bx, fset.by, fset.prunes
-    top = len(speeds) - 1
-    v_max = speeds[top]
+    v_max = speeds[-1]
     scale = v_max + abs(bx) + abs(by) + abs(nx) + abs(ny)
     err = 32.0 * _U * (scale * scale) + _TINY
     windowed = 16.0 * err <= step * step  # false also when scale * scale overflows
@@ -395,11 +385,10 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
     best, best_d2 = None, math.inf
     if not prunes or _survives(zero[0], zero[1], prunes):
         best, best_d2 = (zero if zero_d2 < math.inf else _HOVER), zero_d2
-    best_theta = None  # the heading of a best taken after `zero`
     bound = best_d2 + 2.0 * err
     rays = _resting_rays(fset)
     center, half, tau, remainder = fset.center, fset.half, math.tau, math.remainder
-    lo, hi = 0, top + 1  # every speed, unless windowed
+    window = speeds  # every speed, unless windowed
     for theta, cos_t, sin_t in fset.headings:
         if windowed:
             t = cos_t * wx + sin_t * wy
@@ -427,42 +416,27 @@ def select_velocity(fset: FeasibleSet, v_desired: Vec2) -> Vec2 | None:
             if off < inner:  # the loop stopped at a cone holding the ray
                 continue  # pruned down to its zero speed, which ties `zero`
         if windowed:
-            lo, hi = bisect_left(speeds, t - step), bisect_right(speeds, t + step)
-        rejected = False
-        for m in speeds[lo:hi]:
-            cx = m * cos_t + bx
-            cy = m * sin_t + by
-            dx = cx - nx
-            dy = cy - ny
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                if cones and not _survives(cx, cy, cones):
-                    rejected = True
-                else:
-                    best, best_d2, best_theta = (cx, cy), d2, theta
-                    bound = d2 + 2.0 * err
-            elif best is None and _survives(cx, cy, prunes):
-                best = _HOVER  # a survivor at an infinite distance
-        if not rejected:
-            continue
-        # walk outward from the window, below it, then above it; a side ends
-        # at the first candidate taken, or at the first whose d2 rules it out
-        for below, side in ((True, range(lo - 1, -1, -1)), (False, range(hi, top + 1))):
-            for i in side:
-                m = speeds[i]
+            window = speeds[bisect_left(speeds, t - step):bisect_right(speeds, t + step)]
+        before = best, best_d2, bound
+        for span in (window, speeds):
+            rejected = False
+            for m in span:
                 cx = m * cos_t + bx
                 cy = m * sin_t + by
                 dx = cx - nx
                 dy = cy - ny
                 d2 = dx * dx + dy * dy
-                # below the window, a tie with this heading's best comes first
-                if d2 < best_d2 or below and d2 == best_d2 and best_theta == theta:
-                    if not _survives(cx, cy, prunes):
-                        continue
-                    best, best_d2, best_theta = (cx, cy), d2, theta
-                    bound = d2 + 2.0 * err
-                if i != top - 1:  # the gap up to an off-grid v_max may be short
-                    break
+                if d2 < best_d2:
+                    if cones and not _survives(cx, cy, cones):
+                        rejected = True
+                    else:
+                        best, best_d2 = (cx, cy), d2
+                        bound = d2 + 2.0 * err
+                elif best is None and _survives(cx, cy, prunes):
+                    best = _HOVER  # a survivor at an infinite distance
+            if not rejected or span is speeds:
+                break
+            best, best_d2, bound = before  # pruning cost the window its pick: scan the heading
     return None if best is None else Vec2(*best)
 
 

@@ -11,10 +11,12 @@ tests/golden_digests.json holds sha256 digests of:
 - the stdout of each of those commands, with its output directory replaced by
   `<out>` (the command's key plus `/stdout`).
 
-It also checks `run` on corner_corridor under both controllers at seeds
-1-16, whose trajectories.csv and report.json digests it reads from the
-benchmark's own record, bench/digests.json (keys
-`run/corner_corridor/<algo>/seed=<n>`), and never writes.
+It also checks every entry of the benchmark's own record, bench/digests.json,
+which it reads and never writes: the trajectories.csv and report.json digests
+of each `run` and of each seed of each `compare`, and the waypoints.csv digest
+of each `plan`, for every operation of every workload in bench/workloads.py.
+Each operation runs as the benchmark runs it, except that a `compare` runs its
+seeds in this process (`--jobs 1`), which writes the same bytes.
 
 This module uses the standard library alone, so any interpreter can recheck
 the digests; tests/test_golden_digests.py runs the same checks under pytest.
@@ -29,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +39,9 @@ from pathlib import Path
 from utm_sim.scenario_cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "bench"))
+from workloads import WORKLOADS, sha256_files  # noqa: E402
+
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 SCENARIOS = ("head_on_duel", "paper_like_5uav", "paper_like_7uav", "corner_corridor")
 ALGOS = ("vo", "apf")
@@ -47,21 +53,24 @@ COMPARE_SCENARIO = "paper_like_7uav"
 COMPARE_SEEDS = "1..2"
 COMPARE_PREFIX = f"compare/{COMPARE_SCENARIO}/seeds={COMPARE_SEEDS}"
 BENCH_DIGESTS = ROOT / "bench" / "digests.json"
-BENCH_RUN_FILES = ("trajectories.csv", "report.json")
-BENCH_SEEDS = range(1, 17)
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _main(argv: list[str], out: Path) -> str:
-    """Run one command writing under `out`; digest of its stdout, `out` as `<out>`."""
+def _quiet(argv: list[str]) -> str:
+    """Run one command; its stdout."""
     with contextlib.redirect_stdout(io.StringIO()) as buf:
-        code = main([*argv, "--out", str(out)])
+        code = main(argv)
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}")
-    text = buf.getvalue().replace(str(out), "<out>")
+    return buf.getvalue()
+
+
+def _main(argv: list[str], out: Path) -> str:
+    """Run one command writing under `out`; digest of its stdout, `out` as `<out>`."""
+    text = _quiet([*argv, "--out", str(out)]).replace(str(out), "<out>")
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -87,18 +96,25 @@ def plan_digest(scenario: str, seed: int, out: Path) -> dict[str, str]:
             f"plan/{scenario}/seed={seed}/stdout": stdout}
 
 
-def bench_mismatches(out: Path, algo: str) -> list[str]:
-    """The keys of the corner_corridor runs under `algo`, at BENCH_SEEDS, whose
-    BENCH_RUN_FILES digests differ from those bench/digests.json records."""
+def bench_record(prefix: str = "") -> dict[str, dict[str, str]]:
+    """The entries of bench/digests.json whose key starts with `prefix`."""
     bench = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
-    missed = []
-    for seed in BENCH_SEEDS:
-        key = f"run/corner_corridor/{algo}/seed={seed}"
-        _main(["run", "--scenario", str(ROOT / "scenarios" / "corner_corridor.json"),
-               "--seed", str(seed), "--algo", algo], out / key)
-        if {name: _sha256(out / key / name) for name in BENCH_RUN_FILES} != bench[key]:
-            missed.append(key)
-    return missed
+    return {key: files for key, files in bench.items() if key.startswith(prefix)}
+
+
+def bench_mismatches(out: Path, prefix: str = "") -> list[str]:
+    """The keys starting with `prefix` whose digests, from the workload operations
+    that check them, differ from bench_record's: a key that no operation checks,
+    or that the record lacks, is one too."""
+    want, got = bench_record(prefix), {}
+    for workload in WORKLOADS.values():
+        for op in workload.all_ops():
+            checks = [check for check in op.checks() if check[0].startswith(prefix)]
+            if checks:
+                shutil.rmtree(out, ignore_errors=True)
+                _quiet(op.argv(ROOT, out) + (["--jobs", "1"] if op.command == "compare" else []))
+                got.update({key: sha256_files(out / sub, files) for key, sub, files in checks})
+    return sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
 
 
 def compare_digests(out: Path) -> dict[str, str]:
@@ -129,22 +145,20 @@ def check(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         got = all_digests(Path(tmp))
-        bench_missed = {} if argv else {algo: bench_mismatches(Path(tmp) / "bench", algo)
-                                        for algo in ALGOS}
+        bench_missed = [] if argv else bench_mismatches(Path(tmp) / "bench")
     if argv:
         GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         return 0
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     missed = sorted(key for key in golden.keys() | got.keys() if golden.get(key) != got.get(key))
-    for key in missed + [key for keys in bench_missed.values() for key in keys]:
+    for key in missed + bench_missed:
         print(f"MISMATCH {key}")
     matched = sum(got.get(key) == digest for key, digest in golden.items())
     print(f"{matched} of {len(golden)} golden digests match (Python {sys.version.split()[0]})")
-    checked = len(BENCH_SEEDS)
-    for algo, keys in bench_missed.items():
-        print(f"{checked - len(keys)} of {checked} corner_corridor {algo.upper()} runs match "
-              "bench/digests.json")
-    return 1 if missed or any(bench_missed.values()) else 0
+    bench = bench_record()
+    matched = sum(key not in bench_missed for key in bench)
+    print(f"{matched} of {len(bench)} bench/digests.json entries match")
+    return 1 if missed or bench_missed else 0
 
 
 if __name__ == "__main__":

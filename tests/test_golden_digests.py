@@ -4,18 +4,23 @@ tests/golden_check.py lists what tests/golden_digests.json holds, computes
 the digests and re-records them; the tests below check each group of them.
 A change that moves any of them changes what the simulator does and must say
 why. The benchmark's own record, bench/digests.json, is read (never written)
-for two more gates: its waypoints.csv digests of `plan` on paper_like_5uav and
-paper_like_7uav at seeds 1-32, and its trajectories.csv and report.json
-digests of `run` on corner_corridor under both controllers at seeds 1-16.
+for more gates, one per group of its entries, which together check every
+entry: `plan` on paper_like_5uav and paper_like_7uav at seeds 1-32, `run` on
+corner_corridor under VO at seeds 1-16 and APF at seeds 1-32, each seed of
+`compare` on paper_like_7uav at seeds 1-16, and the 40-step VO runs of
+paper_like_7uav at seeds 1-32.
 """
 
 import json
 
 import pytest
 
-from golden_check import (ALGOS, BENCH_DIGESTS, BENCH_SEEDS, COMPARE_PREFIX, GOLDEN,
-                          PLAN_SEEDS, SCENARIOS, bench_mismatches, compare_digests, golden_key,
-                          plan_digest, run_digests)
+from golden_check import (ALGOS, COMPARE_PREFIX, GOLDEN, PLAN_SEEDS, SCENARIOS, bench_mismatches,
+                          bench_record, compare_digests, golden_key, plan_digest, run_digests)
+
+# Each group of bench/digests.json, by key prefix, and its number of entries.
+BENCH_GROUPS = {"plan/": 64, "run/corner_corridor/vo/": 16, "run/corner_corridor/apf/": 32,
+                "compare/paper_like_7uav/": 32, "run/paper_like_7uav/vo/max_steps=40/": 32}
 
 
 @pytest.fixture(scope="module")
@@ -67,26 +72,28 @@ def test_compare_outputs_match_golden_digests(tmp_path, golden):
     assert compare_digests(tmp_path) == expected
 
 
+def test_bench_groups_are_the_whole_record():
+    # the prefixes are disjoint, so equal sizes mean every entry is in a group
+    assert {prefix: len(bench_record(prefix)) for prefix in BENCH_GROUPS} == BENCH_GROUPS
+    assert sum(BENCH_GROUPS.values()) == len(bench_record()) == 176
+
+
 def test_plan_waypoints_match_bench_digests(tmp_path):
-    bench = json.loads(BENCH_DIGESTS.read_text(encoding="utf-8"))
-    plans = {key: files["waypoints.csv"] for key, files in bench.items()
-             if key.startswith("plan/")}
-    assert len(plans) == 64  # two scenarios at seeds 1-32
-    mismatched = []
-    for key, want in sorted(plans.items()):
-        _, scenario, seed = key.split("/")
-        seed = int(seed.removeprefix("seed="))
-        got = plan_digest(scenario, seed, tmp_path / scenario / str(seed))
-        if got[f"{key}/waypoints.csv"] != want:
-            mismatched.append(key)
-    assert mismatched == []
+    assert bench_mismatches(tmp_path, "plan/") == []
 
 
 def test_vo_corner_runs_match_bench_digests(tmp_path):
-    assert list(BENCH_SEEDS) == list(range(1, 17))
-    assert bench_mismatches(tmp_path, "vo") == []
+    assert bench_mismatches(tmp_path, "run/corner_corridor/vo/") == []
 
 
 def test_apf_corner_runs_match_bench_digests(tmp_path):
     # APF along the corridor wall leans on gather_threats' ring scan the most
-    assert bench_mismatches(tmp_path, "apf") == []
+    assert bench_mismatches(tmp_path, "run/corner_corridor/apf/") == []
+
+
+def test_compare_seeds_match_bench_digests(tmp_path):
+    assert bench_mismatches(tmp_path, "compare/paper_like_7uav/") == []
+
+
+def test_short_vo_runs_match_bench_digests(tmp_path):
+    assert bench_mismatches(tmp_path, "run/paper_like_7uav/vo/max_steps=40/") == []

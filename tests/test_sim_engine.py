@@ -104,6 +104,12 @@ def test_params_take_none_only_for_inflation():
         Params(kp=None)
 
 
+@pytest.mark.parametrize("bounds", [None, (0, 0, 1, 1)])
+def test_params_reject_bounds_that_are_not_bounds(bounds):
+    with pytest.raises(ValueError, match=r"^bounds must be a geom2d\.Bounds, got"):
+        Params(bounds=bounds)
+
+
 def test_non_finite_gain_rejected_before_the_run():
     sc = load_scenario(SCENARIOS / "head_on_duel.json")
     with pytest.raises(ValueError, match="k_att must be finite"):

@@ -714,6 +714,38 @@ class TestSelectOnGrid:
         assert want == (v_max * math.cos(theta) + b.x, v_max * math.sin(theta) + b.y)
         assert select_velocity(fset, n) == Vec2(*want)
 
+    def test_rejected_window_rescans_to_a_speed_far_below_it(self):
+        # heading 0's window holds speeds 9, 10 and 11 around the nominal 10;
+        # a threat moving at 5.5 m/s along +x prunes every speed above 5.5,
+        # so the heading's best, and the pick, is speed 5, 4 below the window
+        n = Vec2(10.0, 0.0)
+        fset = prune_feasible(
+            search_feasible(Vec2(20.0, 0.0), Vec2(0.0, 0.0), CollisionCone(0.0, 0.0),
+                            Params(mag_step=1.0)),
+            Vec2(5.5, 0.0), CollisionCone(0.0, 1.5))
+        assert [m for m in range(21) if (float(m), 0.0) in fset.candidates] == list(range(6))
+        want = oracle_closest(fset.candidates, n.x, n.y)
+        assert want == (5.0, 0.0)
+        got = select_velocity(fset, n)
+        assert (got.x.hex(), got.y.hex()) == (want[0].hex(), want[1].hex())
+
+    def test_heading_with_every_nonzero_speed_rejected(self):
+        # a threat drifting at 1e-9 m/s along +y holds every nonzero speed of
+        # heading 0 (and its neighbours) in its cone around +x, but not the
+        # zero speed; the rescan of heading 0 takes nothing, and the pick is
+        # the listing's, on a heading outside the cone
+        n = Vec2(10.0, 0.0)
+        fset = prune_feasible(
+            search_feasible(Vec2(20.0, 0.0), Vec2(0.0, 0.0), CollisionCone(0.0, 0.0),
+                            Params(mag_step=1.0)),
+            Vec2(0.0, 1e-9), CollisionCone(0.0, 0.3))
+        assert vo_core._resting_rays(fset) is None
+        assert [m for m in range(21) if (float(m), 0.0) in fset.candidates] == [0]
+        want = oracle_closest(fset.candidates, n.x, n.y)
+        assert want[1] != 0.0
+        got = select_velocity(fset, n)
+        assert (got.x.hex(), got.y.hex()) == (want[0].hex(), want[1].hex())
+
     def test_one_conflicting_threat_never_lists_candidates(self, monkeypatch):
         state = make_state(Vec2(0.0, 0.0), Vec2(100.0, 0.0))
         th = Threat(Vec2(60.0, 0.0), Vec2(-20.0, 0.0), 24.0, "b")
@@ -1016,7 +1048,7 @@ class TestRestingRays:
         # the nominal lies inside a pruning cone around +x: at rest, its ray
         # passes each heading near it over, and only `zero` is tested; a
         # threat moving at 1e-9 m/s sends the decision down the per-candidate
-        # path, whose windows and outward walks test many
+        # path, whose windows and rescans test many
         params = Params()
         n = Vec2(2.0, 0.1)
         fset, want = _resting_case(params, 3.0, self._SEED,
